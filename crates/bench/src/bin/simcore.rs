@@ -6,7 +6,9 @@
 //! `--check <baseline.json>` the run fails (exit 1) when any gate trips:
 //!
 //! * simcall throughput below half the baseline's;
-//! * scheduler handoff latency more than double the baseline's;
+//! * scheduler handoff latency more than double the baseline's, for the
+//!   two-actor ping-pong or for 1024 actors round-robin (the second is the
+//!   one that notices a dispatch path gone cache-hostile);
 //! * parallel speedup at 4 workers below 1.8x — enforced only when the
 //!   measuring host actually has ≥ 4 CPUs (a 1-core builder cannot observe
 //!   parallel speedup, and a gate it cannot pass would just get deleted).
@@ -24,7 +26,7 @@ fn main() {
     let baseline = args
         .check
         .as_ref()
-        .map(|p| baseline_metrics(p, &["simcalls_per_sec_fast", "handoff_ns"]));
+        .map(|p| baseline_metrics(p, &["simcalls_per_sec_fast", "handoff_ns", "handoff_1k_ns"]));
 
     let (tables, metrics) = hupc_bench::exp::simcore::run(args.quick);
     hupc_bench::report::emit(&args, &tables);
@@ -43,6 +45,7 @@ fn main() {
                     base[0] / 2.0,
                 ),
                 Gate::at_most("handoff_ns", metrics.handoff_ns, base[1] * 2.0),
+                Gate::at_most("handoff_1k_ns", metrics.handoff_1k_ns, base[2] * 2.0),
                 Gate::at_least("parallel_speedup_4w", metrics.parallel_speedup_4w, 1.8)
                     .waive_if(metrics.host_cpus < 4.0, "host has fewer than 4 CPUs"),
             ],

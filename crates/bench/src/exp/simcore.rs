@@ -9,7 +9,10 @@
 //!    park → scheduler → heap → wake round trip.
 //! 2. **handoff latency** — two actors ping-ponging through a [`SimQueue`],
 //!    which forces the scheduler onto the critical path of every hop; this
-//!    prices the spin-then-park `Handoff` rendezvous.
+//!    prices the spin-then-park `Handoff` rendezvous. A second probe takes
+//!    1024 actors round-robin, so every resume lands on a stack the host
+//!    last touched 1023 switches ago: it prices the dispatch path's cache
+//!    behaviour, which the two-actor case (everything stays in L1) cannot.
 //! 3. **UTS end-to-end** — the thesis Fig 3.3 workload (quick: a small
 //!    tree), fast path on vs off, showing the bypass survives contact with
 //!    a real application's mix of simcalls.
@@ -43,6 +46,8 @@ pub struct SimcoreMetrics {
     pub simcalls_per_sec_slow: f64,
     pub simcall_speedup: f64,
     pub handoff_ns: f64,
+    /// Host ns per scheduler handoff with 1024 actors taking turns.
+    pub handoff_1k_ns: f64,
     pub uts_host_s_fast: f64,
     pub uts_host_s_slow: f64,
     pub uts_speedup: f64,
@@ -68,6 +73,7 @@ impl SimcoreMetrics {
         format!(
             "{{\n  \"simcalls_per_sec_fast\": {:.0},\n  \"simcalls_per_sec_slow\": {:.0},\n  \
              \"simcall_speedup\": {:.2},\n  \"handoff_ns\": {:.0},\n  \
+             \"handoff_1k_ns\": {:.0},\n  \
              \"uts_host_s_fast\": {:.3},\n  \"uts_host_s_slow\": {:.3},\n  \
              \"uts_speedup\": {:.2},\n  \"spawn_rate_per_s\": {:.0},\n  \
              \"max_actors\": {:.0},\n  \"tree_actors\": {:.0},\n  \
@@ -78,6 +84,7 @@ impl SimcoreMetrics {
             self.simcalls_per_sec_slow,
             self.simcall_speedup,
             self.handoff_ns,
+            self.handoff_1k_ns,
             self.uts_host_s_fast,
             self.uts_host_s_slow,
             self.uts_speedup,
@@ -137,6 +144,27 @@ fn pingpong(rounds: u64) -> f64 {
     let t0 = Instant::now();
     sim.run();
     t0.elapsed().as_secs_f64() * 1e9 / (2.0 * rounds as f64)
+}
+
+/// `actors` actors advancing by the same step, offset by one tick each, so
+/// every wake belongs to another actor than the one that just ran: no
+/// advance can take the fast path and the scheduler resumes the actors in
+/// round-robin order. Returns host ns per handoff.
+fn round_robin(actors: u64, per_actor: u64) -> f64 {
+    let mut sim = Simulation::new();
+    for a in 0..actors {
+        sim.spawn(format!("rr{a}"), move |ctx| {
+            ctx.advance(time::ns(1 + a));
+            for _ in 0..per_actor {
+                ctx.advance(time::ns(actors));
+            }
+        });
+    }
+    let t0 = Instant::now();
+    let stats = sim.run();
+    let dt = t0.elapsed().as_secs_f64();
+    assert_eq!(stats.fast_path_hits, 0, "round robin must not bypass the scheduler");
+    dt * 1e9 / stats.handoffs as f64
 }
 
 /// UTS wall clock on the host, fast path on or off. Uses the process-global
@@ -285,6 +313,7 @@ pub fn run(quick: bool) -> (Vec<Table>, SimcoreMetrics) {
     let (slow_tput, _) = advance_storm(n, false);
     assert_eq!(hits, n, "every storm advance should take the bypass");
     let hop_ns = pingpong(rounds);
+    let hop_1k_ns = round_robin(1024, 8 * rounds / 1024);
     let (uts_fast, vt_fast) = uts_host_seconds(quick, true);
     let (uts_slow, vt_slow) = uts_host_seconds(quick, false);
     assert!(
@@ -322,6 +351,7 @@ pub fn run(quick: bool) -> (Vec<Table>, SimcoreMetrics) {
         simcalls_per_sec_slow: slow_tput,
         simcall_speedup: fast_tput / slow_tput,
         handoff_ns: hop_ns,
+        handoff_1k_ns: hop_1k_ns,
         uts_host_s_fast: uts_fast,
         uts_host_s_slow: uts_slow,
         uts_speedup: uts_slow / uts_fast,
@@ -355,6 +385,10 @@ pub fn run(quick: bool) -> (Vec<Table>, SimcoreMetrics) {
         &["metric", "value"],
     );
     t2.row(vec!["host ns / hop".into(), format!("{:.0}", m.handoff_ns)]);
+    t2.row(vec![
+        "host ns / hop, 1024 actors round-robin".into(),
+        format!("{:.0}", m.handoff_1k_ns),
+    ]);
 
     let mut t3 = Table::new(
         if quick {
@@ -423,6 +457,7 @@ mod tests {
             simcalls_per_sec_slow: 98_765.0,
             simcall_speedup: 12.5,
             handoff_ns: 840.0,
+            handoff_1k_ns: 1310.0,
             uts_host_s_fast: 1.25,
             uts_host_s_slow: 3.5,
             uts_speedup: 2.8,
@@ -440,6 +475,7 @@ mod tests {
         assert_eq!(json_number(&j, "simcall_speedup"), Some(12.5));
         assert_eq!(json_number(&j, "uts_speedup"), Some(2.8));
         assert_eq!(json_number(&j, "handoff_ns"), Some(840.0));
+        assert_eq!(json_number(&j, "handoff_1k_ns"), Some(1310.0));
         assert_eq!(json_number(&j, "spawn_rate_per_s"), Some(2_500_000.0));
         assert_eq!(json_number(&j, "max_actors"), Some(1_000_000.0));
         assert_eq!(json_number(&j, "tree_host_s"), Some(1.75));

@@ -82,6 +82,59 @@ proptest! {
     }
 }
 
+/// 256 actors through skewed barrier rounds with a cond hand-off between
+/// neighbours. After each release the queue head is the next actor's wake
+/// (the hint the coroutine scheduler prefetches on is exact); in the
+/// hand-off an odd actor's notify slips its neighbour's wake in front of
+/// the one that was hinted (the hint is wrong).
+fn barrier_storm(backend: ActorBackend) -> (Vec<TraceEvent>, hupc_sim::SimulationStats) {
+    const ACTORS: usize = 256;
+    const ROUNDS: u64 = 6;
+    let mut sim = Simulation::new();
+    sim.set_actor_backend(backend);
+    let (bar, conds) = {
+        let mut k = sim.kernel();
+        k.record_event_log(true);
+        let bar = k.new_barrier(ACTORS);
+        let conds: Vec<_> = (0..ACTORS / 2).map(|_| k.new_cond()).collect();
+        (bar, conds)
+    };
+    for a in 0..ACTORS {
+        let cond = conds[a / 2];
+        sim.spawn(format!("a{a}"), move |ctx| {
+            for round in 0..ROUNDS {
+                // Skews repeat every 8 actors, so arrivals tie in bunches.
+                ctx.advance(time::ns(20 + (a as u64 % 8) * 5 + round));
+                ctx.barrier_wait_cost(bar, time::ns(700));
+                if a % 2 == 0 {
+                    ctx.cond_wait(cond);
+                } else {
+                    ctx.advance(time::ns(3 + (a as u64 % 5)));
+                    ctx.cond_notify_one(cond);
+                }
+            }
+        });
+    }
+    let stats = sim.run_result().expect("the storm cannot deadlock");
+    let log = sim.kernel().take_event_log();
+    (log, stats)
+}
+
+/// The coroutine scheduler prefetches the next actor's context from a peek
+/// at the queue; the OS-thread scheduler has nothing to prefetch. The hint
+/// must be unobservable: same kernel event log, same statistics.
+#[test]
+fn barrier_storm_event_log_is_backend_independent() {
+    let (coro_log, coro_stats) = barrier_storm(ActorBackend::Coroutine);
+    let (os_log, os_stats) = barrier_storm(ActorBackend::OsThread);
+    assert!(coro_stats.handoffs > 256 * 6, "storm did not go through the scheduler");
+    assert_eq!(coro_stats, os_stats, "statistics diverged");
+    assert_eq!(coro_log.len(), os_log.len(), "event counts diverged");
+    if let Some(i) = (0..coro_log.len()).find(|&i| coro_log[i] != os_log[i]) {
+        panic!("event logs diverge at {i}: coroutine {:?} vs OS thread {:?}", coro_log[i], os_log[i]);
+    }
+}
+
 /// Every committed corpus `.schedule` reproduces the *same* violation on
 /// both backends: same kind, same detail string.
 #[test]

@@ -514,14 +514,14 @@ impl CollDomain {
                 for s in 1..grp {
                     let send_node = (g + grp + 1 - s) % grp;
                     let recv_node = (g + grp - s) % grp;
-                    let send_members = self.nodes.groups()[send_node].members().to_vec();
-                    let recv_members = self.nodes.groups()[recv_node].members().to_vec();
+                    let send_members = self.nodes.groups()[send_node].members();
+                    let recv_members = self.nodes.groups()[recv_node].members();
                     let mut lo = 0;
                     while lo < sb {
                         let hi = (lo + HALF).min(sb);
                         let piece = &mut buf[..hi - lo];
                         if me == node_leader {
-                            gather_superblock(out, &send_members, b, lo, hi, piece);
+                            gather_superblock(out, send_members, b, lo, hi, piece);
                             upc.memput(right, data, piece); // network
                             self.leaders.barrier(upc);
                         }
@@ -531,7 +531,7 @@ impl CollDomain {
                         } else {
                             upc.memget(node_leader, data, piece); // pshm
                         }
-                        scatter_superblock(piece, &recv_members, b, lo, out);
+                        scatter_superblock(piece, recv_members, b, lo, out);
                         self.node_barrier(upc);
                         if me == node_leader {
                             // Orders the next piece's put after every
@@ -661,19 +661,43 @@ impl CollDomain {
     }
 }
 
+/// The runs a superblock piece `[lo, hi)` is made of: the rank-ordered
+/// concatenation of `members`' `b`-word blocks, cut at block boundaries.
+/// Yields `(thread, offset in the thread's block, run length)`; the first
+/// and last run are partial when the piece starts or ends mid-block.
+fn superblock_runs(
+    members: &[usize],
+    b: usize,
+    lo: usize,
+    hi: usize,
+) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    let first = lo / b;
+    members[first..hi.div_ceil(b)]
+        .iter()
+        .enumerate()
+        .map(move |(i, &t)| {
+            let start = ((first + i) * b).max(lo);
+            let end = ((first + i + 1) * b).min(hi);
+            (t, start % b, end - start)
+        })
+}
+
 /// Piece `[lo, hi)` of the rank-ordered concatenation of `members`' blocks
-/// in `out`, copied into `buf`.
+/// in `out`, copied into `buf` one block run at a time.
 fn gather_superblock(out: &[u64], members: &[usize], b: usize, lo: usize, hi: usize, buf: &mut [u64]) {
-    for (i, w) in (lo..hi).enumerate() {
-        buf[i] = out[members[w / b] * b + (w % b)];
+    let mut at = 0;
+    for (t, off, len) in superblock_runs(members, b, lo, hi) {
+        buf[at..at + len].copy_from_slice(&out[t * b + off..t * b + off + len]);
+        at += len;
     }
 }
 
 /// Inverse of [`gather_superblock`].
 fn scatter_superblock(buf: &[u64], members: &[usize], b: usize, lo: usize, out: &mut [u64]) {
-    for (i, &x) in buf.iter().enumerate() {
-        let w = lo + i;
-        out[members[w / b] * b + (w % b)] = x;
+    let mut at = 0;
+    for (t, off, len) in superblock_runs(members, b, lo, lo + buf.len()) {
+        out[t * b + off..t * b + off + len].copy_from_slice(&buf[at..at + len]);
+        at += len;
     }
 }
 
@@ -712,6 +736,109 @@ impl CollProvider for CollDomain {
         match self.algo_for(CollOp::Barrier, 0) {
             CollAlgo::Flat => upc.barrier(),
             _ => self.staged_barrier_hier(upc),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The per-word definition the block copies replaced; kept as the
+    /// reference they are checked against.
+    fn gather_per_word(out: &[u64], members: &[usize], b: usize, lo: usize, hi: usize, buf: &mut [u64]) {
+        for (i, w) in (lo..hi).enumerate() {
+            buf[i] = out[members[w / b] * b + (w % b)];
+        }
+    }
+
+    fn scatter_per_word(buf: &[u64], members: &[usize], b: usize, lo: usize, out: &mut [u64]) {
+        for (i, &x) in buf.iter().enumerate() {
+            let w = lo + i;
+            out[members[w / b] * b + (w % b)] = x;
+        }
+    }
+
+    /// `m` distinct thread ids below `p`, ascending (a node group's members).
+    fn pick_members(p: usize, m: usize, salt: u64) -> Vec<usize> {
+        let mut all: Vec<usize> = (0..p).collect();
+        let mut z = salt | 1;
+        for i in (1..p).rev() {
+            z = z.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) ^ i as u64;
+            all.swap(i, z as usize % (i + 1));
+        }
+        all.truncate(m);
+        all.sort_unstable();
+        all
+    }
+
+    /// Both directions against the per-word reference for one piece, plus
+    /// the round trip.
+    fn check_piece(members: &[usize], p: usize, b: usize, lo: usize, hi: usize) {
+        let out: Vec<u64> = (0..(p * b) as u64).map(|w| w * 7 + 1).collect();
+        let mut got = vec![0u64; hi - lo];
+        let mut want = vec![0u64; hi - lo];
+        gather_superblock(&out, members, b, lo, hi, &mut got);
+        gather_per_word(&out, members, b, lo, hi, &mut want);
+        assert_eq!(got, want, "gather [{lo},{hi}) b={b} members={members:?}");
+
+        let piece: Vec<u64> = (0..(hi - lo) as u64).map(|i| !i).collect();
+        let mut got = out.clone();
+        let mut want = out.clone();
+        scatter_superblock(&piece, members, b, lo, &mut got);
+        scatter_per_word(&piece, members, b, lo, &mut want);
+        assert_eq!(got, want, "scatter [{lo},{hi}) b={b} members={members:?}");
+
+        let mut back = vec![0u64; hi - lo];
+        gather_superblock(&got, members, b, lo, hi, &mut back);
+        assert_eq!(back, piece, "gather after scatter is the identity");
+    }
+
+    #[test]
+    fn superblock_copies_match_per_word_at_the_edges() {
+        let members = [1, 4, 6];
+        for b in [1, 3, 8] {
+            let sb = members.len() * b;
+            for lo in 0..=sb {
+                for hi in lo..=sb {
+                    check_piece(&members, 8, b, lo, hi);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn superblock_copies_match_per_word_across_half_chunks() {
+        // The ring's own chunking: a superblock larger than HALF, cut into
+        // HALF-word pieces that start and end mid-block.
+        let members = pick_members(12, 5, 3);
+        let b = HALF / 2 + 37;
+        let sb = members.len() * b;
+        let mut lo = 0;
+        while lo < sb {
+            let hi = (lo + HALF).min(sb);
+            check_piece(&members, 12, b, lo, hi);
+            lo = hi;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn superblock_copies_match_per_word(
+            p in 1usize..24,
+            b in 1usize..40,
+            salt in any::<u64>(),
+            cut in any::<u64>(),
+        ) {
+            let m = 1 + salt as usize % p;
+            let members = pick_members(p, m, salt);
+            let sb = m * b;
+            let lo = cut as usize % (sb + 1);
+            let hi = lo + (cut >> 32) as usize % (sb - lo + 1);
+            check_piece(&members, p, b, lo, hi);
         }
     }
 }

@@ -133,6 +133,9 @@ pub struct Gasnet {
     outstanding: Vec<SimCell<Vec<CompletionId>>>,
     n_threads: usize,
     nodes_used: usize,
+    /// Release cost of the all-threads barrier: a function of `nodes_used`,
+    /// the conduit and the overheads only, all fixed at construction.
+    barrier_cost: Time,
     // Fault model + recovery knobs.
     fault: Option<Arc<FaultInjector>>,
     retry: RetryPolicy,
@@ -211,6 +214,12 @@ impl Gasnet {
             hupc_net::ConduitKind::IbDdr => "ibv-ddr",
             hupc_net::ConduitKind::GigE => "udp-gige",
         };
+        let overheads = cfg.overheads.unwrap_or_default();
+        let barrier_cost = compute_barrier_cost(
+            cfg.nodes_used,
+            overheads.barrier_stage,
+            fabric.conduit().wire_latency,
+        );
         Arc::new(Gasnet {
             machine,
             placement,
@@ -219,13 +228,14 @@ impl Gasnet {
             fabric,
             mem,
             cpu: SimCell::new(cpu),
-            overheads: cfg.overheads.unwrap_or_default(),
+            overheads,
             conns,
             segments,
             barrier_all,
             outstanding,
             n_threads: cfg.n_threads,
             nodes_used: cfg.nodes_used,
+            barrier_cost,
             fault,
             retry: cfg.retry,
             barrier_timeout: cfg.barrier_timeout,
@@ -998,13 +1008,22 @@ impl Gasnet {
 
     /// Modeled release cost of the all-threads barrier.
     pub fn barrier_cost(&self) -> Time {
-        let stages = (self.nodes_used.max(2) as f64).log2().ceil() as u64;
-        let intra = self.overheads.barrier_stage;
-        if self.nodes_used > 1 {
-            intra + stages * (self.fabric.conduit().wire_latency + self.overheads.barrier_stage)
-        } else {
-            intra
-        }
+        self.barrier_cost
+    }
+}
+
+/// Release cost of a barrier whose parties sit on `nodes` distinct nodes:
+/// one intra-node stage, plus — across nodes — a dissemination of
+/// ⌈log₂ nodes⌉ rounds, each a wire latency and a stage overhead. The one
+/// definition behind [`Gasnet::barrier_cost`] and the team barriers; both
+/// evaluate it once, at construction, because none of its inputs can change
+/// afterwards.
+pub(crate) fn compute_barrier_cost(nodes: usize, barrier_stage: Time, wire_latency: Time) -> Time {
+    if nodes <= 1 {
+        barrier_stage
+    } else {
+        let stages = (nodes as f64).log2().ceil() as u64;
+        barrier_stage + stages * (wire_latency + barrier_stage)
     }
 }
 

@@ -6,13 +6,17 @@ use std::sync::Arc;
 
 use hupc_sim::{BarrierId, Ctx, Time};
 
-use crate::runtime::Gasnet;
+use crate::runtime::{compute_barrier_cost, Gasnet};
 
 /// A subset of UPC threads acting as a collective unit.
 pub struct Team {
     gasnet: Arc<Gasnet>,
     members: Vec<usize>,
     barrier: BarrierId,
+    /// Barrier release cost: cheap for intra-node teams, dissemination over
+    /// the nodes the team spans otherwise. Members and placement are frozen
+    /// here, so it is worked out once instead of on every barrier.
+    barrier_cost: Time,
 }
 
 impl Team {
@@ -31,10 +35,16 @@ impl Team {
             assert!(m < gasnet.n_threads(), "member {m} out of range");
         }
         let barrier = kernel.new_barrier(members.len());
+        let barrier_cost = compute_barrier_cost(
+            distinct_nodes(&gasnet, &members),
+            gasnet.overheads().barrier_stage,
+            gasnet.fabric().conduit().wire_latency,
+        );
         Team {
             gasnet,
             members,
             barrier,
+            barrier_cost,
         }
     }
 
@@ -65,23 +75,6 @@ impl Team {
         self.members.iter().all(|&m| self.gasnet.castable(first, m))
     }
 
-    /// Barrier release cost: cheap for intra-node teams, dissemination over
-    /// nodes otherwise.
-    fn barrier_cost(&self) -> Time {
-        let nodes: std::collections::HashSet<_> = self
-            .members
-            .iter()
-            .map(|&m| self.gasnet.thread_node(m))
-            .collect();
-        let oh = self.gasnet.overheads().barrier_stage;
-        if nodes.len() <= 1 {
-            oh
-        } else {
-            let stages = (nodes.len() as f64).log2().ceil() as u64;
-            oh + stages * (self.gasnet.fabric().conduit().wire_latency + oh)
-        }
-    }
-
     /// Team barrier; caller must be a member.
     pub fn barrier(&self, ctx: &Ctx, me: usize) {
         assert!(
@@ -89,8 +82,16 @@ impl Team {
             "thread {me} is not a member of this team"
         );
         self.gasnet.quiesce(ctx, me);
-        ctx.barrier_wait_cost(self.barrier, self.barrier_cost());
+        ctx.barrier_wait_cost(self.barrier, self.barrier_cost);
     }
+}
+
+/// Number of distinct nodes hosting `members`.
+fn distinct_nodes(gasnet: &Gasnet, members: &[usize]) -> usize {
+    let mut nodes: Vec<usize> = members.iter().map(|&m| gasnet.thread_node(m).0).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    nodes.len()
 }
 
 impl std::fmt::Debug for Team {
@@ -129,6 +130,40 @@ mod tests {
         let cross = Team::new(k, Arc::clone(&gn), vec![3, 4]);
         assert!(intra.is_shared_memory());
         assert!(!cross.is_shared_memory());
+    }
+
+    #[test]
+    fn memoised_barrier_cost_matches_the_formula_over_members() {
+        // 16 threads on 4 nodes of 2 sockets x 2 cores: threads 0..4 share
+        // node 0, with 0,1 on its first socket and 2,3 on its second.
+        let mut sim = Simulation::new();
+        let gn = Gasnet::new(&mut sim, GasnetConfig::test_default(16, 4));
+        let oh = gn.overheads().barrier_stage;
+        let wire = gn.fabric().conduit().wire_latency;
+        let cases: [(&str, Vec<usize>, Time); 6] = [
+            ("singleton", vec![5], oh),
+            ("one socket", vec![0, 1], oh),
+            ("socket-spanning, one node", vec![0, 1, 2, 3], oh),
+            ("two nodes", vec![3, 4], oh + (wire + oh)),
+            ("three nodes", vec![0, 5, 6, 11], oh + 2 * (wire + oh)),
+            ("every node", (0..16).collect(), oh + 2 * (wire + oh)),
+        ];
+        for (what, members, expect) in cases {
+            let team = Team::new(&mut sim.kernel(), Arc::clone(&gn), members);
+            // Recount the nodes the way the per-call version did.
+            let nodes: std::collections::HashSet<_> =
+                team.members().iter().map(|&m| gn.thread_node(m)).collect();
+            assert_eq!(
+                team.barrier_cost,
+                compute_barrier_cost(nodes.len(), oh, wire),
+                "{what}: stored cost is not the formula over the members"
+            );
+            assert_eq!(team.barrier_cost, expect, "{what}");
+        }
+        // The all-threads barrier is the same formula over `nodes_used`.
+        assert_eq!(gn.barrier_cost(), compute_barrier_cost(4, oh, wire));
+        let one = Gasnet::new(&mut Simulation::new(), GasnetConfig::test_default(4, 1));
+        assert_eq!(one.barrier_cost(), oh);
     }
 
     #[test]

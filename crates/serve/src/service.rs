@@ -244,16 +244,24 @@ fn get_retry(upc: &Upc<'_>, src: usize, off: usize, out: &mut [u64], retries: &m
 fn drain_inbox(upc: &Upc<'_>, shard: &ShardMap, lay: Layout, st: &mut ThreadState, cfg: &ServeConfig) {
     let me = upc.mythread();
     let n = upc.threads();
-    for src in 0..n {
-        let slot = lay.inbox_off + src * lay.slot_words;
-        let seg = upc.gasnet().segment(me);
-        let seq = seg.read_word(slot);
+    let seg = upc.gasnet().segment(me);
+    let mut from = 0;
+    loop {
         // Frontend seqs increase monotonically across ALL its owners (one
         // outstanding update per frontend), so any seq above the last one
-        // applied from this source is exactly one new message.
-        if seq <= st.applied[src] {
-            continue;
-        }
+        // applied from this source is exactly one new message. Find the
+        // next such source under one borrow of the segment: this scan runs
+        // on every idle poll and almost always finds nothing.
+        let ready = seg.with_range(lay.inbox_off, n * lay.slot_words, |inbox| {
+            (from..n)
+                .map(|src| (src, inbox[src * lay.slot_words]))
+                .find(|&(src, seq)| seq > st.applied[src])
+        });
+        let Some((src, seq)) = ready else { return };
+        // Serving the slot takes virtual time; the scan resumes behind it
+        // with a fresh look at the inbox.
+        from = src + 1;
+        let slot = lay.inbox_off + src * lay.slot_words;
         let count = seg.read_word(slot + 1) as usize;
         let mut pairs = vec![0u64; 2 * count];
         seg.read(slot + 2, &mut pairs);

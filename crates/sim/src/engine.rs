@@ -533,91 +533,90 @@ impl Simulation {
     /// The classic loop: one scheduler thread pops the globally earliest
     /// event. Remains the default backend and the differential oracle for
     /// the parallel engine.
+    ///
+    /// One kernel critical section per event: it collects the previous
+    /// dispatch's panic note, pops, does the event's bookkeeping and — for a
+    /// `Wake` — peeks at the wake that will follow, so the scheduler can
+    /// prefetch that actor's context while this one runs.
     fn sequential_run(&mut self) -> SimResult {
         loop {
-            let (lp, event, trace) = {
+            let (a, next) = {
                 let mut k = self.kernel();
+                // Panic payloads travel inside the kernel (recorded by the
+                // panicking actor under the kernel lock before it switches
+                // back), so propagation is a typed field handoff, not a join
+                // side effect.
+                if let Some((id, message)) = k.take_panic_note() {
+                    return Err(SimError::ActorPanic {
+                        actor: id,
+                        name: k.actors[id].name.clone(),
+                        message,
+                    });
+                }
                 if k.live_actors == 0 {
-                    let stats = SimulationStats {
+                    return Ok(SimulationStats {
                         end_time: k.now(),
                         events: k.events_processed(),
                         actors: k.registered_actors(),
                         fast_path_hits: k.fast_path_hits,
                         handoffs: k.handoffs,
                         heap_ops: k.heap_ops,
-                    };
-                    return Ok(stats);
+                    });
                 }
-                match k.pop_event() {
-                    Some((lp, e)) => {
-                        k.enter_lp(lp);
-                        k.log_event(e.time, e.seq, e.kind);
-                        #[cfg(feature = "trace")]
-                        k.trace_dispatch(&e);
-                        k.set_now(e.time);
-                        (lp, e, k.trace)
+                let Some((lp, event)) = k.pop_event() else {
+                    let wait_graph = k.wait_graph();
+                    let time = k.now();
+                    return Err(SimError::Deadlock { time, wait_graph });
+                };
+                k.enter_lp(lp);
+                k.log_event(event.time, event.seq, event.kind);
+                #[cfg(feature = "trace")]
+                k.trace_dispatch(&event);
+                k.set_now(event.time);
+                if k.trace {
+                    eprintln!("[sim t={}] {:?}", crate::time::format(event.time), event.kind);
+                }
+                match event.kind {
+                    EventKind::Complete(c) => {
+                        k.fire_completion(c);
+                        continue;
                     }
-                    None => {
-                        let wait_graph = k.wait_graph();
-                        let time = k.now();
-                        return Err(SimError::Deadlock { time, wait_graph });
+                    EventKind::Timeout(a, epoch) => {
+                        // A timed wait expired. If the actor was woken since
+                        // the deadline was armed the event is stale;
+                        // otherwise pull the actor out of its wait
+                        // registration and wake it with the timed-out flag
+                        // set.
+                        if k.timeout_is_live(a, epoch) {
+                            k.cancel_wait(a);
+                            k.actors[a].timed_out = true;
+                            let now = k.now();
+                            k.wake_at(now, a);
+                        }
+                        continue;
+                    }
+                    EventKind::Wake(a) => {
+                        k.mark_running(a);
+                        k.handoffs += 1;
+                        (a, k.peek_next_wake())
                     }
                 }
             };
-            if trace {
-                eprintln!("[sim t={}] {:?}", crate::time::format(event.time), event.kind);
+            // Dispatch-path locality: with a thousand actors taking turns,
+            // each resume would otherwise start with dependent cache misses
+            // on that actor's control block, saved frame and stack canary.
+            // Start those loads for the *next* actor now, so they overlap
+            // `a`'s run. Only a hint: if `a` schedules something earlier, or
+            // a schedule policy picks another member of a tie, the lines
+            // fetched are merely not the ones needed.
+            if let Some(ActorSlot::Started(c)) = next.and_then(|n| self.actors.get(n)) {
+                c.prefetch();
             }
-            match event.kind {
-                EventKind::Complete(c) => {
-                    let mut k = self.kernel();
-                    k.enter_lp(lp);
-                    k.fire_completion(c);
-                }
-                EventKind::Timeout(a, epoch) => {
-                    // A timed wait expired. If the actor was woken since the
-                    // deadline was armed the event is stale; otherwise pull
-                    // the actor out of its wait registration and wake it
-                    // with the timed-out flag set.
-                    let mut k = self.kernel();
-                    k.enter_lp(lp);
-                    if k.timeout_is_live(a, epoch) {
-                        k.cancel_wait(a);
-                        k.actors[a].timed_out = true;
-                        let now = k.now();
-                        k.wake_at(now, a);
-                    }
-                }
-                EventKind::Wake(a) => {
-                    {
-                        let mut k = self.kernel();
-                        k.enter_lp(lp);
-                        k.mark_running(a);
-                        k.handoffs += 1;
-                    }
-                    // Switch into the actor. It runs — possibly through many
-                    // fast-path simcalls — until it parks or finishes; the
-                    // kernel lock is free the whole time it executes.
-                    let poll = self.resume_actor(a, ResumeArg::Run);
-                    if poll == Poll::Finished {
-                        self.retire(a);
-                    }
-                    // Panic payloads travel inside the kernel (recorded by
-                    // the panicking actor under the kernel lock before it
-                    // switches back), so propagation is a typed field
-                    // handoff, not a join side effect.
-                    let note = {
-                        let mut k = self.kernel();
-                        k.take_panic_note()
-                            .map(|(id, message)| (id, k.actors[id].name.clone(), message))
-                    };
-                    if let Some((id, name, message)) = note {
-                        return Err(SimError::ActorPanic {
-                            actor: id,
-                            name,
-                            message,
-                        });
-                    }
-                }
+            // Switch into the actor. It runs — possibly through many
+            // fast-path simcalls — until it parks or finishes; the kernel
+            // lock is free the whole time it executes.
+            if self.resume_actor(a, ResumeArg::Run) == Poll::Finished {
+                self.retire(a);
             }
         }
     }
@@ -737,7 +736,12 @@ impl Simulation {
 
     /// Resume actor `a`, creating its execution context on first dispatch.
     fn resume_actor(&mut self, a: ActorId, arg: ResumeArg) -> Poll {
-        self.drain_staged();
+        // Only an actor missing from the slot table (or holding a sparse-id
+        // `Done` placeholder) can still have its body in the staging list;
+        // everyone else resumes without touching the staging lock.
+        if matches!(self.actors.get(a), None | Some(ActorSlot::Done)) {
+            self.drain_staged();
+        }
         if matches!(self.actors[a], ActorSlot::Pending { .. }) {
             let slot = std::mem::replace(&mut self.actors[a], ActorSlot::Done);
             let ActorSlot::Pending {

@@ -346,6 +346,16 @@ impl LpQueue {
         }
     }
 
+    /// The head event itself (see [`LpQueue::head`]).
+    fn peek(&self) -> Option<&Event> {
+        let (_, _, far) = self.head()?;
+        if far {
+            self.far.peek().map(|Reverse(e)| e)
+        } else {
+            self.near.front()
+        }
+    }
+
     fn is_empty(&self) -> bool {
         self.near.is_empty() && self.far.is_empty()
     }
@@ -768,6 +778,19 @@ impl Kernel {
         if self.policy.is_some() {
             return self.pop_event_policy();
         }
+        let (lp, take_far) = self.earliest_lp()?;
+        let ev = if take_far {
+            self.heap_ops += 1;
+            self.lps[lp].far.pop().map(|Reverse(e)| e)
+        } else {
+            self.lps[lp].near.pop_front()
+        };
+        ev.map(|e| (lp, e))
+    }
+
+    /// The LP holding the globally earliest pending event by `(time, seq)`,
+    /// and whether that event sits in the LP's far heap.
+    fn earliest_lp(&self) -> Option<(usize, bool)> {
         let mut best: Option<(usize, Time, u64, bool)> = None;
         for (i, q) in self.lps.iter().enumerate() {
             if let Some((t, s, far)) = q.head() {
@@ -776,14 +799,22 @@ impl Kernel {
                 }
             }
         }
-        let (lp, _, _, take_far) = best?;
-        let ev = if take_far {
-            self.heap_ops += 1;
-            self.lps[lp].far.pop().map(|Reverse(e)| e)
-        } else {
-            self.lps[lp].near.pop_front()
-        };
-        ev.map(|e| (lp, e))
+        best.map(|(lp, _, _, far)| (lp, far))
+    }
+
+    /// The actor the sequential scheduler will resume next, if the event a
+    /// policy-free [`Kernel::pop_event`] would return right now is a `Wake`.
+    /// Read-only: the engine uses it purely as a cache-prefetch hint while
+    /// it dispatches the current event, so the answer may go stale (the
+    /// running actor can schedule something earlier, and a
+    /// [`SchedulePolicy`] may pick another member of a tie) at no cost to
+    /// correctness.
+    pub(crate) fn peek_next_wake(&self) -> Option<ActorId> {
+        let (lp, _) = self.earliest_lp()?;
+        match self.lps[lp].peek()?.kind {
+            EventKind::Wake(a) => Some(a),
+            EventKind::Complete(_) | EventKind::Timeout(..) => None,
+        }
     }
 
     /// Pop the earliest *safe* event among `owned` LPs for a parallel
@@ -1723,5 +1754,104 @@ mod tests {
         let c = k.new_completion();
         k.push_event(50, EventKind::Complete(c));
         assert_eq!(k.pop_event().unwrap().1.seq, 1);
+    }
+
+    /// A kernel with `lps` LPs (lookahead 5), one completion and one actor
+    /// homed on each: actor `i` and `comps[i]` live on LP `i`.
+    fn peek_fixture(lps: usize) -> (Kernel, Vec<CompletionId>) {
+        let mut k = Kernel::new();
+        k.set_lp_count(lps);
+        k.set_lookahead(5);
+        let comps: Vec<CompletionId> = (0..lps)
+            .map(|lp| {
+                k.enter_lp(lp);
+                k.new_completion()
+            })
+            .collect();
+        for (lp, &exit) in comps.iter().enumerate() {
+            k.actors.push(ActorMeta {
+                name: format!("a{lp}"),
+                status: ActorStatus::Blocked,
+                lp,
+                exit,
+                blocked_on: BlockKind::Start,
+                wake_epoch: 0,
+                timed_out: false,
+                blocked_since: 0,
+                recent: VecDeque::new(),
+            });
+        }
+        k.enter_lp(0);
+        (k, comps)
+    }
+
+    /// Pop the next event the way the sequential loop does, first checking
+    /// that `peek_next_wake` predicted it. Returns the LP it ran on.
+    fn pop_checking_peek(k: &mut Kernel) -> Option<usize> {
+        let hint = k.peek_next_wake();
+        let (lp, e) = k.pop_event()?;
+        let woken = match e.kind {
+            EventKind::Wake(a) => Some(a),
+            EventKind::Complete(_) | EventKind::Timeout(..) => None,
+        };
+        assert_eq!(hint, woken, "peek disagrees with the pop of {e:?}");
+        k.enter_lp(lp);
+        k.set_now(e.time);
+        Some(lp)
+    }
+
+    #[test]
+    fn peek_next_wake_follows_near_far_and_lp_order() {
+        let (mut k, c) = peek_fixture(2);
+        assert_eq!(k.peek_next_wake(), None, "empty queue");
+        k.push_event(4, EventKind::Wake(0)); // LP0 far, seq 0
+        assert_eq!(k.peek_next_wake(), Some(0));
+        k.push_event(0, EventKind::Complete(c[0])); // LP0 near: earlier, not a wake
+        assert_eq!(k.peek_next_wake(), None, "a Complete at the head is no hint");
+        assert_eq!(pop_checking_peek(&mut k), Some(0));
+        k.push_event(5, EventKind::Wake(1)); // cross-LP, LP1 far
+        k.push_event(5, EventKind::Timeout(1, 0)); // cross-LP, same time, later seq
+        assert_eq!(k.peek_next_wake(), Some(0));
+        assert_eq!(pop_checking_peek(&mut k), Some(0)); // Wake(0) at 4
+        assert_eq!(k.peek_next_wake(), Some(1));
+        assert_eq!(pop_checking_peek(&mut k), Some(1)); // Wake(1) at 5
+        assert_eq!(k.peek_next_wake(), None, "a Timeout at the head is no hint");
+        assert_eq!(pop_checking_peek(&mut k), Some(1));
+        assert_eq!(k.peek_next_wake(), None);
+        assert!(k.pop_event().is_none());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Over random near / far / cross-LP pushes interleaved with pops,
+        /// `peek_next_wake` names exactly the actor the very next
+        /// `pop_event` wakes (and nothing when that event is not a wake).
+        #[test]
+        fn peek_next_wake_agrees_with_next_pop(
+            lps in 1usize..4,
+            script in proptest::collection::vec(proptest::any::<u32>(), 0..96),
+        ) {
+            let (mut k, comps) = peek_fixture(lps);
+            // Pushes come from the LP that ran last: its clock is the global
+            // clock, as it is for any running actor.
+            let mut cur = 0;
+            for word in script {
+                let (op, target, dt) = (word & 3, (word >> 2) as usize % lps, (word >> 8) % 4);
+                if op == 3 {
+                    cur = pop_checking_peek(&mut k).unwrap_or(cur);
+                    continue;
+                }
+                k.enter_lp(cur);
+                let floor = if target == cur { 0 } else { k.lookahead() };
+                let kind = match op {
+                    0 => EventKind::Wake(target),
+                    1 => EventKind::Complete(comps[target]),
+                    _ => EventKind::Timeout(target, 0),
+                };
+                k.push_event(k.lps[cur].now + floor + dt as Time, kind);
+            }
+            while pop_checking_peek(&mut k).is_some() {}
+        }
     }
 }

@@ -716,7 +716,14 @@ impl<'a> Upc<'a> {
     /// fair-shared controller time for memory traffic. Called automatically
     /// at [`Upc::barrier`].
     pub fn flush_access_costs(&self) {
-        let (trans, soft, traffic) = self.rt.costs[self.me].with_mut(|c| {
+        let costs = &self.rt.costs[self.me];
+        // Every group barrier lands here, and most of them with nothing
+        // accrued since the last one: leave before building the (hashed,
+        // then sorted) traffic list.
+        if costs.with(|c| c.translations == 0 && c.software_ns == 0 && c.socket_bytes.is_empty()) {
+            return;
+        }
+        let (trans, soft, traffic) = costs.with_mut(|c| {
             (
                 std::mem::take(&mut c.translations),
                 std::mem::take(&mut c.software_ns),
