@@ -3,12 +3,12 @@
 //! The thesis' claim is that hierarchical-parallelism machinery pays off
 //! *across applications*; this crate makes "across applications" cheap. A
 //! workload is anything implementing [`Workload`]: environment
-//! ([`RunEnv`]: machine + layout + conduit + engine backend + fault plan)
+//! ([`RunEnv`]: machine + layout + conduit + fault plan)
 //! and typed `key=value` config ([`Params`]) in, a [`Verified`] result
 //! (pass/fail oracle, summary metrics, end virtual time, metrics snapshot)
 //! out. The [`Registry`] names every app; [`runner::run_workload`] owns
-//! backend selection, tracing, and report shaping, so an app is only its
-//! kernel plus its oracle.
+//! tracing and report shaping, so an app is only its kernel plus its
+//! oracle.
 //!
 //! Built-ins: the four migrated thesis apps (`uts`, `ft`, `gups`,
 //! `stream` — kernels stay in their own crates, adapters live in
@@ -71,5 +71,5 @@ pub mod workload;
 
 pub use params::{ParamError, ParamReader, Params};
 pub use registry::{register_builtin, Registry};
-pub use runner::{backend_label, run_by_name, run_workload, with_sim_backend, RunReport};
+pub use runner::{run_by_name, run_workload, RunReport};
 pub use workload::{AppError, RunEnv, Verified, Workload};

@@ -1,28 +1,14 @@
-//! The generic runner: one place that owns engine-backend selection,
-//! tracing, and report shaping for every workload.
-
-use std::sync::Mutex;
-
-use hupc_sim::{set_sim_backend_default, SimBackend};
+//! The generic runner: one place that owns tracing and report shaping for
+//! every workload.
 
 use crate::params::Params;
 use crate::registry::Registry;
 use crate::workload::{AppError, RunEnv, Verified, Workload};
 
-/// Stable label for a backend choice (report/JSON key material).
-pub fn backend_label(b: Option<SimBackend>) -> String {
-    match b {
-        None => "default".to_string(),
-        Some(SimBackend::Sequential) => "seq".to_string(),
-        Some(SimBackend::Parallel(n)) => format!("par{n}"),
-    }
-}
-
 /// One workload run shaped for reporting.
 #[derive(Clone, Debug)]
 pub struct RunReport {
     pub workload: String,
-    pub backend: String,
     /// Caller-chosen fault-plan label ("none" when the env has no plan).
     pub fault: String,
     pub verified: Verified,
@@ -34,7 +20,6 @@ impl RunReport {
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
         s.push_str(&format!("\"workload\":\"{}\",", self.workload));
-        s.push_str(&format!("\"backend\":\"{}\",", self.backend));
         s.push_str(&format!("\"fault\":\"{}\",", self.fault));
         s.push_str(&format!("\"passed\":{},", self.verified.passed));
         s.push_str(&format!(
@@ -58,52 +43,28 @@ impl RunReport {
     }
 }
 
-/// Serializes swaps of the process-wide backend default so concurrent
-/// runner invocations (parallel tests) never observe each other's choice.
-/// Runs with `backend == None` skip the lock entirely — they use whatever
-/// default is in effect, which is also what direct (non-SDK) drivers see.
-static BACKEND_SWAP: Mutex<()> = Mutex::new(());
-
-/// Run `f` with the process-default engine backend forced to `b`.
-pub fn with_sim_backend<T>(b: Option<SimBackend>, f: impl FnOnce() -> T) -> T {
-    match b {
-        None => f(),
-        Some(b) => {
-            let _g = BACKEND_SWAP
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            set_sim_backend_default(Some(b));
-            let r = f();
-            set_sim_backend_default(None);
-            r
-        }
-    }
-}
-
-/// Run one workload under the SDK: backend swap, tracer install (under the
-/// `trace` feature), oracle evaluation inside the workload. The returned
+/// Run one workload under the SDK: tracer install (under the `trace`
+/// feature), oracle evaluation inside the workload. The returned
 /// [`Verified`] carries the `MetricsRegistry` snapshot when tracing ran.
 pub fn run_workload(
     w: &dyn Workload,
     env: &RunEnv,
     params: &Params,
 ) -> Result<Verified, AppError> {
-    with_sim_backend(env.backend, || {
-        #[cfg(feature = "trace")]
-        {
-            use std::sync::Arc;
-            let t = Arc::new(hupc_trace::Tracer::new(hupc_trace::TraceLevel::Counters));
-            let guard = t.install();
-            let mut v = w.run(env, params)?;
-            drop(guard);
-            if v.metrics_json.is_none() {
-                v.metrics_json = Some(t.metrics().snapshot().to_json());
-            }
-            Ok(v)
+    #[cfg(feature = "trace")]
+    {
+        use std::sync::Arc;
+        let t = Arc::new(hupc_trace::Tracer::new(hupc_trace::TraceLevel::Counters));
+        let guard = t.install();
+        let mut v = w.run(env, params)?;
+        drop(guard);
+        if v.metrics_json.is_none() {
+            v.metrics_json = Some(t.metrics().snapshot().to_json());
         }
-        #[cfg(not(feature = "trace"))]
-        w.run(env, params)
-    })
+        Ok(v)
+    }
+    #[cfg(not(feature = "trace"))]
+    w.run(env, params)
 }
 
 /// Registry-keyed entry point: look up `name`, run it in `env`, shape a
@@ -121,7 +82,6 @@ pub fn run_by_name(
     let verified = run_workload(w.as_ref(), env, params)?;
     Ok(RunReport {
         workload: name.to_string(),
-        backend: backend_label(env.backend),
         fault: fault_label.to_string(),
         verified,
     })

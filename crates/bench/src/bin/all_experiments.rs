@@ -1,8 +1,8 @@
 //! Run every experiment in sequence, then the workload-registry sweep.
 //!
 //! * `--quick` — reduced sweeps everywhere (smoke-sized runs);
-//! * `--smoke` — skip the thesis tables/figures and run only the workload
-//!   sweep (quick), for the CI perf-smoke lane;
+//! * `--smoke` — skip the `repro` experiments (`exp::EXPERIMENTS`) and run
+//!   only the workload sweep (quick), for the CI perf-smoke lane;
 //! * `--check <BENCH_apps.json>` — gate the sweep against the committed
 //!   baseline: every cell must pass its oracle and the three breadth-wave
 //!   apps (`md`, `cg`, `stencil2d`) must stay within 2x of the baseline's
@@ -14,8 +14,6 @@
 
 use hupc_bench::{baseline_metrics, enforce_gates, Gate};
 
-type Experiment = (&'static str, fn(bool) -> Vec<hupc_bench::Table>);
-
 const GATED_SECONDS: [&str; 3] = ["md_seconds", "cg_seconds", "stencil2d_seconds"];
 
 fn main() {
@@ -26,19 +24,7 @@ fn main() {
         .map(|p| baseline_metrics(p, &GATED_SECONDS));
 
     if !args.smoke {
-        let experiments: Vec<Experiment> = vec![
-            ("Table 3.1", hupc_bench::exp::table_3_1::run),
-            ("Fig 3.3", hupc_bench::exp::fig_3_3::run),
-            ("Table 3.2", hupc_bench::exp::table_3_2::run),
-            ("Fig 3.4", hupc_bench::exp::fig_3_4::run),
-            ("Table 4.1", hupc_bench::exp::table_4_1::run),
-            ("Fig 4.2", hupc_bench::exp::fig_4_2::run),
-            ("Fig 4.4", hupc_bench::exp::fig_4_4::run),
-            ("Fig 4.5", hupc_bench::exp::fig_4_5::run),
-            ("Fig 4.6", hupc_bench::exp::fig_4_6::run),
-            ("Fault sweep", hupc_bench::exp::fault_uts::run),
-        ];
-        for (name, f) in experiments {
+        for (name, f) in hupc_bench::exp::EXPERIMENTS {
             eprintln!("[running {name} ...]");
             let t0 = std::time::Instant::now();
             let tables = f(args.quick);

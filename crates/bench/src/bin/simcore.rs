@@ -1,6 +1,6 @@
-//! Engine microbenchmark: simcall throughput, handoff latency, UTS host
-//! wall-clock with the scheduler-bypass fast path on vs off, and parallel
-//! backend scaling on a partitioned spawn tree.
+//! Engine microbenchmark: simcall throughput with the scheduler-bypass fast
+//! path on vs off, handoff latency, actor scale, and parallel backend
+//! scaling on a partitioned spawn tree.
 //!
 //! Always writes `BENCH_simcore.json` in the working directory. With
 //! `--check <baseline.json>` the run fails (exit 1) when any gate trips:

@@ -1,5 +1,5 @@
-//! The workload-registry sweep: every registered application × engine
-//! backend × fault plan, through the `hupc-app` SDK's generic runner.
+//! The workload-registry sweep: every registered application × fault plan,
+//! through the `hupc-app` SDK's generic runner.
 //!
 //! Each cell runs the workload's own oracle and reports pass/fail plus the
 //! end-of-run virtual time; the whole sweep serializes to one JSON report
@@ -8,13 +8,11 @@
 //! semantic or performance change, not host noise.
 //!
 //! The committed baseline gates the three breadth-wave apps (`md`, `cg`,
-//! `stencil2d`): their fault-free sequential-backend virtual seconds must
-//! stay within 2x of the baseline, and every sweep cell must pass its
-//! oracle.
+//! `stencil2d`): their fault-free virtual seconds must stay within 2x of
+//! the baseline, and every sweep cell must pass its oracle.
 
 use hupc::app::{run_by_name, Params, Registry};
 use hupc::gasnet::FaultPlan;
-use hupc::sim::SimBackend;
 
 use crate::Table;
 
@@ -59,45 +57,40 @@ fn fault_plans(quick: bool) -> Vec<(&'static str, Option<FaultPlan>)> {
 
 pub fn run(quick: bool) -> (Vec<Table>, AppsMetrics) {
     let reg = Registry::builtin();
-    let backends = [SimBackend::Sequential, SimBackend::Parallel(4)];
     let mut t = Table::new(
-        "Workload sweep (registry x backend x fault, virtual time)",
-        &["workload", "backend", "fault", "passed", "virtual s", "oracle"],
+        "Workload sweep (registry x fault, virtual time)",
+        &["workload", "fault", "passed", "virtual s", "oracle"],
     );
     let mut m = AppsMetrics::default();
 
     for w in reg.iter() {
-        for backend in backends {
-            for (fault_label, fault) in fault_plans(quick) {
-                let mut env = w.default_env().with_backend(backend);
-                env.fault = fault;
-                let report = run_by_name(&reg, w.name(), &env, &Params::empty(), fault_label)
-                    .unwrap_or_else(|e| panic!("{} failed to run: {e}", w.name()));
-                let v = &report.verified;
-                m.total_runs += 1.0;
-                if v.passed {
-                    m.passed_runs += 1.0;
-                }
-                // The gated per-app numbers come from the fault-free
-                // sequential cell — the canonical configuration.
-                if backend == SimBackend::Sequential && fault_label == "none" {
-                    match w.name() {
-                        "md" => m.md_seconds = v.end_seconds,
-                        "cg" => m.cg_seconds = v.end_seconds,
-                        "stencil2d" => m.stencil2d_seconds = v.end_seconds,
-                        _ => {}
-                    }
-                }
-                t.row(vec![
-                    report.workload.clone(),
-                    report.backend.clone(),
-                    report.fault.clone(),
-                    if v.passed { "yes".into() } else { "NO".into() },
-                    format!("{:.6}", v.end_seconds),
-                    v.oracle.chars().take(60).collect(),
-                ]);
-                m.runs.push(report.to_json());
+        for (fault_label, fault) in fault_plans(quick) {
+            let mut env = w.default_env();
+            env.fault = fault;
+            let report = run_by_name(&reg, w.name(), &env, &Params::empty(), fault_label)
+                .unwrap_or_else(|e| panic!("{} failed to run: {e}", w.name()));
+            let v = &report.verified;
+            m.total_runs += 1.0;
+            if v.passed {
+                m.passed_runs += 1.0;
             }
+            // The gated per-app numbers come from the fault-free cell.
+            if fault_label == "none" {
+                match w.name() {
+                    "md" => m.md_seconds = v.end_seconds,
+                    "cg" => m.cg_seconds = v.end_seconds,
+                    "stencil2d" => m.stencil2d_seconds = v.end_seconds,
+                    _ => {}
+                }
+            }
+            t.row(vec![
+                report.workload.clone(),
+                report.fault.clone(),
+                if v.passed { "yes".into() } else { "NO".into() },
+                format!("{:.6}", v.end_seconds),
+                v.oracle.chars().take(60).collect(),
+            ]);
+            m.runs.push(report.to_json());
         }
     }
     (vec![t], m)
@@ -141,6 +134,6 @@ mod tests {
     fn full_sweep_with_faults_all_pass() {
         let (_tables, m) = run(false);
         assert_eq!(m.passed_runs, m.total_runs, "{}", m.to_json());
-        assert_eq!(m.total_runs, (Registry::builtin().len() * 2 * 2) as f64);
+        assert_eq!(m.total_runs, (Registry::builtin().len() * 2) as f64);
     }
 }

@@ -13,10 +13,7 @@
 //!    1024 actors round-robin, so every resume lands on a stack the host
 //!    last touched 1023 switches ago: it prices the dispatch path's cache
 //!    behaviour, which the two-actor case (everything stays in L1) cannot.
-//! 3. **UTS end-to-end** — the thesis Fig 3.3 workload (quick: a small
-//!    tree), fast path on vs off, showing the bypass survives contact with
-//!    a real application's mix of simcalls.
-//! 4. **actor scale** — the coroutine-core headline: a flat spawn storm
+//! 3. **actor scale** — the coroutine-core headline: a flat spawn storm
 //!    that registers a million actors (spawn rate + max live actor count)
 //!    and a million-actor UTS-style dynamic spawn tree, one actor per tree
 //!    node, that must complete on a default CI runner. Both run at the full
@@ -31,11 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hupc::net::Conduit;
-use hupc::sim::{
-    set_fast_path_default, time, ActorBackend, SimBackend, SimQueue, Simulation,
-};
-use hupc::uts::{run_uts, StealStrategy, UtsConfig};
+use hupc::sim::{time, SimBackend, SimQueue, Simulation};
 
 use crate::Table;
 
@@ -48,9 +41,6 @@ pub struct SimcoreMetrics {
     pub handoff_ns: f64,
     /// Host ns per scheduler handoff with 1024 actors taking turns.
     pub handoff_1k_ns: f64,
-    pub uts_host_s_fast: f64,
-    pub uts_host_s_slow: f64,
-    pub uts_speedup: f64,
     pub spawn_rate_per_s: f64,
     pub max_actors: f64,
     pub tree_actors: f64,
@@ -74,8 +64,7 @@ impl SimcoreMetrics {
             "{{\n  \"simcalls_per_sec_fast\": {:.0},\n  \"simcalls_per_sec_slow\": {:.0},\n  \
              \"simcall_speedup\": {:.2},\n  \"handoff_ns\": {:.0},\n  \
              \"handoff_1k_ns\": {:.0},\n  \
-             \"uts_host_s_fast\": {:.3},\n  \"uts_host_s_slow\": {:.3},\n  \
-             \"uts_speedup\": {:.2},\n  \"spawn_rate_per_s\": {:.0},\n  \
+             \"spawn_rate_per_s\": {:.0},\n  \
              \"max_actors\": {:.0},\n  \"tree_actors\": {:.0},\n  \
              \"tree_host_s\": {:.3},\n  \"parallel_speedup_2w\": {:.2},\n  \
              \"parallel_speedup_4w\": {:.2},\n  \"parallel_speedup_8w\": {:.2},\n  \
@@ -85,9 +74,6 @@ impl SimcoreMetrics {
             self.simcall_speedup,
             self.handoff_ns,
             self.handoff_1k_ns,
-            self.uts_host_s_fast,
-            self.uts_host_s_slow,
-            self.uts_speedup,
             self.spawn_rate_per_s,
             self.max_actors,
             self.tree_actors,
@@ -167,22 +153,6 @@ fn round_robin(actors: u64, per_actor: u64) -> f64 {
     dt * 1e9 / stats.handoffs as f64
 }
 
-/// UTS wall clock on the host, fast path on or off. Uses the process-global
-/// default because `run_uts` builds its own `Simulation`.
-fn uts_host_seconds(quick: bool, fast: bool) -> (f64, f64) {
-    set_fast_path_default(fast);
-    let cfg = if quick {
-        UtsConfig::small(8, 2, StealStrategy::LocalFirstRapid, 18)
-    } else {
-        UtsConfig::thesis(16, Conduit::gige(), StealStrategy::LocalFirstRapid)
-    };
-    let t0 = Instant::now();
-    let r = run_uts(cfg);
-    let host = t0.elapsed().as_secs_f64();
-    set_fast_path_default(true);
-    (host, r.seconds)
-}
-
 /// Flat spawn storm: register `n` trivial actors up front, then run them
 /// all to completion. Registration is cheap by design (actor meta + one
 /// wake event; no stack until first dispatch), so all `n` are live at once
@@ -190,9 +160,6 @@ fn uts_host_seconds(quick: bool, fast: bool) -> (f64, f64) {
 /// (registrations/s, run host seconds).
 fn spawn_storm(n: u64) -> (f64, f64) {
     let mut sim = Simulation::new();
-    // The scale probes measure the coroutine core; a million OS threads
-    // would exhaust the host whatever the build's default backend is.
-    sim.set_actor_backend(ActorBackend::Coroutine);
     sim.set_stack_size(16 * 1024);
     let t0 = Instant::now();
     for i in 0..n {
@@ -235,7 +202,6 @@ fn actor_tree(total: u64) -> f64 {
     let budget = Arc::new(AtomicU64::new(total - 1));
     let seen = Arc::new(AtomicU64::new(0));
     let mut sim = Simulation::new();
-    sim.set_actor_backend(ActorBackend::Coroutine);
     let (b, s) = (Arc::clone(&budget), Arc::clone(&seen));
     sim.spawn_with_stack("root", 16 * 1024, move |ctx| node(ctx, 1, &b, &s));
     let t0 = Instant::now();
@@ -277,7 +243,6 @@ fn partitioned_tree(
         }
     }
     let mut sim = Simulation::new();
-    sim.set_actor_backend(ActorBackend::Coroutine);
     sim.set_sim_backend(backend);
     sim.set_stack_size(16 * 1024);
     sim.set_lp_count(lps);
@@ -314,12 +279,6 @@ pub fn run(quick: bool) -> (Vec<Table>, SimcoreMetrics) {
     assert_eq!(hits, n, "every storm advance should take the bypass");
     let hop_ns = pingpong(rounds);
     let hop_1k_ns = round_robin(1024, 8 * rounds / 1024);
-    let (uts_fast, vt_fast) = uts_host_seconds(quick, true);
-    let (uts_slow, vt_slow) = uts_host_seconds(quick, false);
-    assert!(
-        (vt_fast - vt_slow).abs() < 1e-12,
-        "fast path changed UTS virtual time: {vt_fast} vs {vt_slow}"
-    );
     // The scale probes run at the full million even under --quick: the CI
     // perf-smoke job is exactly where "a 1M-actor simulation completes on a
     // default runner" gets proven.
@@ -352,9 +311,6 @@ pub fn run(quick: bool) -> (Vec<Table>, SimcoreMetrics) {
         simcall_speedup: fast_tput / slow_tput,
         handoff_ns: hop_ns,
         handoff_1k_ns: hop_1k_ns,
-        uts_host_s_fast: uts_fast,
-        uts_host_s_slow: uts_slow,
-        uts_speedup: uts_slow / uts_fast,
         spawn_rate_per_s: spawn_rate,
         max_actors: scale_n as f64,
         tree_actors: scale_n as f64,
@@ -391,59 +347,39 @@ pub fn run(quick: bool) -> (Vec<Table>, SimcoreMetrics) {
     ]);
 
     let mut t3 = Table::new(
-        if quick {
-            "UTS host wall-clock — small tree, 8 threads, 2 nodes".to_string()
-        } else {
-            "UTS host wall-clock — thesis Fig 3.3 scale (4M nodes, 16 threads, GigE)"
-                .to_string()
-        },
-        &["mode", "host s", "speedup"],
-    );
-    t3.row(vec![
-        "fast path off".into(),
-        format!("{:.3}", m.uts_host_s_slow),
-        "1.00x".into(),
-    ]);
-    t3.row(vec![
-        "fast path on".into(),
-        format!("{:.3}", m.uts_host_s_fast),
-        format!("{:.2}x", m.uts_speedup),
-    ]);
-
-    let mut t4 = Table::new(
         format!("Actor scale — coroutine core, {scale_n} actors"),
         &["metric", "value"],
     );
-    t4.row(vec![
+    t3.row(vec![
         "spawn rate (actors/s)".into(),
         format!("{:.0}", m.spawn_rate_per_s),
     ]);
-    t4.row(vec![
+    t3.row(vec![
         "max live actors (flat storm)".into(),
         format!("{:.0}", m.max_actors),
     ]);
-    t4.row(vec![
+    t3.row(vec![
         "dynamic tree run (host s)".into(),
         format!("{:.3}", m.tree_host_s),
     ]);
 
-    let mut t5 = Table::new(
+    let mut t4 = Table::new(
         format!(
             "Parallel backend — {par_lps} partitions × {per_lp} actors \
              (host has {host_cpus} CPUs)"
         ),
         &["workers", "host s", "speedup"],
     );
-    t5.row(vec!["sequential".into(), format!("{seq_s:.3}"), "1.00x".into()]);
+    t4.row(vec!["sequential".into(), format!("{seq_s:.3}"), "1.00x".into()]);
     for (i, w) in [2usize, 4, 8].into_iter().enumerate() {
-        t5.row(vec![
+        t4.row(vec![
             format!("{w}"),
             format!("{:.3}", par_s[i]),
             format!("{:.2}x", seq_s / par_s[i]),
         ]);
     }
 
-    (vec![t1, t2, t3, t4, t5], m)
+    (vec![t1, t2, t3, t4], m)
 }
 
 #[cfg(test)]
@@ -458,9 +394,6 @@ mod tests {
             simcall_speedup: 12.5,
             handoff_ns: 840.0,
             handoff_1k_ns: 1310.0,
-            uts_host_s_fast: 1.25,
-            uts_host_s_slow: 3.5,
-            uts_speedup: 2.8,
             spawn_rate_per_s: 2_500_000.0,
             max_actors: 1_000_000.0,
             tree_actors: 1_000_000.0,
@@ -473,7 +406,6 @@ mod tests {
         let j = m.to_json();
         assert_eq!(json_number(&j, "simcalls_per_sec_fast"), Some(1_234_567.0));
         assert_eq!(json_number(&j, "simcall_speedup"), Some(12.5));
-        assert_eq!(json_number(&j, "uts_speedup"), Some(2.8));
         assert_eq!(json_number(&j, "handoff_ns"), Some(840.0));
         assert_eq!(json_number(&j, "handoff_1k_ns"), Some(1310.0));
         assert_eq!(json_number(&j, "spawn_rate_per_s"), Some(2_500_000.0));

@@ -1,14 +1,13 @@
-//! `hupc-bench` — the experiment harness: one module (and one binary) per
-//! table / figure of the thesis' evaluation chapters.
+//! `hupc-bench` — the experiment harness: one module per table / figure of
+//! the thesis' evaluation chapters, listed once in [`exp::EXPERIMENTS`].
 //!
-//! Every binary prints the regenerated rows/series next to the thesis'
-//! published values and accepts:
+//! `repro <name>...` prints the regenerated rows/series next to the thesis'
+//! published values; `all_experiments` runs the full list plus the
+//! workload-registry sweep. Every binary accepts:
 //!
 //! * `--csv <path>` — also dump machine-readable series;
 //! * `--quick` — a reduced sweep (fewer configurations / iterations) for
 //!   smoke runs.
-//!
-//! `all_experiments` runs the full set.
 
 pub mod exp;
 pub mod report;

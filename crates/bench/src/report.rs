@@ -16,9 +16,21 @@ pub struct Args {
 }
 
 /// Parse `--csv <path>`, `--quick`, `--smoke` and `--check <path>` from
-/// `std::env::args`.
+/// `std::env::args`; anything else is a usage error.
 pub fn parse_args() -> Args {
+    let (args, names) = parse_args_with_names();
+    if let Some(other) = names.first() {
+        eprintln!("unknown argument: {other}");
+        std::process::exit(2);
+    }
+    args
+}
+
+/// [`parse_args`] for `repro`: positional arguments (experiment names) are
+/// returned in order instead of being rejected.
+pub fn parse_args_with_names() -> (Args, Vec<String>) {
     let mut out = Args::default();
+    let mut names = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -41,13 +53,14 @@ pub fn parse_args() -> Args {
                 );
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument: {other}");
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown argument: {flag}");
                 std::process::exit(2);
             }
+            name => names.push(name.to_string()),
         }
     }
-    out
+    (out, names)
 }
 
 /// Pull one numeric field out of a flat JSON object (the shape every

@@ -22,6 +22,8 @@
 //! fingerprint drifts — a corpus entry that stops reproducing *must* be
 //! regenerated consciously, never silently skipped.
 
+use hupc_sim::Kernel;
+
 use crate::explore::ScheduleFailure;
 use crate::policy::{log_hash, PolicyHandle};
 use crate::scenario::{find_scenario, Violation, ViolationKind};
@@ -185,6 +187,13 @@ impl Artifact {
     /// same violation kind *and* the same decision-log fingerprint. Returns
     /// the fresh violation on success.
     pub fn replay(&self) -> Result<Violation, String> {
+        self.replay_prepared(&|_| {})
+    }
+
+    /// [`Artifact::replay`] with an extra pre-run kernel step, applied after
+    /// the recorded `fast_path` setting (the cross-backend corpus test
+    /// selects the actor backend here).
+    pub fn replay_prepared(&self, prepare: &dyn Fn(&mut Kernel)) -> Result<Violation, String> {
         let s = find_scenario(&self.scenario)
             .ok_or_else(|| format!("unknown scenario {:?}", self.scenario))?;
         if self.fault >= s.fault_labels().len() {
@@ -194,7 +203,10 @@ impl Artifact {
             ));
         }
         let policy = PolicyHandle::prefix(&self.prefix);
-        let out = s.run(&policy, self.fault, self.fast_path);
+        let out = s.run(&policy, self.fault, &|k| {
+            k.set_fast_path(self.fast_path);
+            prepare(k);
+        });
         let got_hash = log_hash(&out.decisions);
         let v = out.violation.ok_or_else(|| {
             format!(

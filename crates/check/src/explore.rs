@@ -18,7 +18,7 @@ use std::collections::{HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 use crate::policy::{log_hash, prefix_hash, PolicyHandle};
-use crate::scenario::{Outcome, Scenario, Violation};
+use crate::scenario::{fast_path, Outcome, Scenario, Violation};
 use crate::shrink::shrink;
 use crate::rng::SplitMix64;
 
@@ -110,7 +110,7 @@ pub fn explore(s: &dyn Scenario, cfg: &ExploreConfig) -> ExploreReport {
         // One schedule: force `prefix`, record what actually happened.
         let run_prefix = |prefix: &[u32], report: &mut ExploreReport| -> Outcome {
             let policy = PolicyHandle::prefix(prefix);
-            let out = s.run(&policy, fault, cfg.fast_path);
+            let out = s.run(&policy, fault, &fast_path(cfg.fast_path));
             report.runs += 1;
             report.max_decisions = report.max_decisions.max(out.decisions.len());
             out
@@ -186,7 +186,7 @@ pub fn explore(s: &dyn Scenario, cfg: &ExploreConfig) -> ExploreReport {
                 break;
             }
             let policy = PolicyHandle::random(rng.next_u64());
-            let out = s.run(&policy, fault, cfg.fast_path);
+            let out = s.run(&policy, fault, &fast_path(cfg.fast_path));
             report.runs += 1;
             sampled += 1;
             report.max_decisions = report.max_decisions.max(out.decisions.len());
@@ -219,7 +219,7 @@ fn handle_failure(
     let minimal = {
         let mut fails = |p: &[u32]| -> bool {
             let policy = PolicyHandle::prefix(p);
-            let out = s.run(&policy, fault, cfg.fast_path);
+            let out = s.run(&policy, fault, &fast_path(cfg.fast_path));
             spent += 1;
             out.violation.as_ref().is_some_and(|v| v.kind == kind)
         };
@@ -232,7 +232,7 @@ fn handle_failure(
     // deterministic.
     let replay = |p: &[u32]| {
         let policy = PolicyHandle::prefix(p);
-        let out = s.run(&policy, fault, cfg.fast_path);
+        let out = s.run(&policy, fault, &fast_path(cfg.fast_path));
         let h = log_hash(&out.decisions);
         (out, h)
     };

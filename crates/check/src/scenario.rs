@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 
 use hupc_coll::{CollAlgo, CollDomain, CollPlan};
 use hupc_gasnet::FaultPlan;
-use hupc_sim::{time, SimCell, SimError, Simulation, Time};
+use hupc_sim::{time, Kernel, SimCell, SimError, Simulation, Time};
 use hupc_upc::{UpcConfig, UpcJob};
 use hupc_uts::{sequential_traverse, run_uts_prepared, StealStrategy, UtsConfig};
 
@@ -96,10 +96,17 @@ pub trait Scenario: Send + Sync {
         vec!["none"]
     }
 
-    /// Run one schedule: install `policy` into the kernel, run under fault
-    /// plan `fault` (an index into [`Scenario::fault_labels`]), and judge
-    /// the oracle.
-    fn run(&self, policy: &PolicyHandle, fault: usize, fast_path: bool) -> Outcome;
+    /// Run one schedule: install `policy` into the kernel, apply `prepare`
+    /// to it (the pre-run seam for per-run kernel settings — see
+    /// [`fast_path`]), run under fault plan `fault` (an index into
+    /// [`Scenario::fault_labels`]), and judge the oracle.
+    fn run(&self, policy: &PolicyHandle, fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome;
+}
+
+/// The usual `prepare` step for [`Scenario::run`]: choose the fast path and
+/// leave every other kernel setting at its default.
+pub fn fast_path(on: bool) -> impl Fn(&mut Kernel) {
+    move |k| k.set_fast_path(on)
 }
 
 /// All registered scenarios, mutations last.
@@ -220,7 +227,7 @@ impl Scenario for ServeKv {
         vec!["none", "loss10", "loss10_straggler"]
     }
 
-    fn run(&self, policy: &PolicyHandle, fault: usize, fast_path: bool) -> Outcome {
+    fn run(&self, policy: &PolicyHandle, fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome {
         let mut cfg = hupc_serve::ServeConfig::small(0x5E21);
         cfg.upc = UpcConfig::test_default(4, 2);
         cfg.traffic.requests_per_frontend = 24;
@@ -232,7 +239,7 @@ impl Scenario for ServeKv {
         let viol: ViolCell = Arc::new(Mutex::new(None));
         let result = hupc_serve::run_serve_prepared(cfg.clone(), |k| {
             policy.install(k);
-            k.set_fast_path(fast_path);
+            prepare(k);
         });
         match result {
             Ok(r) => {
@@ -303,12 +310,12 @@ impl Scenario for LostUpdate {
         true
     }
 
-    fn run(&self, policy: &PolicyHandle, _fault: usize, fast_path: bool) -> Outcome {
+    fn run(&self, policy: &PolicyHandle, _fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome {
         let mut sim = Simulation::new();
         {
             let mut k = sim.kernel();
             policy.install(&mut k);
-            k.set_fast_path(fast_path);
+            prepare(&mut k);
         }
         let counter: Arc<SimCell<u64>> = Arc::new(SimCell::new(0));
 
@@ -369,12 +376,12 @@ impl Scenario for MissedNotify {
         true
     }
 
-    fn run(&self, policy: &PolicyHandle, _fault: usize, fast_path: bool) -> Outcome {
+    fn run(&self, policy: &PolicyHandle, _fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome {
         let mut sim = Simulation::new();
         let cond = {
             let mut k = sim.kernel();
             policy.install(&mut k);
-            k.set_fast_path(fast_path);
+            prepare(&mut k);
             k.new_cond()
         };
         sim.spawn("waiter", move |ctx| {
@@ -430,13 +437,13 @@ impl Scenario for UtsSteal {
         vec!["none", "loss20"]
     }
 
-    fn run(&self, policy: &PolicyHandle, fault: usize, fast_path: bool) -> Outcome {
+    fn run(&self, policy: &PolicyHandle, fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome {
         let cfg = Self::config(fault);
         let (want_total, _, want_leaves) = sequential_traverse(&cfg.tree);
         let p = policy.clone();
         let result = run_uts_prepared(cfg, move |k| {
             p.install(k);
-            k.set_fast_path(fast_path);
+            prepare(k);
         });
         match result {
             Ok(r) => {
@@ -493,14 +500,14 @@ impl Scenario for SplitBarrier {
         "split-phase barrier: publications visible after wait, every round"
     }
 
-    fn run(&self, policy: &PolicyHandle, _fault: usize, fast_path: bool) -> Outcome {
+    fn run(&self, policy: &PolicyHandle, _fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome {
         const THREADS: usize = 6;
         const ROUNDS: u64 = 4;
         let job = UpcJob::new(UpcConfig::test_default(THREADS, 2));
         {
             let mut k = job.kernel();
             policy.install(&mut k);
-            k.set_fast_path(fast_path);
+            prepare(&mut k);
         }
         let slots: Arc<Vec<SimCell<u64>>> =
             Arc::new((0..THREADS).map(|_| SimCell::new(0)).collect());
@@ -568,7 +575,7 @@ impl Scenario for Allreduce {
         }
     }
 
-    fn run(&self, policy: &PolicyHandle, _fault: usize, fast_path: bool) -> Outcome {
+    fn run(&self, policy: &PolicyHandle, _fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome {
         const THREADS: u64 = 8;
         const ROUNDS: u64 = 3;
         let mut cfg = UpcConfig::test_default(THREADS as usize, 2);
@@ -584,7 +591,7 @@ impl Scenario for Allreduce {
         {
             let mut k = job.kernel();
             policy.install(&mut k);
-            k.set_fast_path(fast_path);
+            prepare(&mut k);
         }
         let viol: ViolCell = Arc::new(Mutex::new(None));
         let viol2 = Arc::clone(&viol);
@@ -649,7 +656,7 @@ impl Scenario for RetryLoss {
         vec!["loss10"]
     }
 
-    fn run(&self, policy: &PolicyHandle, _fault: usize, fast_path: bool) -> Outcome {
+    fn run(&self, policy: &PolicyHandle, _fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome {
         const THREADS: usize = 4;
         const ROUNDS: u64 = 3;
         let mut cfg = UpcConfig::test_default(THREADS, 2);
@@ -659,7 +666,7 @@ impl Scenario for RetryLoss {
         {
             let mut k = job.kernel();
             policy.install(&mut k);
-            k.set_fast_path(fast_path);
+            prepare(&mut k);
         }
         let viol: ViolCell = Arc::new(Mutex::new(None));
         let viol2 = Arc::clone(&viol);
@@ -723,7 +730,7 @@ mod tests {
         for s in all_scenarios() {
             for fault in 0..s.fault_labels().len() {
                 let policy = PolicyHandle::prefix(&[]);
-                let out = s.run(&policy, fault, true);
+                let out = s.run(&policy, fault, &fast_path(true));
                 assert!(
                     out.violation.is_none(),
                     "{} (fault {}) violated its oracle on the default schedule: {:?}",
@@ -740,7 +747,7 @@ mod tests {
     fn lost_update_mutation_fires() {
         let s = LostUpdate;
         let policy = PolicyHandle::prefix(&[1]);
-        let out = s.run(&policy, 0, true);
+        let out = s.run(&policy, 0, &fast_path(true));
         let v = out.violation.expect("perturbed schedule must lose an update");
         assert_eq!(v.kind, ViolationKind::State);
     }
@@ -750,7 +757,7 @@ mod tests {
     fn missed_notify_mutation_fires() {
         let s = MissedNotify;
         let policy = PolicyHandle::prefix(&[1]);
-        let out = s.run(&policy, 0, true);
+        let out = s.run(&policy, 0, &fast_path(true));
         let v = out.violation.expect("perturbed schedule must deadlock");
         assert_eq!(v.kind, ViolationKind::Deadlock);
     }

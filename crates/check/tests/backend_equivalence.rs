@@ -7,33 +7,15 @@
 //! of this pin: they were blessed under the thread backend and must keep
 //! passing under the coroutine default.)
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use hupc_check::{find_scenario, Artifact, Decision, PolicyHandle, ARTIFACT_EXT};
-use hupc_sim::{
-    set_actor_backend_default, time, ActorBackend, SimCell, Simulation, TraceEvent,
-};
+use hupc_sim::{time, ActorBackend, SimCell, Simulation, SimulationStats, TraceEvent};
+use hupc_upc::{in_subthread_context, set_subthread_context, UpcConfig, UpcJob};
 use proptest::prelude::*;
 
-/// Run `f` with the process-wide default backend forced to `b`, restoring
-/// the auto default afterwards (even on panic). Serialized so concurrent
-/// tests in this binary don't fight over the global.
-fn with_backend<T>(b: ActorBackend, f: impl FnOnce() -> T) -> T {
-    static LOCK: Mutex<()> = Mutex::new(());
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_actor_backend_default(None);
-        }
-    }
-    let _r = Restore;
-    set_actor_backend_default(Some(b));
-    f()
-}
-
 /// The tie-rich workload from `determinism.rs`, parameterized over the
-/// actor backend via the per-simulation override.
+/// actor backend.
 fn tie_rich_run(
     seed: u64,
     backend: ActorBackend,
@@ -87,7 +69,7 @@ proptest! {
 /// (the hint the coroutine scheduler prefetches on is exact); in the
 /// hand-off an odd actor's notify slips its neighbour's wake in front of
 /// the one that was hinted (the hint is wrong).
-fn barrier_storm(backend: ActorBackend) -> (Vec<TraceEvent>, hupc_sim::SimulationStats) {
+fn barrier_storm(backend: ActorBackend) -> (Vec<TraceEvent>, SimulationStats) {
     const ACTORS: usize = 256;
     const ROUNDS: u64 = 6;
     let mut sim = Simulation::new();
@@ -149,12 +131,10 @@ fn corpus_replays_identically_on_both_backends() {
         let art = Artifact::parse(&std::fs::read_to_string(&path).unwrap())
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let replay = |b| {
-            with_backend(b, || {
-                let v = art
-                    .replay()
-                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-                format!("{:?}", v)
-            })
+            let v = art
+                .replay_prepared(&|k| k.set_actor_backend(b))
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            format!("{:?}", v)
         };
         assert_eq!(
             replay(ActorBackend::Coroutine),
@@ -175,16 +155,14 @@ fn scenarios_agree_across_backends() {
         let s = find_scenario(name).unwrap();
         for seed in [1u64, 7, 42] {
             let run = |b| {
-                with_backend(b, || {
-                    let p = PolicyHandle::random(seed);
-                    let out = s.run(&p, 0, true);
-                    assert!(
-                        out.violation.is_none(),
-                        "{name} seed {seed}: {:?}",
-                        out.violation
-                    );
-                    (out.end_state, out.end_time, out.decisions)
-                })
+                let p = PolicyHandle::random(seed);
+                let out = s.run(&p, 0, &|k| k.set_actor_backend(b));
+                assert!(
+                    out.violation.is_none(),
+                    "{name} seed {seed}: {:?}",
+                    out.violation
+                );
+                (out.end_state, out.end_time, out.decisions)
             };
             assert_eq!(
                 run(ActorBackend::Coroutine),
@@ -193,4 +171,69 @@ fn scenarios_agree_across_backends() {
             );
         }
     }
+}
+
+/// What GUPS and FT add over UTS, in one UPC program: every round each
+/// thread starts a non-blocking put to its neighbour, forks sub-threads
+/// (mid-run spawns, tagged through `set_subthread_context`) that compute
+/// while the put is in flight, joins them, then syncs the put and closes
+/// the round with a barrier. Returns the kernel event log up to the last
+/// barrier plus the run's statistics (which cover the tail).
+fn forkjoin_overlap(backend: ActorBackend) -> (Vec<TraceEvent>, SimulationStats) {
+    const THREADS: usize = 4;
+    const SUBS: u64 = 3;
+    const ROUNDS: u64 = 5;
+    let job = UpcJob::new(UpcConfig::test_default(THREADS, 2));
+    let off = job.runtime().alloc_words(THREADS);
+    {
+        let mut k = job.kernel();
+        k.set_actor_backend(backend);
+        k.record_event_log(true);
+    }
+    let log: Arc<SimCell<Vec<TraceEvent>>> = Arc::new(SimCell::default());
+    let out = Arc::clone(&log);
+    let stats = job.run(move |upc| {
+        let me = upc.mythread();
+        let ctx = upc.ctx();
+        for round in 0..ROUNDS {
+            let h = upc.memput_nb((me + 1) % THREADS, off + me, &[round << 8 | me as u64]);
+            let subs: Vec<_> = (0..SUBS)
+                .map(|s| {
+                    ctx.spawn(format!("sub{me}.{s}"), move |c| {
+                        set_subthread_context(c, true);
+                        c.advance(time::ns(40 + 9 * s + 5 * me as u64 + round));
+                        assert!(in_subthread_context(c));
+                    })
+                })
+                .collect();
+            // The tag is per actor: a child marking itself on the thread the
+            // coroutine backend shares must not mark its parent.
+            assert!(!in_subthread_context(ctx));
+            for sub in subs {
+                ctx.join(sub);
+            }
+            upc.wait_sync(h);
+            upc.barrier();
+            let mut got = [0u64];
+            let left = (me + THREADS - 1) % THREADS;
+            upc.memget(me, off + left, &mut got);
+            assert_eq!(got[0], round << 8 | left as u64);
+            upc.barrier();
+        }
+        if me == 0 {
+            out.with_mut(|l| *l = ctx.with_kernel(|k| k.take_event_log()));
+        }
+    });
+    (log.with_mut(std::mem::take), stats)
+}
+
+/// Sub-thread fork-join overlapped with non-blocking puts: identical kernel
+/// event log and statistics on both actor backends.
+#[test]
+fn forkjoin_overlap_event_log_is_backend_independent() {
+    let (coro_log, coro_stats) = forkjoin_overlap(ActorBackend::Coroutine);
+    let (os_log, os_stats) = forkjoin_overlap(ActorBackend::OsThread);
+    assert!(coro_log.len() > 4 * 5 * 3, "log too short to have seen the sub-threads");
+    assert_eq!(coro_stats, os_stats, "statistics diverged");
+    assert_eq!(coro_log, os_log, "event logs diverged");
 }

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use hupc_check::{find_scenario, Decision, PolicyHandle};
+use hupc_check::{fast_path, find_scenario, Decision, PolicyHandle};
 use hupc_sim::{time, SimCell, Simulation, TraceEvent};
 use proptest::prelude::*;
 
@@ -87,7 +87,7 @@ fn scenarios_agree_across_fast_path() {
         for seed in [1u64, 7, 42] {
             let run = |fast: bool| {
                 let p = PolicyHandle::random(seed);
-                let out = s.run(&p, 0, fast);
+                let out = s.run(&p, 0, &fast_path(fast));
                 assert!(
                     out.violation.is_none(),
                     "{name} seed {seed} fast={fast}: {:?}",

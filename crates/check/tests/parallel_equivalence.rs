@@ -7,36 +7,16 @@
 //! every virtual-time observable; only host-side counters (bypass hits,
 //! handoffs, heap ops) may differ.
 //!
-//! Corpus `.schedule` replays and policy-driven scenarios are pinned too: a
-//! schedule policy forces the sequential dispatch loop regardless of the
-//! configured backend, so replays are backend-independent by construction —
-//! these tests keep that contract honest.
+//! (A schedule policy forces the sequential dispatch loop whatever backend
+//! is configured, so corpus replays and explored scenarios never reach the
+//! parallel engine; that rule is pinned in `hupc-sim` by
+//! `parallel_with_policy_falls_back_to_sequential_dispatch`.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use hupc_check::{find_scenario, Artifact, PolicyHandle, ARTIFACT_EXT};
-use hupc_sim::{
-    set_sim_backend_default, time, SimBackend, Simulation, Time, TraceEvent,
-};
+use hupc_sim::{time, SimBackend, Simulation, Time, TraceEvent};
 use proptest::prelude::*;
-
-/// Run `f` with the process-wide default sim backend forced to `b`,
-/// restoring auto afterwards (even on panic). Serialized so concurrent
-/// tests in this binary don't fight over the global.
-fn with_sim_backend<T>(b: SimBackend, f: impl FnOnce() -> T) -> T {
-    static LOCK: Mutex<()> = Mutex::new(());
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_sim_backend_default(None);
-        }
-    }
-    let _r = Restore;
-    set_sim_backend_default(Some(b));
-    f()
-}
 
 fn splitmix(x: &mut u64) -> u64 {
     *x = x.wrapping_add(0x9E3779B97F4A7C15);
@@ -131,73 +111,6 @@ proptest! {
     }
 }
 
-/// Every committed corpus `.schedule` reproduces the *same* violation under
-/// the parallel backend default for n ∈ {1, 2, 4} as under sequential
-/// (replays install a policy, which pins dispatch to the sequential loop —
-/// this test keeps schedules portable across backend configuration).
-#[test]
-fn corpus_replays_identically_under_parallel_defaults() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
-    let mut checked = 0;
-    for entry in std::fs::read_dir(&dir).expect("corpus dir must exist") {
-        let path = entry.unwrap().path();
-        if !path.extension().is_some_and(|x| x == ARTIFACT_EXT) {
-            continue;
-        }
-        let art = Artifact::parse(&std::fs::read_to_string(&path).unwrap())
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let replay = |b| {
-            with_sim_backend(b, || {
-                let v = art
-                    .replay()
-                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-                format!("{v:?}")
-            })
-        };
-        let seq = replay(SimBackend::Sequential);
-        for n in [1usize, 2, 4] {
-            assert_eq!(
-                seq,
-                replay(SimBackend::Parallel(n)),
-                "{}: Parallel({n}) disagrees on the replayed violation",
-                path.display()
-            );
-        }
-        checked += 1;
-    }
-    assert!(checked >= 2, "corpus should hold the two mutation schedules");
-}
-
-/// Full-stack UPC scenarios explored with the same policy seed under
-/// sequential and parallel defaults: identical end state, end time and
-/// tie-break decisions.
-#[test]
-fn scenarios_agree_under_parallel_defaults() {
-    for name in ["split_barrier", "allreduce2", "retry_loss", "serve_kv"] {
-        let s = find_scenario(name).unwrap();
-        for seed in [1u64, 7, 42] {
-            let run = |b| {
-                with_sim_backend(b, || {
-                    let p = PolicyHandle::random(seed);
-                    let out = s.run(&p, 0, true);
-                    assert!(
-                        out.violation.is_none(),
-                        "{name} seed {seed}: {:?}",
-                        out.violation
-                    );
-                    (out.end_state, out.end_time, out.decisions)
-                })
-            };
-            let seq = run(SimBackend::Sequential);
-            assert_eq!(
-                seq,
-                run(SimBackend::Parallel(4)),
-                "{name} seed {seed}: parallel default changed the run"
-            );
-        }
-    }
-}
-
 /// Single-LP simulations under `Parallel(n)` run the full worker machinery
 /// on one worker and must be *bit*-identical to sequential — stats and
 /// bypass decisions included, which is what keeps the committed golden
@@ -230,32 +143,31 @@ fn single_lp_parallel_is_bit_identical_including_stats() {
 /// The serving path end to end: same seed ⇒ byte-identical open-loop
 /// arrival schedules, identical request logs, end state, and latency
 /// histograms — across repeat runs and across `Sequential` vs
-/// `Parallel(4)` process defaults (the PGAS job is single-LP, so the
-/// parallel backend must leave it bit-identical).
+/// `Parallel(4)` dispatch (the PGAS job is single-LP, so the parallel
+/// backend must leave it bit-identical).
 #[test]
-fn serving_runs_identically_under_parallel_defaults() {
-    use hupc_serve::{encode_schedule, run_serve, ServeConfig, ShardMap};
+fn serving_runs_identically_under_parallel_dispatch() {
+    use hupc_serve::{encode_schedule, run_serve_prepared, ServeConfig, ShardMap};
 
     let cfg = ServeConfig::small(0xD1CE);
     let shard = ShardMap::flat(8, cfg.partitions_per_thread, cfg.keys_per_partition);
     let schedules: Vec<Vec<u8>> = (0..8)
         .map(|f| encode_schedule(&cfg.traffic.schedule_for(f, &shard)))
         .collect();
+    // The run regenerates the arrival schedule itself; pin that doing so
+    // yields the pre-materialized bytes.
+    for (f, bytes) in schedules.iter().enumerate() {
+        assert_eq!(
+            bytes,
+            &encode_schedule(&cfg.traffic.schedule_for(f, &shard)),
+            "frontend {f}: schedule bytes changed on regeneration"
+        );
+    }
     let run = |b| {
-        with_sim_backend(b, || {
-            // The arrival schedule is generated inside the run too; pin the
-            // pre-materialized bytes against regeneration under this backend.
-            for (f, bytes) in schedules.iter().enumerate() {
-                assert_eq!(
-                    bytes,
-                    &encode_schedule(&cfg.traffic.schedule_for(f, &shard)),
-                    "frontend {f}: schedule bytes changed under {b:?}"
-                );
-            }
-            let r = run_serve(cfg.clone());
-            assert_eq!(r.completed + r.shed + r.failed, r.generated);
-            (r.records, r.committed, r.hist, r.end_state, r.end_time)
-        })
+        let r = run_serve_prepared(cfg.clone(), |k| k.set_sim_backend(b))
+            .expect("serving run failed");
+        assert_eq!(r.completed + r.shed + r.failed, r.generated);
+        (r.records, r.committed, r.hist, r.end_state, r.end_time)
     };
     let seq = run(SimBackend::Sequential);
     let rerun = run(SimBackend::Sequential);

@@ -63,8 +63,6 @@ pub struct CollDomain {
 
 impl CollDomain {
     /// Partition the job's threads and pre-build the leader team.
-    /// `plan` may be overridden by the `HUPC_COLL_PLAN` environment
-    /// variable (ablation knob).
     pub fn build(kernel: &mut Kernel, rt: &Arc<UpcRuntime>, plan: CollPlan) -> CollDomain {
         let nodes = GroupSet::partition(kernel, rt, GroupLevel::Node);
         let sockets = GroupSet::partition(kernel, rt, GroupLevel::Socket);
@@ -92,7 +90,7 @@ impl CollDomain {
             leaders,
             socket_leaders_by_node,
             node_size,
-            plan: plan.from_env(),
+            plan,
             arity: 8,
             staging: None,
         }

@@ -25,10 +25,10 @@
 //! payload size and operation — flat on a single node (bit-identical to the
 //! `hupc-upc` reference path), two-level (node → core) otherwise, and
 //! three-level (node → socket → core) for large broadcast/reduce payloads
-//! on multi-socket nodes — with `CollPlan::Force` and the `HUPC_COLL_PLAN`
-//! environment variable as ablation overrides. With the `trace` feature,
-//! every operation and phase emits `CollBegin`/`CollEnd` events tagged with
-//! the algorithm (see `hupc_trace::coll`).
+//! on multi-socket nodes — with `CollPlan::Force` as the ablation override.
+//! With the `trace` feature, every operation and phase emits
+//! `CollBegin`/`CollEnd` events tagged with the algorithm (see
+//! `hupc_trace::coll`).
 
 mod domain;
 mod plan;

@@ -5,9 +5,8 @@
 //! differently on a flat cluster, an SMP cluster, and a ccNUMA SMP cluster.
 //! `CollPlan` captures that decision point: `Auto` queries the machine
 //! (node-group and socket-group counts) plus the payload size; `Force` pins
-//! one algorithm for ablation sweeps. The `HUPC_COLL_PLAN` environment
-//! variable overrides either from outside the binary (`flat` / `two` /
-//! `three` / `auto`).
+//! one algorithm for ablation sweeps. The plan passed to
+//! `CollDomain::build` is the only selector: nothing ambient overrides it.
 
 /// Which decomposition a collective runs with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,20 +45,6 @@ pub enum CollPlan {
     Auto,
     /// Always use one algorithm (ablation knob).
     Force(CollAlgo),
-}
-
-impl CollPlan {
-    /// Apply the `HUPC_COLL_PLAN` environment override, if set (unknown
-    /// values are ignored so a typo degrades to the configured plan).
-    pub fn from_env(self) -> CollPlan {
-        match std::env::var("HUPC_COLL_PLAN").as_deref() {
-            Ok("flat") => CollPlan::Force(CollAlgo::Flat),
-            Ok("two") => CollPlan::Force(CollAlgo::TwoLevel),
-            Ok("three") => CollPlan::Force(CollAlgo::ThreeLevel),
-            Ok("auto") => CollPlan::Auto,
-            _ => self,
-        }
-    }
 }
 
 /// The collective operations a plan decides for (payload thresholds differ

@@ -11,14 +11,14 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::coro::{self, Coro, Poll, ResumeArg, Stack, SwitchCoro, ThreadCoro};
 use crate::kernel::{
-    ActorId, ActorMeta, ActorStatus, BarrierId, BlockKind, CompletionId, CondId, EventKind,
-    Kernel, MutexId, ResourceId, WaitGraph,
+    ActorId, ActorMeta, ActorStatus, BarrierId, BlockKind, CompletionId, CondId, Kernel,
+    MutexId, ResourceId, WaitGraph,
 };
 use crate::time::Time;
 
@@ -34,24 +34,6 @@ pub const DEFAULT_STACK_SIZE: usize = 8 << 20;
 /// (one actor per work item) cycle through the pool with a near-100% hit
 /// rate; the cap only matters when a huge cohort finishes at once.
 const STACK_POOL_CAP: usize = 1024;
-
-/// Process-wide default actor backend override (0 = auto, 1 = coroutine,
-/// 2 = OS thread). Tests and benchmarks flip this around whole runs;
-/// [`Simulation::set_actor_backend`] always wins for a single simulation.
-static BACKEND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Set (or clear) the process-wide default actor backend. Only affects
-/// simulations created afterwards. `None` restores auto-selection:
-/// `HUPC_ACTOR_BACKEND=thread|coro` if set, else coroutines where supported
-/// (the `thread-actors` cargo feature flips the auto default to threads).
-pub fn set_actor_backend_default(b: Option<ActorBackend>) {
-    let v = match b {
-        None => 0,
-        Some(ActorBackend::Coroutine) => 1,
-        Some(ActorBackend::OsThread) => 2,
-    };
-    BACKEND_OVERRIDE.store(v, Ordering::SeqCst);
-}
 
 /// Which dispatch engine a simulation runs on.
 ///
@@ -74,83 +56,9 @@ pub enum SimBackend {
     Parallel(usize),
 }
 
-/// Process-wide default sim backend override (0 = auto, 1 = sequential,
-/// `2 + n` = parallel with n workers).
-static SIM_BACKEND_OVERRIDE: AtomicU64 = AtomicU64::new(0);
-
-/// Set (or clear) the process-wide default simulation backend. Only affects
-/// simulations created afterwards. `None` restores auto-selection:
-/// `HUPC_SIM_BACKEND=seq|parallel|parallel:<n>` if set, else sequential.
-pub fn set_sim_backend_default(b: Option<SimBackend>) {
-    let v = match b {
-        None => 0,
-        Some(SimBackend::Sequential) => 1,
-        Some(SimBackend::Parallel(n)) => 2 + n as u64,
-    };
-    SIM_BACKEND_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// Worker count for `parallel` with no explicit count: one per host core.
+/// Worker count for `Parallel(0)`: one per host core.
 fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-fn parse_sim_backend(s: &str) -> Option<SimBackend> {
-    match s {
-        "seq" | "sequential" => Some(SimBackend::Sequential),
-        "par" | "parallel" => Some(SimBackend::Parallel(0)),
-        _ => s
-            .strip_prefix("parallel:")
-            .or_else(|| s.strip_prefix("par:"))
-            .and_then(|n| n.parse().ok())
-            .map(SimBackend::Parallel),
-    }
-}
-
-/// The simulation backend a freshly created [`Simulation`] will use.
-pub fn sim_backend_default() -> SimBackend {
-    match SIM_BACKEND_OVERRIDE.load(Ordering::SeqCst) {
-        0 => {}
-        1 => return SimBackend::Sequential,
-        v => return SimBackend::Parallel((v - 2) as usize),
-    }
-    static ENV: std::sync::OnceLock<Option<SimBackend>> = std::sync::OnceLock::new();
-    (*ENV.get_or_init(|| {
-        std::env::var("HUPC_SIM_BACKEND")
-            .ok()
-            .as_deref()
-            .and_then(parse_sim_backend)
-    }))
-    .unwrap_or(SimBackend::Sequential)
-}
-
-/// The actor backend a freshly created [`Simulation`] will use.
-pub fn actor_backend_default() -> ActorBackend {
-    match BACKEND_OVERRIDE.load(Ordering::SeqCst) {
-        1 => return ActorBackend::Coroutine,
-        2 => return ActorBackend::OsThread,
-        _ => {}
-    }
-    static ENV: std::sync::OnceLock<Option<ActorBackend>> = std::sync::OnceLock::new();
-    let env = *ENV.get_or_init(|| {
-        match std::env::var("HUPC_ACTOR_BACKEND").ok().as_deref() {
-            Some("thread") | Some("threads") | Some("os-thread") => {
-                Some(ActorBackend::OsThread)
-            }
-            Some("coro") | Some("coroutine") | Some("coroutines") => {
-                Some(ActorBackend::Coroutine)
-            }
-            _ => None,
-        }
-    });
-    if let Some(b) = env {
-        return b;
-    }
-    if cfg!(feature = "thread-actors") {
-        ActorBackend::OsThread
-    } else {
-        ActorBackend::Coroutine
-    }
 }
 
 /// Shared between the scheduler and every actor context.
@@ -163,11 +71,6 @@ struct Shared {
     staged: Mutex<Vec<StagedActor>>,
     /// Default stack size for newly spawned actors, bytes.
     stack_size: AtomicUsize,
-    /// Backend for actors of this simulation (u8 of [`ActorBackend`]).
-    backend: AtomicU8,
-    /// Set when the first execution context is created. After this point
-    /// [`Simulation::set_stack_size`] can no longer affect existing stacks.
-    dispatched: AtomicBool,
     /// Parallel-backend workers park here (paired with the `kernel` mutex)
     /// when none of their LPs has a safe event; any worker that finishes an
     /// event (and so may have raised a neighbor's LBTS) notifies.
@@ -324,8 +227,6 @@ pub struct Simulation {
     actors: Vec<ActorSlot>,
     /// Recycled coroutine stacks of finished actors (bounded).
     stack_pool: Vec<Stack>,
-    /// Dispatch engine for this simulation (see [`SimBackend`]).
-    sim_backend: SimBackend,
     ran: bool,
 }
 
@@ -338,19 +239,15 @@ impl Default for Simulation {
 impl Simulation {
     pub fn new() -> Self {
         install_quiet_hook();
-        let backend = actor_backend_default();
         let sim = Simulation {
             shared: Arc::new(Shared {
                 kernel: Mutex::new(Kernel::new()),
                 staged: Mutex::new(Vec::new()),
                 stack_size: AtomicUsize::new(DEFAULT_STACK_SIZE),
-                backend: AtomicU8::new(backend_code(backend)),
-                dispatched: AtomicBool::new(false),
                 work_cv: Condvar::new(),
             }),
             actors: Vec::new(),
             stack_pool: Vec::new(),
-            sim_backend: sim_backend_default(),
             ran: false,
         };
         // Adopt the process-global tracer (if installed) so app-level
@@ -394,32 +291,16 @@ impl Simulation {
         self.kernel().set_tracer(t);
     }
 
-    /// Select the execution backend for actors of this simulation. Must be
-    /// called before any actor is dispatched (in practice: before
-    /// [`Simulation::run`]); actors already started keep their context.
-    /// Virtual-time behavior is bit-identical across backends — only host
-    /// speed, memory footprint, and actor-count headroom differ.
+    /// Select the execution backend for actors of this simulation (see
+    /// [`Kernel::set_actor_backend`]). Coroutines by default.
     pub fn set_actor_backend(&self, b: ActorBackend) {
-        self.shared.backend.store(backend_code(b), Ordering::SeqCst);
+        self.kernel().set_actor_backend(b);
     }
 
-    /// The backend actors of this simulation run on.
-    pub fn actor_backend(&self) -> ActorBackend {
-        backend_of(self.shared.backend.load(Ordering::SeqCst))
-    }
-
-    /// Select the dispatch engine for this run (see [`SimBackend`]). Must be
-    /// called before [`Simulation::run`]. A schedule-exploration policy
-    /// forces the sequential loop regardless (tie-breaking needs the global
-    /// view of simultaneous events); replays therefore behave identically
-    /// under either setting.
-    pub fn set_sim_backend(&mut self, b: SimBackend) {
-        self.sim_backend = b;
-    }
-
-    /// The dispatch engine this simulation will run on.
-    pub fn sim_backend(&self) -> SimBackend {
-        self.sim_backend
+    /// Select the dispatch engine for this run (see
+    /// [`Kernel::set_sim_backend`]). Sequential by default.
+    pub fn set_sim_backend(&self, b: SimBackend) {
+        self.kernel().set_sim_backend(b);
     }
 
     /// Partition the simulation into `k` logical processes (see
@@ -449,7 +330,7 @@ impl Simulation {
     /// size actors spawned mid-run with [`Ctx::spawn_with_stack`] instead.
     pub fn set_stack_size(&self, bytes: usize) {
         debug_assert!(
-            !self.shared.dispatched.load(Ordering::SeqCst),
+            !self.kernel().dispatched(),
             "set_stack_size after first dispatch: already-created stacks keep \
              their size; use spawn_with_stack for actors spawned mid-run"
         );
@@ -512,11 +393,11 @@ impl Simulation {
     pub fn run_result(&mut self) -> SimResult {
         assert!(!self.ran, "Simulation::run may only be called once");
         self.ran = true;
-        let (num_lps, has_policy) = {
+        let (backend, num_lps, has_policy) = {
             let k = self.kernel();
-            (k.num_lps(), k.has_schedule_policy())
+            (k.sim_backend(), k.num_lps(), k.has_schedule_policy())
         };
-        match self.sim_backend {
+        match backend {
             SimBackend::Sequential => self.sequential_run(),
             // A tie-break policy needs the global view of simultaneous
             // events; conservative parallel dispatch never assembles one.
@@ -568,38 +449,9 @@ impl Simulation {
                     let time = k.now();
                     return Err(SimError::Deadlock { time, wait_graph });
                 };
-                k.enter_lp(lp);
-                k.log_event(event.time, event.seq, event.kind);
-                #[cfg(feature = "trace")]
-                k.trace_dispatch(&event);
-                k.set_now(event.time);
-                if k.trace {
-                    eprintln!("[sim t={}] {:?}", crate::time::format(event.time), event.kind);
-                }
-                match event.kind {
-                    EventKind::Complete(c) => {
-                        k.fire_completion(c);
-                        continue;
-                    }
-                    EventKind::Timeout(a, epoch) => {
-                        // A timed wait expired. If the actor was woken since
-                        // the deadline was armed the event is stale;
-                        // otherwise pull the actor out of its wait
-                        // registration and wake it with the timed-out flag
-                        // set.
-                        if k.timeout_is_live(a, epoch) {
-                            k.cancel_wait(a);
-                            k.actors[a].timed_out = true;
-                            let now = k.now();
-                            k.wake_at(now, a);
-                        }
-                        continue;
-                    }
-                    EventKind::Wake(a) => {
-                        k.mark_running(a);
-                        k.handoffs += 1;
-                        (a, k.peek_next_wake())
-                    }
+                match k.dispatch(lp, event) {
+                    Some(a) => (a, k.peek_next_wake()),
+                    None => continue,
                 }
             };
             // Dispatch-path locality: with a thousand actors taking turns,
@@ -808,8 +660,7 @@ fn build_context(
     stack_size: usize,
     body: ActorBody,
 ) -> Coro {
-    shared.dispatched.store(true, Ordering::SeqCst);
-    let backend = backend_of(shared.backend.load(Ordering::SeqCst));
+    let backend = relock(&shared.kernel).actor_backend();
     let shared = Arc::clone(shared);
     let wrapper: Box<dyn FnOnce(ResumeArg) + Send> = Box::new(move |first: ResumeArg| {
         if first == ResumeArg::Shutdown {
@@ -1051,38 +902,12 @@ fn worker_loop(
             ctl.waiting.fetch_sub(1, Ordering::SeqCst);
             k = guard;
         };
-        let trace = k.trace;
-        k.enter_lp(lp);
-        k.log_event(event.time, event.seq, event.kind);
-        #[cfg(feature = "trace")]
-        k.trace_dispatch(&event);
-        k.set_now(event.time);
-        if trace {
-            eprintln!(
-                "[sim w{w} t={}] {:?}",
-                crate::time::format(event.time),
-                event.kind
-            );
-        }
-        match event.kind {
-            EventKind::Complete(c) => {
-                k.fire_completion(c);
+        match k.dispatch(lp, event) {
+            None => {
                 k.finish_lp(lp);
                 drop(k);
             }
-            EventKind::Timeout(a, epoch) => {
-                if k.timeout_is_live(a, epoch) {
-                    k.cancel_wait(a);
-                    k.actors[a].timed_out = true;
-                    let now = k.now();
-                    k.wake_at(now, a);
-                }
-                k.finish_lp(lp);
-                drop(k);
-            }
-            EventKind::Wake(a) => {
-                k.mark_running(a);
-                k.handoffs += 1;
+            Some(a) => {
                 drop(k);
                 // Run the actor with the kernel lock free; it belongs to
                 // one of our LPs, so no other worker can touch it.
@@ -1126,20 +951,6 @@ fn worker_loop(
         }
     }
     (slots, pool)
-}
-
-fn backend_code(b: ActorBackend) -> u8 {
-    match b {
-        ActorBackend::Coroutine => 0,
-        ActorBackend::OsThread => 1,
-    }
-}
-
-fn backend_of(code: u8) -> ActorBackend {
-    match code {
-        0 => ActorBackend::Coroutine,
-        _ => ActorBackend::OsThread,
-    }
 }
 
 type ActorBody = Box<dyn FnOnce(&Ctx) + Send + 'static>;
@@ -2612,17 +2423,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_backend_env_spellings_parse() {
-        assert_eq!(parse_sim_backend("seq"), Some(SimBackend::Sequential));
-        assert_eq!(parse_sim_backend("sequential"), Some(SimBackend::Sequential));
-        assert_eq!(parse_sim_backend("parallel"), Some(SimBackend::Parallel(0)));
-        assert_eq!(parse_sim_backend("parallel:4"), Some(SimBackend::Parallel(4)));
-        assert_eq!(parse_sim_backend("par:2"), Some(SimBackend::Parallel(2)));
-        assert_eq!(parse_sim_backend("bogus"), None);
-        assert_eq!(parse_sim_backend("parallel:x"), None);
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "set_stack_size after first dispatch")]
     fn set_stack_size_after_dispatch_is_rejected() {
@@ -2631,5 +2431,62 @@ mod tests {
         sim.run();
         // The stacks this call claims to size already exist.
         sim.set_stack_size(64 * 1024);
+    }
+
+    /// The kernel setting is what picks the execution context — there is no
+    /// other selector: coroutine actors run on the scheduler's own thread
+    /// (where the target has the context switch), OS-thread actors each on
+    /// a thread of their own.
+    #[test]
+    fn actor_backend_setting_selects_the_execution_context() {
+        let run = |backend: Option<ActorBackend>| {
+            let mut sim = Simulation::new();
+            if let Some(b) = backend {
+                sim.kernel().set_actor_backend(b);
+            }
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            for a in 0..3 {
+                let seen = Arc::clone(&seen);
+                sim.spawn(format!("a{a}"), move |ctx| {
+                    ctx.advance(1);
+                    seen.lock().unwrap().push(std::thread::current().id());
+                });
+            }
+            sim.run();
+            let threads = seen.lock().unwrap().clone();
+            threads
+        };
+        let me = std::thread::current().id();
+        let os = run(Some(ActorBackend::OsThread));
+        assert!(os.iter().all(|&t| t != me) && os[0] != os[1] && os[1] != os[2]);
+        if coro::SWITCH_SUPPORTED {
+            for backend in [None, Some(ActorBackend::Coroutine)] {
+                assert!(run(backend).iter().all(|&t| t == me), "{backend:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "set_actor_backend after first dispatch")]
+    fn set_actor_backend_after_dispatch_is_rejected() {
+        let mut sim = Simulation::new();
+        // Mid-run, from a running actor: actors spawned from here on would
+        // get thread contexts next to this one's coroutine.
+        sim.spawn("a", |ctx| {
+            ctx.with_kernel(|k| k.set_actor_backend(ActorBackend::OsThread));
+        });
+        sim.run();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "set_sim_backend after first dispatch")]
+    fn set_sim_backend_after_dispatch_is_rejected() {
+        let mut sim = Simulation::new();
+        sim.spawn("a", |ctx| ctx.advance(1));
+        sim.run();
+        // The run loop this call claims to choose has already run.
+        sim.set_sim_backend(SimBackend::Parallel(2));
     }
 }

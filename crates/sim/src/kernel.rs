@@ -9,26 +9,10 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 
+use crate::coro::ActorBackend;
+use crate::engine::SimBackend;
 use crate::time::Time;
-
-/// Process-wide default for the scheduler-bypass fast path; freshly created
-/// kernels inherit it. Benchmarks toggle this around whole runs; tests that
-/// need a per-run setting use [`Kernel::set_fast_path`] instead (which always
-/// wins over the default).
-static FAST_PATH_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Set the process-wide default for the scheduler-bypass fast path (see
-/// [`Kernel::set_fast_path`]). Only affects simulations created afterwards.
-pub fn set_fast_path_default(on: bool) {
-    FAST_PATH_DEFAULT.store(on, Ordering::SeqCst);
-}
-
-/// Current process-wide fast-path default.
-pub fn fast_path_default() -> bool {
-    FAST_PATH_DEFAULT.load(Ordering::SeqCst)
-}
 
 /// Identifies an actor within one simulation.
 pub(crate) type ActorId = usize;
@@ -422,9 +406,12 @@ pub struct Kernel {
     registered_actors: usize,
     pub(crate) live_actors: usize,
     pub(crate) trace: bool,
-    /// Scheduler-bypass fast path enabled for this kernel (defaults to the
-    /// process-wide [`fast_path_default`]).
+    /// Scheduler-bypass fast path enabled for this kernel (on by default).
     fast_path: bool,
+    /// Execution backend for this simulation's actors.
+    actor_backend: ActorBackend,
+    /// Dispatch engine this simulation runs on.
+    sim_backend: SimBackend,
     /// Simcalls resolved inline without a scheduler handoff.
     pub(crate) fast_path_hits: u64,
     /// Scheduler → actor dispatches that went through a full handoff (a
@@ -468,7 +455,9 @@ impl Kernel {
             registered_actors: 0,
             live_actors: 0,
             trace: false,
-            fast_path: fast_path_default(),
+            fast_path: true,
+            actor_backend: ActorBackend::Coroutine,
+            sim_backend: SimBackend::Sequential,
             fast_path_hits: 0,
             handoffs: 0,
             heap_ops: 0,
@@ -561,6 +550,54 @@ impl Kernel {
     /// Whether the scheduler-bypass fast path is enabled.
     pub fn fast_path(&self) -> bool {
         self.fast_path
+    }
+
+    /// Whether the run has dispatched its first actor. From then on
+    /// execution contexts exist, so the settings that shape them (stack
+    /// size, actor backend) and the choice of run loop are fixed.
+    pub(crate) fn dispatched(&self) -> bool {
+        self.handoffs > 0
+    }
+
+    /// Select the execution backend for this simulation's actors:
+    /// coroutines (the default; the engine falls back to threads by itself
+    /// on targets without the context switch) or one parked OS thread per
+    /// actor, the portable reference the equivalence tests compare against.
+    /// Virtual-time behavior is bit-identical either way — only host speed,
+    /// memory footprint and actor-count headroom differ. Contexts are built
+    /// at first dispatch, so a mid-run call would mix both kinds in one
+    /// simulation; like `Simulation::set_stack_size`, that trips a
+    /// `debug_assert!`.
+    pub fn set_actor_backend(&mut self, b: ActorBackend) {
+        debug_assert!(
+            !self.dispatched(),
+            "set_actor_backend after first dispatch: started actors keep their context"
+        );
+        self.actor_backend = b;
+    }
+
+    /// The backend this simulation's actors run on.
+    pub(crate) fn actor_backend(&self) -> ActorBackend {
+        self.actor_backend
+    }
+
+    /// Select the dispatch engine for this run (see [`SimBackend`];
+    /// sequential by default). Read once when the run starts, so a mid-run
+    /// call could only ever be ignored; it trips a `debug_assert!` instead.
+    /// A schedule-exploration policy forces the sequential loop regardless
+    /// (tie-breaking needs the global view of simultaneous events); replays
+    /// therefore behave identically under either setting.
+    pub fn set_sim_backend(&mut self, b: SimBackend) {
+        debug_assert!(
+            !self.dispatched(),
+            "set_sim_backend after first dispatch: the run loop is already chosen"
+        );
+        self.sim_backend = b;
+    }
+
+    /// The dispatch engine this simulation will run on.
+    pub(crate) fn sim_backend(&self) -> SimBackend {
+        self.sim_backend
     }
 
     // ----- logical processes (conservative parallel partitioning) ---------
@@ -768,6 +805,50 @@ impl Kernel {
         } else {
             self.heap_ops += 1;
             self.lps[target].far.push(Reverse(ev));
+        }
+    }
+
+    /// Dispatch one popped event: the one definition both run loops (the
+    /// sequential scheduler and every parallel worker) share, called under
+    /// the kernel lock they already hold. `Complete` and `Timeout` events
+    /// are handled entirely here; a `Wake` returns the actor to resume.
+    #[inline]
+    pub(crate) fn dispatch(&mut self, lp: usize, event: Event) -> Option<ActorId> {
+        self.enter_lp(lp);
+        self.log_event(event.time, event.seq, event.kind);
+        #[cfg(feature = "trace")]
+        self.trace_dispatch(&event);
+        self.set_now(event.time);
+        if self.trace {
+            eprintln!(
+                "[sim t={}] {:?}",
+                crate::time::format(event.time),
+                event.kind
+            );
+        }
+        match event.kind {
+            EventKind::Complete(c) => {
+                self.fire_completion(c);
+                None
+            }
+            EventKind::Timeout(a, epoch) => {
+                // A timed wait expired. If the actor was woken since the
+                // deadline was armed the event is stale; otherwise pull the
+                // actor out of its wait registration and wake it with the
+                // timed-out flag set.
+                if self.timeout_is_live(a, epoch) {
+                    self.cancel_wait(a);
+                    self.actors[a].timed_out = true;
+                    let now = self.now();
+                    self.wake_at(now, a);
+                }
+                None
+            }
+            EventKind::Wake(a) => {
+                self.mark_running(a);
+                self.handoffs += 1;
+                Some(a)
+            }
         }
     }
 

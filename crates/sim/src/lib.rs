@@ -78,14 +78,12 @@ pub mod time;
 
 pub use cell::SimCell;
 pub use engine::{
-    actor_backend_default, set_actor_backend_default, set_sim_backend_default,
-    sim_backend_default, ActorBackend, ActorRef, Ctx, SimBackend, SimError, SimResult,
-    Simulation, SimulationStats, WaitTimedOut, DEFAULT_STACK_SIZE,
+    ActorBackend, ActorRef, Ctx, SimBackend, SimError, SimResult, Simulation,
+    SimulationStats, WaitTimedOut, DEFAULT_STACK_SIZE,
 };
 pub use kernel::{
-    fast_path_default, set_fast_path_default, BarrierId, CompletionId, CondId, Kernel,
-    MutexId, ReadyEvent, ReadyEventKind, ResourceId, SchedulePolicy, TraceEvent,
-    TraceKind, WaitEdge, WaitGraph, WaitTarget,
+    BarrierId, CompletionId, CondId, Kernel, MutexId, ReadyEvent, ReadyEventKind, ResourceId,
+    SchedulePolicy, TraceEvent, TraceKind, WaitEdge, WaitGraph, WaitTarget,
 };
 pub use queue::SimQueue;
 pub use time::Time;

@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hupc_sim::{time, ActorBackend, Simulation};
+use hupc_sim::{time, Simulation};
 
 /// 100k live actors arrive at one barrier, then all tear down. Exercises:
 /// mass registration, lazy context creation at first dispatch, a
@@ -20,9 +20,6 @@ use hupc_sim::{time, ActorBackend, Simulation};
 fn hundred_thousand_actors_spawn_barrier_teardown() {
     let n: usize = 100_000;
     let mut sim = Simulation::new();
-    // These counts only work on the coroutine backend — pin it so the
-    // `thread-actors` CI lane doesn't try to spawn 100k OS threads.
-    sim.set_actor_backend(ActorBackend::Coroutine);
     // Small explicit stacks: the bodies below need a few KB, and 100k of
     // them must not dominate the test runner's memory.
     sim.set_stack_size(32 * 1024);
@@ -80,7 +77,6 @@ fn fifty_thousand_actor_dynamic_spawn_tree() {
     }
 
     let mut sim = Simulation::new();
-    sim.set_actor_backend(ActorBackend::Coroutine);
     let (b, v) = (Arc::clone(&budget), Arc::clone(&visited));
     sim.spawn_with_stack("root", 64 * 1024, move |ctx| node(ctx, 0, &b, &v));
     let stats = sim.run();

@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 
 use hupc::gasnet::FaultPlan;
-use hupc::sim::{set_fast_path_default, time, Simulation, SimulationStats, TraceEvent};
-use hupc::uts::{run_uts, StealStrategy, UtsConfig};
+use hupc::sim::{time, Simulation, SimulationStats, TraceEvent};
+use hupc::uts::{run_uts_prepared, StealStrategy, UtsConfig};
 
 /// splitmix64 — the test's own op-stream generator, so one `seed` pins an
 /// entire random program.
@@ -96,19 +96,13 @@ proptest! {
 
 /// End-to-end regression at application scale: a faulty UTS run (packet
 /// loss, retransmissions, backoff) lands on the exact same virtual-time
-/// results with the bypass on or off. Uses the process-global default
-/// because `run_uts` builds its own `Simulation`; every other test in this
-/// binary sets the per-simulation flag explicitly, so toggling the global
-/// here cannot perturb them.
+/// results with the bypass on or off.
 #[test]
 fn fault_uts_results_unchanged_by_fast_path() {
     let run = |fast: bool| {
-        set_fast_path_default(fast);
         let mut cfg = UtsConfig::small(4, 2, StealStrategy::LocalFirstRapid, 13);
         cfg.fault = Some(FaultPlan::new(0xFEED).loss(0.05));
-        let r = run_uts(cfg);
-        set_fast_path_default(true);
-        r
+        run_uts_prepared(cfg, |k| k.set_fast_path(fast)).expect("UTS run failed")
     };
     let fast = run(true);
     let slow = run(false);

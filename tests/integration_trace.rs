@@ -17,7 +17,7 @@ use hupc::gups::{run_gups, GupsConfig, Routing};
 use hupc::fft::{run_ft_upc, FtConfig};
 use hupc::prelude::*;
 use hupc::trace::{to_chrome_trace, to_jsonl, Event, EventKind, TraceLevel, Tracer};
-use hupc::uts::{run_uts, StealStrategy, UtsConfig};
+use hupc::uts::{run_uts, run_uts_prepared, StealStrategy, UtsConfig};
 
 /// Small per-actor rings so the committed goldens stay a few hundred KB.
 /// Eviction is deterministic, so bounded traces are still byte-identical.
@@ -33,14 +33,13 @@ const GOLDEN_RING_FT: usize = 1024;
 
 /// Every test here that runs a simulation holds this for its whole body.
 ///
-/// A `Simulation` adopts whatever tracer and actor backend are
-/// process-global at the instant it is built. `Tracer::install` serialises
-/// the *traced* runs among themselves, but an untraced baseline built while
-/// a sibling test's tracer is installed would record into that tracer, and
-/// `golden_traces_identical_across_backends` flips the global backend under
-/// everyone. One guard around traced runs, untraced baselines and the
-/// backend flip alike keeps the tests of this binary out of each other's
-/// globals. (It is always taken before `Tracer::install`, never inside it.)
+/// A `Simulation` adopts whatever tracer is process-global at the instant
+/// it is built. `Tracer::install` serialises the *traced* runs among
+/// themselves, but an untraced baseline built while a sibling test's tracer
+/// is installed would record into that tracer. One guard around traced runs
+/// and untraced baselines alike keeps the tests of this binary out of each
+/// other's tracer — the only process-global a run still reads. (It is
+/// always taken before `Tracer::install`, never inside it.)
 fn serialise_simulations() -> std::sync::MutexGuard<'static, ()> {
     static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
     // A test that failed while holding the guard protects nothing worth
@@ -107,11 +106,10 @@ fn traced_jsonl(ring: usize, work: impl Fn()) -> String {
     a
 }
 
-#[test]
-fn golden_trace_uts() {
-    let _sims = serialise_simulations();
-    // A few-hundred-node tree: big enough to force steals, small enough
-    // that the bounded rings keep the interesting middle of the run.
+/// The UTS golden's input: a few-hundred-node tree, big enough to force
+/// steals, small enough that the bounded rings keep the interesting middle
+/// of the run.
+fn golden_uts_config() -> UtsConfig {
     let mut cfg = UtsConfig::small(4, 2, StealStrategy::LocalFirst, 7);
     cfg.tree = hupc::uts::TreeParams::Binomial {
         b0: 30,
@@ -119,8 +117,14 @@ fn golden_trace_uts() {
         q: 0.2,
         seed: 7,
     };
-    let jsonl = traced_jsonl(GOLDEN_RING_UTS, move || {
-        let r = run_uts(cfg.clone());
+    cfg
+}
+
+#[test]
+fn golden_trace_uts() {
+    let _sims = serialise_simulations();
+    let jsonl = traced_jsonl(GOLDEN_RING_UTS, || {
+        let r = run_uts(golden_uts_config());
         assert!(r.total_nodes > 0);
     });
     assert!(jsonl.contains("\"k\":\"steal_try\""), "no steal attempts traced");
@@ -151,62 +155,53 @@ fn golden_trace_gups() {
     check_golden("gups_small.jsonl", &jsonl);
 }
 
+/// The coll golden's job: a hierarchical allreduce on 2 nodes. `prepare`
+/// is the pre-run kernel seam (`UpcJob::kernel`).
+fn golden_coll_allreduce(prepare: impl FnOnce(&mut hupc::sim::Kernel)) {
+    let job = UpcJob::new(UpcConfig::test_default(8, 2));
+    CollDomain::install_auto(&job);
+    prepare(&mut job.kernel());
+    job.run(|upc| {
+        let me = upc.mythread() as u64;
+        let mut v: Vec<u64> = (0..24).map(|i| me + i).collect();
+        upc.allreduce_word_vec(&mut v, &|a, b| a.wrapping_add(b));
+        assert_eq!(v[0], 28);
+        let s = upc.allreduce_sum_f64(me as f64);
+        assert_eq!(s, 28.0);
+    });
+}
+
 /// The thread→coroutine switch is invisible to the observability layer:
-/// the same workload traced on the OS-thread backend produces JSONL that is
-/// byte-identical to the committed golden — which `golden_trace_gups` and
-/// `golden_trace_uts` already check under the coroutine default. Same
-/// `(t, seq)` total order, same payloads, same eviction.
+/// the same workloads traced on the OS-thread backend — selected per run
+/// through the kernel seams — produce JSONL byte-identical to the committed
+/// goldens, which `golden_trace_uts` and `golden_trace_coll_allreduce`
+/// check on coroutines. Same `(t, seq)` total order, same payloads, same
+/// eviction.
 #[test]
 fn golden_traces_identical_across_backends() {
+    use hupc::sim::ActorBackend;
     let _sims = serialise_simulations();
-    use hupc::sim::{set_actor_backend_default, ActorBackend};
-    // Restore the auto default even if a trace assertion panics, so this
-    // test can't leak the OS-thread default into the rest of the binary.
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_actor_backend_default(None);
-        }
-    }
-    let _r = Restore;
-    set_actor_backend_default(Some(ActorBackend::OsThread));
-    let jsonl = traced_jsonl(GOLDEN_RING, || {
-        let r = run_gups(GupsConfig::small(4, 2, Routing::PerThread));
-        assert_eq!(r.errors, 0);
-    });
-    check_golden("gups_small.jsonl", &jsonl);
     let uts = traced_jsonl(GOLDEN_RING_UTS, || {
-        let mut cfg = UtsConfig::small(4, 2, StealStrategy::LocalFirst, 7);
-        cfg.tree = hupc::uts::TreeParams::Binomial {
-            b0: 30,
-            m: 4,
-            q: 0.2,
-            seed: 7,
-        };
-        let r = run_uts(cfg);
+        let r = run_uts_prepared(golden_uts_config(), |k| {
+            k.set_actor_backend(ActorBackend::OsThread)
+        })
+        .expect("UTS run failed");
         assert!(r.total_nodes > 0);
     });
     check_golden("uts_small.jsonl", &uts);
+    let coll = traced_jsonl(GOLDEN_RING, || {
+        golden_coll_allreduce(|k| k.set_actor_backend(ActorBackend::OsThread))
+    });
+    check_golden("coll_allreduce_small.jsonl", &coll);
 }
 
 #[test]
 fn golden_trace_coll_allreduce() {
     let _sims = serialise_simulations();
-    // A hierarchical allreduce on 2 nodes: the golden pins the CollBegin/
-    // CollEnd taxonomy (op | algo | phase payload packing) and the staged
-    // intra/inter phase structure of the provider.
-    let jsonl = traced_jsonl(GOLDEN_RING, || {
-        let job = UpcJob::new(UpcConfig::test_default(8, 2));
-        CollDomain::install_auto(&job);
-        job.run(|upc| {
-            let me = upc.mythread() as u64;
-            let mut v: Vec<u64> = (0..24).map(|i| me + i).collect();
-            upc.allreduce_word_vec(&mut v, &|a, b| a.wrapping_add(b));
-            assert_eq!(v[0], 28);
-            let s = upc.allreduce_sum_f64(me as f64);
-            assert_eq!(s, 28.0);
-        });
-    });
+    // The golden pins the CollBegin/CollEnd taxonomy (op | algo | phase
+    // payload packing) and the staged intra/inter phase structure of the
+    // provider.
+    let jsonl = traced_jsonl(GOLDEN_RING, || golden_coll_allreduce(|_| {}));
     assert!(jsonl.contains("\"k\":\"coll_begin\""), "no coll events traced");
     assert!(jsonl.contains("\"k\":\"coll_end\""), "unbalanced coll events");
     check_golden("coll_allreduce_small.jsonl", &jsonl);
