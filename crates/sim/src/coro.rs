@@ -40,7 +40,10 @@ use crate::handoff::Handoff;
 pub(crate) type CoroBody = Box<dyn FnOnce(ResumeArg) + Send + 'static>;
 
 /// Whether the assembly context-switch backend is available on this target.
+/// (Never under Miri, which cannot execute the assembly: actors fall back to
+/// threads there, like on any unsupported target.)
 pub(crate) const SWITCH_SUPPORTED: bool = cfg!(all(
+    not(miri),
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ));

@@ -9,17 +9,19 @@
 //! [`ActorBackend::OsThread`] fallback runs the same protocol over parked
 //! OS threads.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::coro::{self, Coro, Poll, ResumeArg, Stack, SwitchCoro, ThreadCoro};
 use crate::kernel::{
     ActorId, ActorMeta, ActorStatus, BarrierId, BlockKind, CompletionId, CondId, Kernel,
-    MutexId, ResourceId, WaitGraph,
+    MutexId, RecentRing, ResourceId, WaitGraph,
 };
+use crate::kernel_cell::{KernelCell, KernelGuard};
 use crate::time::Time;
 
 pub use crate::coro::ActorBackend;
@@ -63,7 +65,7 @@ fn default_workers() -> usize {
 
 /// Shared between the scheduler and every actor context.
 struct Shared {
-    kernel: Mutex<Kernel>,
+    kernel: KernelCell,
     /// Actors registered in the kernel (meta + first wake already queued)
     /// whose bodies the scheduler has not yet collected. Spawns from inside
     /// a running actor land here — the actor cannot touch the scheduler's
@@ -71,7 +73,7 @@ struct Shared {
     staged: Mutex<Vec<StagedActor>>,
     /// Default stack size for newly spawned actors, bytes.
     stack_size: AtomicUsize,
-    /// Parallel-backend workers park here (paired with the `kernel` mutex)
+    /// Parallel-backend workers park here (paired with the kernel's gate)
     /// when none of their LPs has a safe event; any worker that finishes an
     /// event (and so may have raised a neighbor's LBTS) notifies.
     work_cv: Condvar,
@@ -92,10 +94,10 @@ struct StagedActor {
 ///
 /// Engine-side state stays consistent across an actor panic — the panicking
 /// actor only ever completes a mutation before unwinding out of user code —
-/// so a poisoned mutex carries a usable value. Taking it everywhere (kernel
-/// and panic-note alike) means reporting a panic can never itself panic on a
-/// poisoned lock and cascade.
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// so a poisoned mutex carries a usable value. Taking it everywhere (the
+/// kernel's gate and panic-note alike) means reporting a panic can never
+/// itself panic on a poisoned lock and cascade.
+pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -241,7 +243,7 @@ impl Simulation {
         install_quiet_hook();
         let sim = Simulation {
             shared: Arc::new(Shared {
-                kernel: Mutex::new(Kernel::new()),
+                kernel: KernelCell::new(Kernel::new()),
                 staged: Mutex::new(Vec::new()),
                 stack_size: AtomicUsize::new(DEFAULT_STACK_SIZE),
                 work_cv: Condvar::new(),
@@ -262,8 +264,8 @@ impl Simulation {
 
     /// Mutable access to the kernel for pre-run setup (resources, barriers,
     /// …). Must not be called while the simulation is running.
-    pub fn kernel(&self) -> MutexGuard<'_, Kernel> {
-        relock(&self.shared.kernel)
+    pub fn kernel(&self) -> KernelGuard<'_> {
+        self.shared.kernel.lock()
     }
 
     /// Enable per-event tracing to stderr (debugging aid).
@@ -466,7 +468,7 @@ impl Simulation {
             }
             // Switch into the actor. It runs — possibly through many
             // fast-path simcalls — until it parks or finishes; the kernel
-            // lock is free the whole time it executes.
+            // is free (no guard alive) the whole time it executes.
             if self.resume_actor(a, ResumeArg::Run) == Poll::Finished {
                 self.retire(a);
             }
@@ -515,6 +517,9 @@ impl Simulation {
             waiting: AtomicUsize::new(0),
             error: Mutex::new(None),
         };
+        // Worker threads are about to exist: from here until they are joined
+        // the kernel is locked, not owned.
+        self.shared.kernel.set_shared(true);
         let outcomes: Vec<(HashMap<ActorId, ActorSlot>, Vec<Stack>)> =
             std::thread::scope(|s| {
                 let handles: Vec<_> = worker_slots
@@ -533,6 +538,7 @@ impl Simulation {
                     .map(|h| h.join().expect("sim worker thread panicked"))
                     .collect()
             });
+        self.shared.kernel.set_shared(false);
         // Merge actor state back so Drop can shut down suspended actors and
         // later runs of the pool can reuse stacks.
         let total_actors = self.kernel().actors.len();
@@ -660,7 +666,7 @@ fn build_context(
     stack_size: usize,
     body: ActorBody,
 ) -> Coro {
-    let backend = relock(&shared.kernel).actor_backend();
+    let backend = shared.kernel.lock().actor_backend();
     let shared = Arc::clone(shared);
     let wrapper: Box<dyn FnOnce(ResumeArg) + Send> = Box::new(move |first: ResumeArg| {
         if first == ResumeArg::Shutdown {
@@ -669,17 +675,17 @@ fn build_context(
         }
         #[cfg(feature = "trace")]
         let (lp, tracer) = {
-            let k = relock(&shared.kernel);
+            let k = shared.kernel.lock();
             (k.actor_lp(id), k.tracer().cloned())
         };
         #[cfg(not(feature = "trace"))]
-        let lp = relock(&shared.kernel).actor_lp(id);
+        let lp = shared.kernel.lock().actor_lp(id);
         let ctx = Ctx {
             shared: Arc::clone(&shared),
             id,
             lp,
-            deferred: AtomicU64::new(0),
-            tag: AtomicU64::new(0),
+            deferred: Cell::new(0),
+            tag: Cell::new(0),
             // Captured at first dispatch, i.e. once the run has started,
             // so a tracer attached any time before `run()` is seen by
             // every actor.
@@ -703,17 +709,17 @@ fn build_context(
             let msg = panic_message(p.as_ref());
             // One kernel transaction: record the typed panic note and
             // mark the actor finished so the scheduler does not hang.
-            // `relock` still matters here — a panic inside a
-            // `with_kernel` closure poisons the kernel mutex itself —
-            // but the note is now a kernel field, not a side channel.
-            let mut k = relock(&shared.kernel);
+            // A panic inside a `with_kernel` closure unwound through the
+            // kernel guard, which released the kernel on the way out, so
+            // this cannot find it held (or, in a parallel run, poisoned).
+            let mut k = shared.kernel.lock();
             k.enter_lp(lp);
             k.note_panic(id, msg);
             k.actors[id].status = ActorStatus::Finished;
             k.live_actors -= 1;
             return;
         }
-        let mut k = relock(&shared.kernel);
+        let mut k = shared.kernel.lock();
         // Re-enter this actor's LP: under the parallel backend another
         // worker may have switched the kernel's LP context since this
         // actor's last simcall, and the exit-completion wakes below must be
@@ -868,7 +874,7 @@ fn worker_loop(
 ) -> (HashMap<ActorId, ActorSlot>, Vec<Stack>) {
     let mut pool: Vec<Stack> = Vec::new();
     'run: loop {
-        let mut k = relock(&shared.kernel);
+        let mut k = shared.kernel.lock();
         let (lp, event) = loop {
             if ctl.stop.load(Ordering::SeqCst) {
                 break 'run;
@@ -895,12 +901,8 @@ fn worker_loop(
             // finishes an event (raising its LBTS); the timeout is a
             // belt-and-braces backstop, not a correctness requirement.
             ctl.waiting.fetch_add(1, Ordering::SeqCst);
-            let (guard, _) = shared
-                .work_cv
-                .wait_timeout(k, Duration::from_micros(200))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            k = k.wait_timeout(&shared.work_cv, Duration::from_micros(200));
             ctl.waiting.fetch_sub(1, Ordering::SeqCst);
-            k = guard;
         };
         match k.dispatch(lp, event) {
             None => {
@@ -925,7 +927,7 @@ fn worker_loop(
                         }
                     }
                 }
-                let mut k = relock(&shared.kernel);
+                let mut k = shared.kernel.lock();
                 let note = k
                     .take_panic_note()
                     .map(|(id, message)| (id, k.actors[id].name.clone(), message));
@@ -972,7 +974,7 @@ fn register_actor(
     lp: usize,
     from_lp: usize,
 ) -> ActorRef {
-    let mut k = relock(&shared.kernel);
+    let mut k = shared.kernel.lock();
     assert!(
         lp < k.num_lps(),
         "spawn_on: LP {lp} out of range (simulation has {} LPs)",
@@ -999,7 +1001,7 @@ fn register_actor(
         wake_epoch: 0,
         timed_out: false,
         blocked_since: spawned_at,
-        recent: std::collections::VecDeque::new(),
+        recent: RecentRing::new(),
     });
     k.live_actors += 1;
     k.wake_at(start, id);
@@ -1033,6 +1035,24 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 ///
 /// A `Ctx` is passed to the actor body and borrowed by anything that needs to
 /// advance virtual time or block.
+///
+/// It belongs to its actor alone. `Ctx` and [`Simulation`] are deliberately
+/// `!Sync`: no reference to either can reach a second host thread, which is
+/// what lets a sequential run own its kernel instead of locking it.
+///
+/// ```
+/// fn assert_send<T: Send>() {}
+/// assert_send::<hupc_sim::Ctx>();
+/// assert_send::<hupc_sim::Simulation>();
+/// ```
+/// ```compile_fail
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<hupc_sim::Ctx>();
+/// ```
+/// ```compile_fail
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<hupc_sim::Simulation>();
+/// ```
 pub struct Ctx {
     shared: Arc<Shared>,
     id: ActorId,
@@ -1043,12 +1063,14 @@ pub struct Ctx {
     /// Lazily accumulated pure delay ([`Ctx::advance_lazy`]): virtual time
     /// this actor has charged but not yet pushed into the kernel. Flushed —
     /// as a single logical advance — before any kernel interaction, so no
-    /// other actor (and no event) can ever observe the stale clock.
-    deferred: AtomicU64,
+    /// other actor (and no event) can ever observe the stale clock. A plain
+    /// `Cell`: only this actor ever touches it, and it keeps `Ctx` `!Sync`,
+    /// which the owned kernel relies on (see `kernel_cell`).
+    deferred: Cell<u64>,
     /// Actor-local tag word (see [`Ctx::set_actor_tag`]). Lives on the
     /// context rather than in OS-thread TLS because actors share the
     /// scheduler's thread on the coroutine backend.
-    tag: AtomicU64,
+    tag: Cell<u64>,
     /// Tracer captured at actor start (cheap clone of the kernel's).
     #[cfg(feature = "trace")]
     tracer: Option<Arc<hupc_trace::Tracer>>,
@@ -1073,18 +1095,18 @@ impl Ctx {
     /// thread, TLS would leak across actors.
     #[inline]
     pub fn set_actor_tag(&self, v: u64) {
-        self.tag.store(v, Ordering::Relaxed);
+        self.tag.set(v);
     }
 
     /// This actor's local tag word (0 until set).
     #[inline]
     pub fn actor_tag(&self) -> u64 {
-        self.tag.load(Ordering::Relaxed)
+        self.tag.get()
     }
 
     /// Current virtual time (includes this actor's lazily deferred delay).
     pub fn now(&self) -> Time {
-        self.kernel().now() + self.deferred.load(Ordering::Relaxed)
+        self.kernel().now() + self.deferred.get()
     }
 
     /// This actor's home logical process.
@@ -1093,8 +1115,11 @@ impl Ctx {
         self.lp
     }
 
-    fn kernel(&self) -> MutexGuard<'_, Kernel> {
-        let mut k = relock(&self.shared.kernel);
+    // Inlined so the guard stays in the caller's registers: out of line it
+    // is built in one frame and copied to the next on every simcall.
+    #[inline(always)]
+    fn kernel(&self) -> KernelGuard<'_> {
+        let mut k = self.shared.kernel.lock();
         k.enter_lp(self.lp);
         k
     }
@@ -1103,21 +1128,14 @@ impl Ctx {
     /// simcall that reads or mutates kernel state goes through this, which
     /// is what makes the lazy clock invisible: by the time anything can
     /// observe the kernel, the clock has caught up.
-    fn kernel_synced(&self) -> MutexGuard<'_, Kernel> {
-        let d = self.deferred.swap(0, Ordering::Relaxed);
-        let mut k = self.kernel();
-        if d > 0 {
-            let t = k.now() + d;
-            if k.bypass_eligible(t) {
-                k.bypass_resume(self.id, t);
-            } else {
-                k.wake_at(t, self.id);
-                drop(k);
-                self.block(BlockKind::Advance);
-                k = self.kernel();
-            }
+    #[inline]
+    fn kernel_synced(&self) -> KernelGuard<'_> {
+        // `advance` is the flush: it merges the deferred delay into its own
+        // charge, bypasses or blocks, and returns with the clock caught up.
+        if self.deferred.get() > 0 {
+            self.advance(0);
         }
-        k
+        self.kernel()
     }
 
     /// Run `f` with mutable kernel access (for platform layers computing
@@ -1160,7 +1178,7 @@ impl Ctx {
     pub fn advance(&self, dt: Time) {
         // Any lazily deferred delay elapses first; merging it into this
         // charge keeps the combined delay a single logical advance.
-        let dt = dt + self.deferred.swap(0, Ordering::Relaxed);
+        let dt = dt + self.deferred.replace(0);
         if dt == 0 {
             return;
         }
@@ -1188,7 +1206,7 @@ impl Ctx {
     /// observable (no other actor can interact with this one in between),
     /// which is exactly the straight-line overhead-then-operation pattern.
     pub fn advance_lazy(&self, dt: Time) {
-        self.deferred.fetch_add(dt, Ordering::Relaxed);
+        self.deferred.set(self.deferred.get() + dt);
     }
 
     /// Charge a FIFO service of `service` time on `res`, blocking until the
@@ -1835,6 +1853,40 @@ mod tests {
         let coro = run_once(ActorBackend::Coroutine);
         let thread = run_once(ActorBackend::OsThread);
         assert_eq!(coro, thread);
+
+        // The same at volume: 64 actors × 1 000 simcalls (an interpreter
+        // gets a slice of it), about a third of them full handoffs. On
+        // `OsThread` every one of those moves the owned (unlocked) kernel
+        // between host threads, ordered by nothing but the handoff token.
+        const ACTORS: u64 = if cfg!(miri) { 8 } else { 64 };
+        const ROUNDS: u64 = if cfg!(miri) { 50 } else { 250 };
+        fn run_many(backend: ActorBackend) -> (Vec<crate::kernel::TraceEvent>, SimulationStats) {
+            let mut sim = Simulation::new();
+            sim.set_actor_backend(backend);
+            sim.set_stack_size(64 * 1024);
+            sim.kernel().record_event_log(true);
+            let res = sim.kernel().new_resource("r");
+            let bar = sim.kernel().new_barrier(ACTORS as usize);
+            for id in 0..ACTORS {
+                sim.spawn(format!("a{id}"), move |ctx| {
+                    for i in 0..ROUNDS {
+                        ctx.advance(time::ns(1 + (id * 7 + i) % 13));
+                        ctx.advance_lazy(time::ns(2));
+                        ctx.acquire(res, time::ns(3 + i % 5));
+                        assert!(ctx.now() > 0);
+                        if i % 50 == 49 {
+                            ctx.barrier_wait(bar);
+                        }
+                    }
+                });
+            }
+            let stats = sim.run();
+            let log = sim.kernel().take_event_log();
+            (log, stats)
+        }
+        let coro = run_many(ActorBackend::Coroutine);
+        assert!(coro.1.handoffs > ACTORS * ROUNDS / 2, "{:?}", coro.1);
+        assert_eq!(coro, run_many(ActorBackend::OsThread));
     }
 
     #[test]
@@ -2002,8 +2054,8 @@ mod tests {
 
     #[test]
     fn panic_inside_with_kernel_is_reported_typed() {
-        // A panic while *holding the kernel lock* poisons the kernel mutex;
-        // the typed note must still come through run_result.
+        // A panic while *holding the kernel* unwinds through its guard, which
+        // must release it: the typed note still comes through run_result.
         let mut sim = Simulation::new();
         sim.spawn("locked-boom", |ctx| {
             ctx.advance(1);
@@ -2016,6 +2068,32 @@ mod tests {
                 assert!(message.contains("boom under lock"), "{message}");
             }
             other => panic!("expected ActorPanic, got {other}"),
+        }
+    }
+
+    #[test]
+    fn nested_kernel_access_is_a_typed_panic_not_a_hang() {
+        // A simcall from inside a `with_kernel` closure re-enters the kernel
+        // the closure already holds. Behind a std mutex that self-deadlocked;
+        // the owned kernel's `held` flag makes it a panic naming the
+        // re-entry, reported like any other actor panic.
+        for backend in [ActorBackend::Coroutine, ActorBackend::OsThread] {
+            let mut sim = Simulation::new();
+            sim.set_actor_backend(backend);
+            sim.spawn("ok", |ctx| ctx.advance(5));
+            sim.spawn("nester", |ctx| {
+                ctx.advance(1);
+                ctx.with_kernel(|_k| ctx.now());
+            });
+            match sim.run_result().unwrap_err() {
+                SimError::ActorPanic { actor, name, message } => {
+                    assert_eq!((actor, name.as_str()), (1, "nester"), "{backend:?}");
+                    assert!(message.contains("nested kernel access"), "{message}");
+                }
+                other => panic!("expected ActorPanic on {backend:?}, got {other}"),
+            }
+            // The unwind released the kernel: the owner can still read it.
+            assert_eq!(sim.kernel().now(), 1);
         }
     }
 
@@ -2356,6 +2434,34 @@ mod tests {
             });
         });
         sim.run();
+    }
+
+    #[test]
+    fn kernel_is_owned_again_after_a_parallel_run() {
+        // Parallel(2) over 2 LPs really runs two workers against the gated
+        // kernel; once they are joined the mode is cleared, so the owning
+        // thread reads the kernel through the unlocked path — where a second
+        // guard is a nested access, not a wait on the gate.
+        let mut sim = Simulation::new();
+        sim.set_sim_backend(SimBackend::Parallel(2));
+        sim.set_lp_count(2);
+        sim.set_lookahead(time::us(1));
+        for lp in 0..2usize {
+            let res = sim.kernel().new_resource(format!("r{lp}"));
+            sim.spawn_on(lp, format!("lp{lp}"), move |ctx| {
+                for i in 0..200u64 {
+                    ctx.advance(time::ns(10 + i % 3));
+                    ctx.acquire(res, time::ns(40));
+                }
+            });
+        }
+        let stats = sim.run();
+        assert_eq!(stats.actors, 2);
+        let k = sim.kernel();
+        assert_eq!(k.events_processed(), stats.events);
+        let nested = catch_unwind(AssertUnwindSafe(|| sim.kernel().now()));
+        let message = panic_message(nested.unwrap_err().as_ref());
+        assert!(message.contains("nested kernel access"), "{message}");
     }
 
     #[test]

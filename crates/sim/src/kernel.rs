@@ -1,11 +1,11 @@
 //! The simulation kernel: event queue, virtual clock, and the blocking /
 //! resource primitives actors synchronize through.
 //!
-//! The kernel lives behind a single mutex, but there is never real
-//! contention: only the running actor (or the scheduler between actors)
-//! touches it. All mutation goes through methods here so invariants —
-//! monotone time, at most one pending wake per actor, FIFO resource queues —
-//! hold in one place.
+//! The kernel lives in one `KernelCell` (`kernel_cell.rs`): only the running
+//! actor (or the scheduler between actors) ever touches it, so a sequential
+//! run owns it outright and only a parallel run's workers lock it. All
+//! mutation goes through methods here so invariants — monotone time, at most
+//! one pending wake per actor, FIFO resource queues — hold in one place.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -176,11 +176,10 @@ pub(crate) struct ActorMeta {
     pub timed_out: bool,
     /// Virtual time of the most recent `mark_blocked` (for deadlock reports).
     pub blocked_since: Time,
-    /// Ring of the actor's last few scheduler interactions, kept so a
-    /// deadlock report can show what each stuck actor was doing just before
-    /// it parked for good. Bounded at [`RECENT_CAP`]; no allocation per push
-    /// once warm.
-    pub recent: VecDeque<RecentOp>,
+    /// The actor's last few scheduler interactions, kept so a deadlock
+    /// report can show what each stuck actor was doing just before it parked
+    /// for good.
+    pub recent: RecentRing,
 }
 
 /// How many trailing scheduler interactions are retained per actor for the
@@ -226,18 +225,40 @@ impl RecentOp {
     }
 }
 
-impl ActorMeta {
-    /// Push into the bounded recent-activity ring. Consecutive duplicates
+/// Inline ring of an actor's last [`RECENT_CAP`] scheduler interactions
+/// (see [`ActorMeta::recent`]). Written on every park and wake and read only
+/// by a deadlock report, so a push is a compare and a store into the actor's
+/// own record — no heap, no pointer chase.
+pub(crate) struct RecentRing {
+    ops: [RecentOp; RECENT_CAP],
+    /// Pushes accepted so far; the newest sits at `(pushed - 1) % RECENT_CAP`.
+    pushed: usize,
+}
+
+impl RecentRing {
+    pub(crate) fn new() -> Self {
+        RecentRing {
+            ops: [RecentOp::Bypassed(0); RECENT_CAP],
+            pushed: 0,
+        }
+    }
+
+    /// Push, dropping the oldest entry when full. Consecutive duplicates
     /// collapse (blocking simcalls mark the park twice: once registering the
     /// wait, once in the generic block path).
+    #[inline]
     fn note(&mut self, op: RecentOp) {
-        if self.recent.back() == Some(&op) {
+        if self.pushed > 0 && self.ops[(self.pushed - 1) % RECENT_CAP] == op {
             return;
         }
-        if self.recent.len() == RECENT_CAP {
-            self.recent.pop_front();
-        }
-        self.recent.push_back(op);
+        self.ops[self.pushed % RECENT_CAP] = op;
+        self.pushed += 1;
+    }
+
+    /// Retained entries, oldest first.
+    fn iter(&self) -> impl Iterator<Item = &RecentOp> {
+        let len = self.pushed.min(RECENT_CAP);
+        (self.pushed - len..self.pushed).map(|i| &self.ops[i % RECENT_CAP])
     }
 }
 
@@ -327,16 +348,6 @@ impl LpQueue {
             (Some(n), None) => Some((n.time, n.seq, false)),
             (None, Some(Reverse(f))) => Some((f.time, f.seq, true)),
             (None, None) => None,
-        }
-    }
-
-    /// The head event itself (see [`LpQueue::head`]).
-    fn peek(&self) -> Option<&Event> {
-        let (_, _, far) = self.head()?;
-        if far {
-            self.far.peek().map(|Reverse(e)| e)
-        } else {
-            self.near.front()
         }
     }
 
@@ -891,8 +902,14 @@ impl Kernel {
     /// [`SchedulePolicy`] may pick another member of a tie) at no cost to
     /// correctness.
     pub(crate) fn peek_next_wake(&self) -> Option<ActorId> {
-        let (lp, _) = self.earliest_lp()?;
-        match self.lps[lp].peek()?.kind {
+        let (lp, far) = self.earliest_lp()?;
+        let q = &self.lps[lp];
+        let head = if far {
+            q.far.peek().map(|Reverse(e)| e)
+        } else {
+            q.near.front()
+        };
+        match head?.kind {
             EventKind::Wake(a) => Some(a),
             EventKind::Complete(_) | EventKind::Timeout(..) => None,
         }
@@ -1063,7 +1080,7 @@ impl Kernel {
         let seq = self.lps[cur].lseq * self.lps.len() as u64 + cur as u64;
         self.lps[cur].lseq += 1;
         self.actors[actor].wake_epoch += 1; // voids outstanding timeouts
-        self.actors[actor].note(RecentOp::Bypassed(t));
+        self.actors[actor].recent.note(RecentOp::Bypassed(t));
         if self.trace {
             eprintln!(
                 "[sim t={}] Wake({actor}) [bypass]",
@@ -1089,7 +1106,7 @@ impl Kernel {
         self.actors[actor].status = ActorStatus::Runnable;
         self.actors[actor].wake_epoch += 1; // voids outstanding timeouts
         let now = self.now;
-        self.actors[actor].note(RecentOp::Scheduled(now, time));
+        self.actors[actor].recent.note(RecentOp::Scheduled(now, time));
         #[cfg(feature = "trace")]
         self.temit(self.now, actor, hupc_trace::EventKind::Schedule, time, 0);
         self.push_event(time, EventKind::Wake(actor));
@@ -1100,7 +1117,7 @@ impl Kernel {
         self.actors[actor].blocked_on = on;
         let now = self.now;
         self.actors[actor].blocked_since = now;
-        self.actors[actor].note(RecentOp::Parked(now, on));
+        self.actors[actor].recent.note(RecentOp::Parked(now, on));
         #[cfg(feature = "trace")]
         self.temit(self.now, actor, hupc_trace::EventKind::Park, park_code(on), 0);
     }
@@ -1246,7 +1263,7 @@ impl Kernel {
                 wake_epoch: 0,
                 timed_out: false,
                 blocked_since: 0,
-                recent: std::collections::VecDeque::new(),
+                recent: RecentRing::new(),
             });
         }
         self.actors[id] = meta;
@@ -1819,7 +1836,7 @@ mod tests {
             wake_epoch: 3,
             timed_out: false,
             blocked_since: 0,
-            recent: VecDeque::new(),
+            recent: RecentRing::new(),
         });
         k.bypass_resume(0, 42);
         assert_eq!(k.now(), 42);
@@ -1859,7 +1876,7 @@ mod tests {
                 wake_epoch: 0,
                 timed_out: false,
                 blocked_since: 0,
-                recent: VecDeque::new(),
+                recent: RecentRing::new(),
             });
         }
         k.enter_lp(0);
@@ -1902,8 +1919,66 @@ mod tests {
         assert!(k.pop_event().is_none());
     }
 
+    /// The parent's ring: a `VecDeque` with the same `note` rule — collapse
+    /// consecutive duplicates, cap at `RECENT_CAP`, drop the oldest.
+    fn model_note(model: &mut VecDeque<RecentOp>, op: RecentOp) {
+        if model.back() == Some(&op) {
+            return;
+        }
+        if model.len() == RECENT_CAP {
+            model.pop_front();
+        }
+        model.push_back(op);
+    }
+
+    fn rendered(ring: &RecentRing) -> Vec<String> {
+        ring.iter().map(RecentOp::render).collect()
+    }
+
+    /// A small alphabet, so consecutive duplicates are common.
+    fn recent_op(word: u8) -> RecentOp {
+        let t = Time::from(word >> 2 & 1);
+        match word & 3 {
+            0 => RecentOp::Scheduled(t, t + 5),
+            1 => RecentOp::Bypassed(t),
+            2 => RecentOp::Parked(t, BlockKind::Barrier(BarrierId(0))),
+            _ => RecentOp::Parked(t, BlockKind::Advance),
+        }
+    }
+
+    #[test]
+    fn recent_ring_collapses_a_duplicate_arriving_at_the_wrap_boundary() {
+        let mut ring = RecentRing::new();
+        assert!(rendered(&ring).is_empty());
+        for t in 0..RECENT_CAP as Time {
+            ring.note(RecentOp::Bypassed(t));
+        }
+        // Full, next write slot is index 0: the newest entry sits in the
+        // *last* slot, and a repeat of it must not overwrite the oldest.
+        ring.note(RecentOp::Bypassed(RECENT_CAP as Time - 1));
+        assert_eq!(rendered(&ring), ["bypass@0ns", "bypass@1ns", "bypass@2ns", "bypass@3ns"]);
+        ring.note(RecentOp::Bypassed(9));
+        assert_eq!(rendered(&ring), ["bypass@1ns", "bypass@2ns", "bypass@3ns", "bypass@9ns"]);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The inline ring renders exactly what the `VecDeque` it replaced
+        /// rendered, after every push of a random sequence.
+        #[test]
+        fn recent_ring_renders_like_the_vecdeque_model(
+            script in proptest::collection::vec(proptest::any::<u8>(), 0..40),
+        ) {
+            let mut ring = RecentRing::new();
+            let mut model = VecDeque::new();
+            for word in script {
+                ring.note(recent_op(word));
+                model_note(&mut model, recent_op(word));
+                let want: Vec<String> = model.iter().map(RecentOp::render).collect();
+                proptest::prop_assert_eq!(rendered(&ring), want);
+            }
+        }
 
         /// Over random near / far / cross-LP pushes interleaved with pops,
         /// `peek_next_wake` names exactly the actor the very next

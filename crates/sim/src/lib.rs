@@ -73,6 +73,7 @@ mod coro;
 mod engine;
 mod handoff;
 mod kernel;
+mod kernel_cell;
 mod queue;
 pub mod time;
 
@@ -85,6 +86,7 @@ pub use kernel::{
     BarrierId, CompletionId, CondId, Kernel, MutexId, ReadyEvent, ReadyEventKind, ResourceId,
     SchedulePolicy, TraceEvent, TraceKind, WaitEdge, WaitGraph, WaitTarget,
 };
+pub use kernel_cell::KernelGuard;
 pub use queue::SimQueue;
 pub use time::Time;
 

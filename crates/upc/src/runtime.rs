@@ -260,7 +260,7 @@ impl UpcJob {
     }
 
     /// Kernel access for pre-run setup (extra barriers, teams, locks).
-    pub fn kernel(&self) -> std::sync::MutexGuard<'_, hupc_sim::Kernel> {
+    pub fn kernel(&self) -> hupc_sim::KernelGuard<'_> {
         self.sim.kernel()
     }
 
