@@ -1,6 +1,5 @@
 //! Engine microbenchmark: simcall throughput with the scheduler-bypass fast
-//! path on vs off, handoff latency, actor scale, and parallel backend
-//! scaling on a partitioned spawn tree.
+//! path on vs off, handoff latency and actor scale.
 //!
 //! Always writes `BENCH_simcore.json` in the working directory. With
 //! `--check <baseline.json>` the run fails (exit 1) when any gate trips:
@@ -8,10 +7,7 @@
 //! * simcall throughput below half the baseline's;
 //! * scheduler handoff latency more than double the baseline's, for the
 //!   two-actor ping-pong or for 1024 actors round-robin (the second is the
-//!   one that notices a dispatch path gone cache-hostile);
-//! * parallel speedup at 4 workers below 1.8x — enforced only when the
-//!   measuring host actually has ≥ 4 CPUs (a 1-core builder cannot observe
-//!   parallel speedup, and a gate it cannot pass would just get deleted).
+//!   one that notices a dispatch path gone cache-hostile).
 //!
 //! On failure every gate's measured value, bound and verdict is printed as
 //! one JSON line so CI logs capture the whole picture in one grep — not
@@ -37,7 +33,7 @@ fn main() {
 
     if let Some(base) = baseline {
         enforce_gates(
-            &[("host_cpus", metrics.host_cpus)],
+            &[],
             &[
                 Gate::at_least(
                     "simcalls_per_sec_fast",
@@ -46,8 +42,6 @@ fn main() {
                 ),
                 Gate::at_most("handoff_ns", metrics.handoff_ns, base[1] * 2.0),
                 Gate::at_most("handoff_1k_ns", metrics.handoff_1k_ns, base[2] * 2.0),
-                Gate::at_least("parallel_speedup_4w", metrics.parallel_speedup_4w, 1.8)
-                    .waive_if(metrics.host_cpus < 4.0, "host has fewer than 4 CPUs"),
             ],
         );
     }

@@ -18,11 +18,9 @@
 //!    p50 barely moves, the classic tail-at-scale signature.
 
 use hupc::serve::{
-    run_model, run_serve, ArrivalProcess, KeyDist, ModelConfig, OpMix, ServeConfig, ServeResult,
-    TrafficConfig,
+    run_serve, ArrivalProcess, KeyDist, OpMix, ServeConfig, ServeResult, TrafficConfig,
 };
 use hupc::prelude::{time, FaultPlan, UpcConfig};
-use hupc::sim::SimBackend;
 
 use crate::Table;
 
@@ -48,8 +46,6 @@ pub struct ServeMetrics {
     pub fault_free_p999_us: f64,
     pub straggler_p50_us: f64,
     pub straggler_p999_us: f64,
-    /// Multi-LP model-mode throughput on the parallel DES backend.
-    pub model_parallel_krps: f64,
 }
 
 impl ServeMetrics {
@@ -70,7 +66,6 @@ impl ServeMetrics {
         kv.push(("fault_free_p999_us".into(), self.fault_free_p999_us));
         kv.push(("straggler_p50_us".into(), self.straggler_p50_us));
         kv.push(("straggler_p999_us".into(), self.straggler_p999_us));
-        kv.push(("model_parallel_krps".into(), self.model_parallel_krps));
         let body: Vec<String> = kv
             .iter()
             .map(|(k, v)| format!("  \"{k}\": {v:.3}"))
@@ -211,21 +206,5 @@ pub fn run(quick: bool) -> (Vec<Table>, ServeMetrics) {
         format!("{:.1}", m.straggler_p999_us),
     ]);
 
-    // --- 4. Multi-LP model on the parallel backend ------------------------
-    let mut model_cfg = ModelConfig::small(0x4E57, SimBackend::Parallel(4));
-    model_cfg.nodes = 8;
-    model_cfg.traffic.requests_per_frontend = if quick { 400 } else { 1500 };
-    let model = run_model(model_cfg);
-    m.model_parallel_krps = model.throughput_rps() / 1_000.0;
-    let mut model_t = Table::new(
-        "serve: multi-LP queueing model, 8 LPs on Parallel(4)",
-        &["completed", "krps", "p99 µs"],
-    );
-    model_t.row(vec![
-        format!("{}", model.completed),
-        format!("{:.0}", m.model_parallel_krps),
-        format!("{:.1}", us(model.hist.p99())),
-    ]);
-
-    (vec![knee, shed_t, fault_t, model_t], m)
+    (vec![knee, shed_t, fault_t], m)
 }

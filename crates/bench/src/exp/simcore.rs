@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hupc::sim::{time, SimBackend, SimQueue, Simulation};
+use hupc::sim::{time, SimQueue, Simulation};
 
 use crate::Table;
 
@@ -45,16 +45,6 @@ pub struct SimcoreMetrics {
     pub max_actors: f64,
     pub tree_actors: f64,
     pub tree_host_s: f64,
-    /// Wall-clock speedup of the conservative parallel backend over the
-    /// sequential dispatch loop on the partitioned-tree workload, at 2, 4
-    /// and 8 workers. Meaningful only when `host_cpus` provides that much
-    /// real parallelism — the `--check` gate is host-aware.
-    pub parallel_speedup_2w: f64,
-    pub parallel_speedup_4w: f64,
-    pub parallel_speedup_8w: f64,
-    /// `std::thread::available_parallelism()` on the measuring host, so a
-    /// committed baseline records whether its speedups were measurable.
-    pub host_cpus: f64,
 }
 
 impl SimcoreMetrics {
@@ -66,9 +56,7 @@ impl SimcoreMetrics {
              \"handoff_1k_ns\": {:.0},\n  \
              \"spawn_rate_per_s\": {:.0},\n  \
              \"max_actors\": {:.0},\n  \"tree_actors\": {:.0},\n  \
-             \"tree_host_s\": {:.3},\n  \"parallel_speedup_2w\": {:.2},\n  \
-             \"parallel_speedup_4w\": {:.2},\n  \"parallel_speedup_8w\": {:.2},\n  \
-             \"host_cpus\": {:.0}\n}}\n",
+             \"tree_host_s\": {:.3}\n}}\n",
             self.simcalls_per_sec_fast,
             self.simcalls_per_sec_slow,
             self.simcall_speedup,
@@ -78,10 +66,6 @@ impl SimcoreMetrics {
             self.max_actors,
             self.tree_actors,
             self.tree_host_s,
-            self.parallel_speedup_2w,
-            self.parallel_speedup_4w,
-            self.parallel_speedup_8w,
-            self.host_cpus,
         )
     }
 }
@@ -212,60 +196,6 @@ fn actor_tree(total: u64) -> f64 {
     host
 }
 
-/// Partitioned spawn tree: `lps` fully independent subtrees, one rooted on
-/// each logical process, every child spawned on its parent's LP with a
-/// per-LP budget — no cross-LP traffic, so the conservative parallel
-/// backend can run the partitions concurrently with nothing to wait on.
-/// This is the speedup probe: the same virtual workload timed under the
-/// sequential dispatch loop and under `Parallel(n)`. Returns host seconds
-/// plus the deterministic observables (end time, event count, actor count)
-/// that must not move between backends.
-fn partitioned_tree(
-    per_lp: u64,
-    lps: usize,
-    backend: SimBackend,
-) -> (f64, (u64, u64, usize)) {
-    fn node(ctx: &hupc::sim::Ctx, id: u64, budget: &Arc<AtomicU64>) {
-        let h = (id.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 33;
-        ctx.advance(time::ns(1 + (h & 15)));
-        let kids = 2 + (h & 1);
-        for c in 0..kids {
-            if budget
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-                .is_err()
-            {
-                return;
-            }
-            let b = Arc::clone(budget);
-            ctx.spawn_with_stack(format!("n{id}.{c}"), 16 * 1024, move |cctx| {
-                node(cctx, id.wrapping_mul(3).wrapping_add(c + 1), &b)
-            });
-        }
-    }
-    let mut sim = Simulation::new();
-    sim.set_sim_backend(backend);
-    sim.set_stack_size(16 * 1024);
-    sim.set_lp_count(lps);
-    sim.set_lookahead(time::us(1));
-    for lp in 0..lps {
-        // One budget per LP: a shared counter would serialize partitions on
-        // a cache line and make node counts depend on host interleaving.
-        let budget = Arc::new(AtomicU64::new(per_lp - 1));
-        sim.spawn_on(lp, format!("root{lp}"), move |ctx| {
-            node(ctx, 1 + lp as u64, &budget)
-        });
-    }
-    let t0 = Instant::now();
-    let stats = sim.run();
-    let host = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        stats.actors as u64,
-        per_lp * lps as u64,
-        "partitioned tree lost nodes"
-    );
-    (host, (stats.end_time, stats.events, stats.actors))
-}
-
 pub fn run(quick: bool) -> (Vec<Table>, SimcoreMetrics) {
     let n: u64 = if quick { 200_000 } else { 2_000_000 };
     let rounds: u64 = if quick { 20_000 } else { 200_000 };
@@ -288,25 +218,6 @@ pub fn run(quick: bool) -> (Vec<Table>, SimcoreMetrics) {
     let (spawn_rate, _storm_run_s) = spawn_storm(scale_n);
     let tree_s = actor_tree(scale_n);
 
-    // Parallel-backend scaling: 8 independent partitions timed sequentially
-    // and under 2/4/8 workers. The virtual-time observables must be
-    // identical in every configuration — speedup may never change results.
-    let par_lps = 8usize;
-    let per_lp: u64 = if quick { 12_500 } else { 125_000 };
-    let (seq_s, seq_obs) = partitioned_tree(per_lp, par_lps, SimBackend::Sequential);
-    let mut par_s = [0.0f64; 3];
-    for (i, w) in [2usize, 4, 8].into_iter().enumerate() {
-        let (s, obs) = partitioned_tree(per_lp, par_lps, SimBackend::Parallel(w));
-        assert_eq!(
-            obs, seq_obs,
-            "parallel backend ({w} workers) changed the simulation outcome"
-        );
-        par_s[i] = s;
-    }
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
     let m = SimcoreMetrics {
         simcalls_per_sec_fast: fast_tput,
         simcalls_per_sec_slow: slow_tput,
@@ -317,10 +228,6 @@ pub fn run(quick: bool) -> (Vec<Table>, SimcoreMetrics) {
         max_actors: scale_n as f64,
         tree_actors: scale_n as f64,
         tree_host_s: tree_s,
-        parallel_speedup_2w: seq_s / par_s[0],
-        parallel_speedup_4w: seq_s / par_s[1],
-        parallel_speedup_8w: seq_s / par_s[2],
-        host_cpus: host_cpus as f64,
     };
 
     let mut t1 = Table::new(
@@ -365,23 +272,7 @@ pub fn run(quick: bool) -> (Vec<Table>, SimcoreMetrics) {
         format!("{:.3}", m.tree_host_s),
     ]);
 
-    let mut t4 = Table::new(
-        format!(
-            "Parallel backend — {par_lps} partitions × {per_lp} actors \
-             (host has {host_cpus} CPUs)"
-        ),
-        &["workers", "host s", "speedup"],
-    );
-    t4.row(vec!["sequential".into(), format!("{seq_s:.3}"), "1.00x".into()]);
-    for (i, w) in [2usize, 4, 8].into_iter().enumerate() {
-        t4.row(vec![
-            format!("{w}"),
-            format!("{:.3}", par_s[i]),
-            format!("{:.2}x", seq_s / par_s[i]),
-        ]);
-    }
-
-    (vec![t1, t2, t3, t4], m)
+    (vec![t1, t2, t3], m)
 }
 
 #[cfg(test)]
@@ -400,10 +291,6 @@ mod tests {
             max_actors: 1_000_000.0,
             tree_actors: 1_000_000.0,
             tree_host_s: 1.75,
-            parallel_speedup_2w: 1.9,
-            parallel_speedup_4w: 3.6,
-            parallel_speedup_8w: 6.25,
-            host_cpus: 8.0,
         };
         let j = m.to_json();
         assert_eq!(json_number(&j, "simcalls_per_sec_fast"), Some(1_234_567.0));
@@ -413,10 +300,6 @@ mod tests {
         assert_eq!(json_number(&j, "spawn_rate_per_s"), Some(2_500_000.0));
         assert_eq!(json_number(&j, "max_actors"), Some(1_000_000.0));
         assert_eq!(json_number(&j, "tree_host_s"), Some(1.75));
-        assert_eq!(json_number(&j, "parallel_speedup_2w"), Some(1.9));
-        assert_eq!(json_number(&j, "parallel_speedup_4w"), Some(3.6));
-        assert_eq!(json_number(&j, "parallel_speedup_8w"), Some(6.25));
-        assert_eq!(json_number(&j, "host_cpus"), Some(8.0));
         assert_eq!(json_number(&j, "missing"), None);
     }
 }

@@ -97,8 +97,6 @@ pub struct Gate {
     pub bound: f64,
     /// `true` when the gate wants `value >= bound`, `false` for `<=`.
     pub at_least: bool,
-    /// `None` = enforced; `Some(why)` = reported but not enforced.
-    pub waived: Option<String>,
 }
 
 impl Gate {
@@ -109,7 +107,6 @@ impl Gate {
             value,
             bound,
             at_least: true,
-            waived: None,
         }
     }
 
@@ -120,23 +117,10 @@ impl Gate {
             value,
             bound,
             at_least: false,
-            waived: None,
         }
-    }
-
-    /// Report this gate without enforcing it when `cond` holds (e.g. the
-    /// host cannot physically pass it).
-    pub fn waive_if(mut self, cond: bool, why: impl Into<String>) -> Gate {
-        if cond {
-            self.waived = Some(why.into());
-        }
-        self
     }
 
     pub fn ok(&self) -> bool {
-        if self.waived.is_some() {
-            return true;
-        }
         if self.at_least {
             self.value >= self.bound
         } else {
@@ -145,21 +129,11 @@ impl Gate {
     }
 
     pub fn json(&self) -> String {
-        let verdict = if self.waived.is_some() {
-            "waived"
-        } else if self.ok() {
-            "ok"
-        } else {
-            "fail"
-        };
-        let waived = match &self.waived {
-            Some(why) => format!(",\"waived\":\"{why}\""),
-            None => String::new(),
-        };
+        let verdict = if self.ok() { "ok" } else { "fail" };
         // `{:?}` prints the shortest round-trip form, so nanosecond-scale
         // virtual times and million-scale throughputs both stay readable.
         format!(
-            "{{\"gate\":\"{}\",\"value\":{:?},\"{}\":{:?},\"verdict\":\"{verdict}\"{waived}}}",
+            "{{\"gate\":\"{}\",\"value\":{:?},\"{}\":{:?},\"verdict\":\"{verdict}\"}}",
             self.name,
             self.value,
             if self.at_least { "min" } else { "max" },
@@ -307,17 +281,17 @@ mod tests {
     }
 
     #[test]
-    fn gates_evaluate_and_waive() {
+    fn gates_evaluate() {
         assert!(Gate::at_least("tput", 10.0, 5.0).ok());
         assert!(!Gate::at_least("tput", 4.0, 5.0).ok());
         assert!(Gate::at_most("lat", 4.0, 5.0).ok());
         assert!(!Gate::at_most("lat", 6.0, 5.0).ok());
-        let waived = Gate::at_least("speedup", 1.0, 1.8).waive_if(true, "1-core host");
-        assert!(waived.ok());
-        assert!(waived.json().contains("\"verdict\":\"waived\""));
-        assert!(!Gate::at_least("speedup", 1.0, 1.8)
-            .waive_if(false, "n/a")
-            .ok());
+        assert!(Gate::at_most("lat", 4.0, 5.0)
+            .json()
+            .contains("\"verdict\":\"ok\""));
+        assert!(Gate::at_least("tput", 4.0, 5.0)
+            .json()
+            .contains("\"verdict\":\"fail\""));
     }
 
     #[test]

@@ -175,12 +175,6 @@ impl Gasnet {
             let oversub = procs.saturating_sub(cores) as f64 / cores as f64;
             fabric.set_nic_factor(1.0 + 0.5 * oversub);
         }
-        // Declare the link-latency floor as the kernel's cross-LP lookahead:
-        // if this simulation is partitioned into LPs at node boundaries, the
-        // conservative parallel backend can use the conduit's wire latency
-        // as its null-message bound (jitter only delays, drops never
-        // deliver, so the floor survives fault injection).
-        k.set_lookahead(fabric.lookahead());
         let mem = MemoryModel::build(&mut k, &machine);
         let mut cpu = CpuModel::build(&mut k, &machine);
         for t in 0..cfg.n_threads {

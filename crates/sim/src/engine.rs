@@ -10,11 +10,9 @@
 //! OS threads.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::coro::{self, Coro, Poll, ResumeArg, Stack, SwitchCoro, ThreadCoro};
 use crate::kernel::{
@@ -37,32 +35,6 @@ pub const DEFAULT_STACK_SIZE: usize = 8 << 20;
 /// rate; the cap only matters when a huge cohort finishes at once.
 const STACK_POOL_CAP: usize = 1024;
 
-/// Which dispatch engine a simulation runs on.
-///
-/// `Sequential` (the default) is the classic loop: one scheduler thread pops
-/// the globally earliest event. `Parallel(n)` runs the simulation's logical
-/// processes (see [`Simulation::set_lp_count`]) on up to `n` host worker
-/// threads with conservative lower-bound-timestamp synchronization: a worker
-/// only dispatches an event once no other LP can still produce an earlier
-/// one, using the cross-LP lookahead ([`Simulation::set_lookahead`]) as the
-/// null-message guarantee. Virtual-time behavior is identical across
-/// backends — same events, same times, same sequence numbers — pinned by
-/// the cross-backend equivalence suite in `crates/check`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SimBackend {
-    /// Single scheduler thread, global `(time, seq)` dispatch order.
-    Sequential,
-    /// Conservative parallel dispatch on up to `n` workers (`0` = one per
-    /// host core). A simulation with one LP runs the same protocol on one
-    /// worker, so traces stay byte-identical regardless of `n`.
-    Parallel(usize),
-}
-
-/// Worker count for `Parallel(0)`: one per host core.
-fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Shared between the scheduler and every actor context.
 struct Shared {
     kernel: KernelCell,
@@ -73,18 +45,11 @@ struct Shared {
     staged: Mutex<Vec<StagedActor>>,
     /// Default stack size for newly spawned actors, bytes.
     stack_size: AtomicUsize,
-    /// Parallel-backend workers park here (paired with the kernel's gate)
-    /// when none of their LPs has a safe event; any worker that finishes an
-    /// event (and so may have raised a neighbor's LBTS) notifies.
-    work_cv: Condvar,
 }
 
 /// A registered actor whose execution context has not been created yet.
 struct StagedActor {
     id: ActorId,
-    /// Home LP — under the parallel backend only the worker owning this LP
-    /// may collect the staged body.
-    lp: usize,
     name: String,
     stack_size: usize,
     body: ActorBody,
@@ -94,10 +59,9 @@ struct StagedActor {
 ///
 /// Engine-side state stays consistent across an actor panic — the panicking
 /// actor only ever completes a mutation before unwinding out of user code —
-/// so a poisoned mutex carries a usable value. Taking it everywhere (the
-/// kernel's gate and panic-note alike) means reporting a panic can never
-/// itself panic on a poisoned lock and cascade.
-pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// so a poisoned mutex carries a usable value, and reporting a panic can
+/// never itself panic on a poisoned lock and cascade.
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -246,7 +210,6 @@ impl Simulation {
                 kernel: KernelCell::new(Kernel::new()),
                 staged: Mutex::new(Vec::new()),
                 stack_size: AtomicUsize::new(DEFAULT_STACK_SIZE),
-                work_cv: Condvar::new(),
             }),
             actors: Vec::new(),
             stack_pool: Vec::new(),
@@ -299,27 +262,6 @@ impl Simulation {
         self.kernel().set_actor_backend(b);
     }
 
-    /// Select the dispatch engine for this run (see
-    /// [`Kernel::set_sim_backend`]). Sequential by default.
-    pub fn set_sim_backend(&self, b: SimBackend) {
-        self.kernel().set_sim_backend(b);
-    }
-
-    /// Partition the simulation into `k` logical processes (see
-    /// [`Kernel::set_lp_count`]). Must be called before any spawn; pair with
-    /// [`Simulation::set_lookahead`] for multi-LP parallel runs.
-    pub fn set_lp_count(&self, k: usize) {
-        self.kernel().set_lp_count(k);
-    }
-
-    /// Declare the cross-LP lookahead (see [`Kernel::set_lookahead`]):
-    /// a promise that every cross-LP event lands at least this far past the
-    /// sender's clock. Derive it from the minimum inter-node link latency
-    /// (`hupc-net`'s `Fabric::lookahead`).
-    pub fn set_lookahead(&self, l: Time) {
-        self.kernel().set_lookahead(l);
-    }
-
     /// Set the default stack size (bytes) for actors spawned afterwards.
     /// Coroutine stacks are heap allocations faulted in lazily, so a large
     /// default costs only virtual address space; scale runs use small
@@ -346,25 +288,13 @@ impl Simulation {
         self.shared.stack_size.load(Ordering::SeqCst)
     }
 
-    /// Spawn a root actor scheduled to start at time 0 (on LP 0).
+    /// Spawn a root actor scheduled to start at time 0.
     pub fn spawn<F>(&mut self, name: impl Into<String>, body: F) -> ActorRef
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        self.spawn_on(0, name, body)
-    }
-
-    /// Spawn a root actor homed on logical process `lp`: its wakes and
-    /// timeouts queue there, and under the parallel backend it only ever
-    /// runs on the worker that owns that LP.
-    pub fn spawn_on<F>(&mut self, lp: usize, name: impl Into<String>, body: F) -> ActorRef
-    where
-        F: FnOnce(&Ctx) + Send + 'static,
-    {
         let stack = self.stack_size();
-        // Pre-run registration pushes the start wake from the target LP's
-        // own context, so root spawns are intra-LP regardless of partition.
-        register_actor(&self.shared, name.into(), stack, Box::new(body), 0, lp, lp)
+        register_actor(&self.shared, name.into(), stack, Box::new(body))
     }
 
     /// [`Simulation::spawn`] with an explicit stack size for this actor.
@@ -377,7 +307,7 @@ impl Simulation {
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        register_actor(&self.shared, name.into(), stack_bytes, Box::new(body), 0, 0, 0)
+        register_actor(&self.shared, name.into(), stack_bytes, Box::new(body))
     }
 
     /// Run until every actor has finished. Panics (with diagnostics) on
@@ -395,27 +325,11 @@ impl Simulation {
     pub fn run_result(&mut self) -> SimResult {
         assert!(!self.ran, "Simulation::run may only be called once");
         self.ran = true;
-        let (backend, num_lps, has_policy) = {
-            let k = self.kernel();
-            (k.sim_backend(), k.num_lps(), k.has_schedule_policy())
-        };
-        match backend {
-            SimBackend::Sequential => self.sequential_run(),
-            // A tie-break policy needs the global view of simultaneous
-            // events; conservative parallel dispatch never assembles one.
-            // Exploration and replay always go through the sequential loop,
-            // which is why `.schedule` replays are backend-independent.
-            SimBackend::Parallel(_) if has_policy => self.sequential_run(),
-            SimBackend::Parallel(n) => {
-                let n = if n == 0 { default_workers() } else { n };
-                self.parallel_run(n.min(num_lps).max(1))
-            }
-        }
+        self.sequential_run()
     }
 
-    /// The classic loop: one scheduler thread pops the globally earliest
-    /// event. Remains the default backend and the differential oracle for
-    /// the parallel engine.
+    /// The run loop: pop the earliest event, dispatch it, resume the actor
+    /// it wakes.
     ///
     /// One kernel critical section per event: it collects the previous
     /// dispatch's panic note, pops, does the event's bookkeeping and — for a
@@ -426,7 +340,7 @@ impl Simulation {
             let (a, next) = {
                 let mut k = self.kernel();
                 // Panic payloads travel inside the kernel (recorded by the
-                // panicking actor under the kernel lock before it switches
+                // panicking actor under the kernel guard before it switches
                 // back), so propagation is a typed field handoff, not a join
                 // side effect.
                 if let Some((id, message)) = k.take_panic_note() {
@@ -446,12 +360,12 @@ impl Simulation {
                         heap_ops: k.heap_ops,
                     });
                 }
-                let Some((lp, event)) = k.pop_event() else {
+                let Some(event) = k.pop_event() else {
                     let wait_graph = k.wait_graph();
                     let time = k.now();
                     return Err(SimError::Deadlock { time, wait_graph });
                 };
-                match k.dispatch(lp, event) {
+                match k.dispatch(event) {
                     Some(a) => (a, k.peek_next_wake()),
                     None => continue,
                 }
@@ -475,129 +389,26 @@ impl Simulation {
         }
     }
 
-    /// Conservative parallel run on `workers` host threads.
-    ///
-    /// Each worker owns a disjoint set of LPs (round-robin by `lp % workers`)
-    /// together with those LPs' actors, coroutine stacks, and staged spawns.
-    /// Workers repeatedly ask the kernel for a *safe* event among their LPs
-    /// ([`Kernel::pop_safe`]): one that no other LP can still undercut given
-    /// every neighbor's lower-bound timestamp + lookahead. Intra-LP events
-    /// need no synchronization beyond the kernel lock itself; cross-LP
-    /// events are bounded below by the lookahead contract enforced at push.
-    /// With nothing safe, a worker parks on [`Shared::work_cv`] until a
-    /// neighbor finishes an event (raising its LBTS).
-    fn parallel_run(&mut self, workers: usize) -> SimResult {
-        self.drain_staged();
-        let num_lps = {
-            let mut k = self.kernel();
-            if k.num_lps() > 1 {
-                assert!(
-                    k.lookahead() >= 1,
-                    "parallel multi-LP runs need a positive lookahead \
-                     (Simulation::set_lookahead) or LBTS never advances"
-                );
-            }
-            k.set_parallel_mode(true);
-            k.num_lps()
-        };
-        // Partition the slot table: each worker takes the actors homed on
-        // its LPs (stack creation is lazy, so most slots are just bodies).
-        let homes: Vec<usize> = {
-            let k = self.kernel();
-            (0..self.actors.len()).map(|id| k.actor_lp(id)).collect()
-        };
-        let mut worker_slots: Vec<HashMap<ActorId, ActorSlot>> =
-            (0..workers).map(|_| HashMap::new()).collect();
-        for (id, &lp) in homes.iter().enumerate() {
-            let slot = std::mem::replace(&mut self.actors[id], ActorSlot::Done);
-            worker_slots[lp % workers].insert(id, slot);
-        }
-        let ctl = ParCtl {
-            stop: AtomicBool::new(false),
-            waiting: AtomicUsize::new(0),
-            error: Mutex::new(None),
-        };
-        // Worker threads are about to exist: from here until they are joined
-        // the kernel is locked, not owned.
-        self.shared.kernel.set_shared(true);
-        let outcomes: Vec<(HashMap<ActorId, ActorSlot>, Vec<Stack>)> =
-            std::thread::scope(|s| {
-                let handles: Vec<_> = worker_slots
-                    .into_iter()
-                    .enumerate()
-                    .map(|(w, slots)| {
-                        let shared = Arc::clone(&self.shared);
-                        let owned: Vec<usize> =
-                            (0..num_lps).filter(|l| l % workers == w).collect();
-                        let ctl = &ctl;
-                        s.spawn(move || worker_loop(shared, w, workers, owned, slots, ctl))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sim worker thread panicked"))
-                    .collect()
-            });
-        self.shared.kernel.set_shared(false);
-        // Merge actor state back so Drop can shut down suspended actors and
-        // later runs of the pool can reuse stacks.
-        let total_actors = self.kernel().actors.len();
-        if self.actors.len() < total_actors {
-            self.actors.resize_with(total_actors, || ActorSlot::Done);
-        }
-        for (slots, pool) in outcomes {
-            for (id, slot) in slots {
-                self.actors[id] = slot;
-            }
-            for stack in pool {
-                if self.stack_pool.len() < STACK_POOL_CAP {
-                    self.stack_pool.push(stack);
-                }
-            }
-        }
-        if let Some(err) = relock(&ctl.error).take() {
-            return Err(err);
-        }
-        let k = self.kernel();
-        Ok(SimulationStats {
-            end_time: k.max_lp_now(),
-            events: k.events_processed(),
-            actors: k.registered_actors(),
-            fast_path_hits: k.fast_path_hits,
-            handoffs: k.handoffs,
-            heap_ops: k.heap_ops,
-        })
-    }
-
-    /// Pull staged spawns into the slot table. Ids are dense and assigned in
-    /// registration order under the kernel lock; sequential runs therefore
-    /// extend the table contiguously, but after a parallel run (where
-    /// workers drained their own LPs' entries out of order) the table may
-    /// need sparse filling, so missing ids become `Done` placeholders.
+    /// Pull staged spawns into the slot table. Ids are dense and staged in
+    /// registration order, so the table grows contiguously.
     fn drain_staged(&mut self) {
         let mut staged = relock(&self.shared.staged);
         for s in staged.drain(..) {
-            if self.actors.len() <= s.id {
-                self.actors.resize_with(s.id + 1, || ActorSlot::Done);
-            }
-            debug_assert!(
-                matches!(self.actors[s.id], ActorSlot::Done),
-                "staged spawn collides with a live slot"
-            );
-            self.actors[s.id] = ActorSlot::Pending {
+            debug_assert_eq!(s.id, self.actors.len(), "actor ids are dense");
+            self.actors.push(ActorSlot::Pending {
                 name: s.name,
                 stack_size: s.stack_size,
                 body: s.body,
-            };
+            });
         }
     }
 
     /// Resume actor `a`, creating its execution context on first dispatch.
     fn resume_actor(&mut self, a: ActorId, arg: ResumeArg) -> Poll {
-        // Only an actor missing from the slot table (or holding a sparse-id
-        // `Done` placeholder) can still have its body in the staging list;
-        // everyone else resumes without touching the staging lock.
-        if matches!(self.actors.get(a), None | Some(ActorSlot::Done)) {
+        // Only an actor past the end of the slot table can still have its
+        // body in the staging list; everyone else resumes without touching
+        // the staging lock.
+        if a >= self.actors.len() {
             self.drain_staged();
         }
         if matches!(self.actors[a], ActorSlot::Pending { .. }) {
@@ -641,7 +452,67 @@ impl Simulation {
         stack_size: usize,
         body: ActorBody,
     ) -> Coro {
-        build_context(&self.shared, &mut self.stack_pool, id, name, stack_size, body)
+        let backend = self.shared.kernel.lock().actor_backend();
+        let shared = Arc::clone(&self.shared);
+        let wrapper: Box<dyn FnOnce(ResumeArg) + Send> = Box::new(move |first: ResumeArg| {
+            if first == ResumeArg::Shutdown {
+                // Torn down before ever running; skip the body entirely.
+                return;
+            }
+            #[cfg(feature = "trace")]
+            let tracer = shared.kernel.lock().tracer().cloned();
+            let ctx = Ctx {
+                shared: Arc::clone(&shared),
+                id,
+                deferred: Cell::new(0),
+                tag: Cell::new(0),
+                // Captured at first dispatch, i.e. once the run has started,
+                // so a tracer attached any time before `run()` is seen by
+                // every actor.
+                #[cfg(feature = "trace")]
+                tracer,
+            };
+            let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
+            // The hosting OS thread outlives this coroutine: a quiet teardown
+            // unwind must not leave the flag set for whoever runs on that
+            // thread next.
+            QUIET_UNWIND.with(|q| q.set(false));
+            let shutdown = matches!(
+                &result,
+                Err(p) if p.is::<ShutdownSignal>()
+            );
+            if shutdown {
+                // Teardown: do not touch kernel bookkeeping; just finish.
+                return;
+            }
+            if let Err(p) = result {
+                let msg = panic_message(p.as_ref());
+                // One kernel transaction: record the typed panic note and
+                // mark the actor finished so the scheduler does not hang.
+                // A panic inside a `with_kernel` closure unwound through the
+                // kernel guard, which released the kernel on the way out, so
+                // this cannot find it held.
+                let mut k = shared.kernel.lock();
+                k.note_panic(id, msg);
+                k.actors[id].status = ActorStatus::Finished;
+                k.live_actors -= 1;
+                return;
+            }
+            let mut k = shared.kernel.lock();
+            k.actors[id].status = ActorStatus::Finished;
+            k.live_actors -= 1;
+            let exit = k.actors[id].exit;
+            k.fire_completion(exit);
+        });
+        match backend {
+            ActorBackend::Coroutine if coro::SWITCH_SUPPORTED => {
+                let stack = pooled_stack(&mut self.stack_pool, stack_size);
+                Coro::Switch(SwitchCoro::new(stack, wrapper))
+            }
+            // No asm switch on this target: fall back to threads silently so
+            // code that requests coroutines stays portable.
+            _ => Coro::Thread(ThreadCoro::new(name, stack_size, wrapper)),
+        }
     }
 }
 
@@ -653,92 +524,6 @@ fn pooled_stack(pool: &mut Vec<Stack>, size: usize) -> Stack {
         return pool.swap_remove(pos);
     }
     Stack::new(want)
-}
-
-/// Build the execution context for one actor (free function so both the
-/// sequential scheduler and parallel workers, each with their own stack
-/// pool, share one definition).
-fn build_context(
-    shared: &Arc<Shared>,
-    pool: &mut Vec<Stack>,
-    id: ActorId,
-    name: String,
-    stack_size: usize,
-    body: ActorBody,
-) -> Coro {
-    let backend = shared.kernel.lock().actor_backend();
-    let shared = Arc::clone(shared);
-    let wrapper: Box<dyn FnOnce(ResumeArg) + Send> = Box::new(move |first: ResumeArg| {
-        if first == ResumeArg::Shutdown {
-            // Torn down before ever running; skip the body entirely.
-            return;
-        }
-        #[cfg(feature = "trace")]
-        let (lp, tracer) = {
-            let k = shared.kernel.lock();
-            (k.actor_lp(id), k.tracer().cloned())
-        };
-        #[cfg(not(feature = "trace"))]
-        let lp = shared.kernel.lock().actor_lp(id);
-        let ctx = Ctx {
-            shared: Arc::clone(&shared),
-            id,
-            lp,
-            deferred: Cell::new(0),
-            tag: Cell::new(0),
-            // Captured at first dispatch, i.e. once the run has started,
-            // so a tracer attached any time before `run()` is seen by
-            // every actor.
-            #[cfg(feature = "trace")]
-            tracer,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
-        // The hosting OS thread outlives this coroutine: a quiet teardown
-        // unwind must not leave the flag set for whoever runs on that
-        // thread next.
-        QUIET_UNWIND.with(|q| q.set(false));
-        let shutdown = matches!(
-            &result,
-            Err(p) if p.is::<ShutdownSignal>()
-        );
-        if shutdown {
-            // Teardown: do not touch kernel bookkeeping; just finish.
-            return;
-        }
-        if let Err(p) = result {
-            let msg = panic_message(p.as_ref());
-            // One kernel transaction: record the typed panic note and
-            // mark the actor finished so the scheduler does not hang.
-            // A panic inside a `with_kernel` closure unwound through the
-            // kernel guard, which released the kernel on the way out, so
-            // this cannot find it held (or, in a parallel run, poisoned).
-            let mut k = shared.kernel.lock();
-            k.enter_lp(lp);
-            k.note_panic(id, msg);
-            k.actors[id].status = ActorStatus::Finished;
-            k.live_actors -= 1;
-            return;
-        }
-        let mut k = shared.kernel.lock();
-        // Re-enter this actor's LP: under the parallel backend another
-        // worker may have switched the kernel's LP context since this
-        // actor's last simcall, and the exit-completion wakes below must be
-        // attributed to (and clocked by) the finishing actor's own LP.
-        k.enter_lp(lp);
-        k.actors[id].status = ActorStatus::Finished;
-        k.live_actors -= 1;
-        let exit = k.actors[id].exit;
-        k.fire_completion(exit);
-    });
-    match backend {
-        ActorBackend::Coroutine if coro::SWITCH_SUPPORTED => {
-            let stack = pooled_stack(pool, stack_size);
-            Coro::Switch(SwitchCoro::new(stack, wrapper))
-        }
-        // No asm switch on this target: fall back to threads silently so
-        // code that requests coroutines stays portable.
-        _ => Coro::Thread(ThreadCoro::new(name, stack_size, wrapper)),
-    }
 }
 
 impl Drop for Simulation {
@@ -763,239 +548,23 @@ impl Drop for Simulation {
     }
 }
 
-/// Shared control state for one parallel run (lives on the scheduler's
-/// stack; workers borrow it through `thread::scope`).
-struct ParCtl {
-    /// Run over (success, deadlock, or panic): every worker drains out.
-    stop: AtomicBool,
-    /// Workers currently parked on `work_cv` — lets finishing workers skip
-    /// the notify syscall on the hot path when nobody is waiting.
-    waiting: AtomicUsize,
-    /// First failure wins; later workers keep it intact.
-    error: Mutex<Option<SimError>>,
-}
-
-impl ParCtl {
-    /// Flag the run as over and wake every parked worker.
-    fn finish(&self, shared: &Shared) {
-        self.stop.store(true, Ordering::SeqCst);
-        shared.work_cv.notify_all();
-    }
-
-    /// Record `err` if no earlier failure already did, then stop the run.
-    fn fail(&self, shared: &Shared, err: SimError) {
-        let mut slot = relock(&self.error);
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        drop(slot);
-        self.finish(shared);
-    }
-}
-
-/// Collect staged spawns homed on worker `w`'s LPs into its slot table.
-/// Entries for other workers stay queued (order within `staged` is not
-/// meaningful — slots are keyed by actor id).
-fn drain_staged_local(
-    shared: &Shared,
-    slots: &mut HashMap<ActorId, ActorSlot>,
-    w: usize,
-    workers: usize,
-) {
-    let mut staged = relock(&shared.staged);
-    let mut i = 0;
-    while i < staged.len() {
-        if staged[i].lp % workers == w {
-            let s = staged.swap_remove(i);
-            slots.insert(
-                s.id,
-                ActorSlot::Pending {
-                    name: s.name,
-                    stack_size: s.stack_size,
-                    body: s.body,
-                },
-            );
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// Worker-side analog of [`Simulation::resume_actor`]: resume `a`, creating
-/// its execution context from this worker's staged entries and stack pool
-/// on first dispatch.
-fn resume_actor_local(
-    shared: &Arc<Shared>,
-    slots: &mut HashMap<ActorId, ActorSlot>,
-    pool: &mut Vec<Stack>,
-    w: usize,
-    workers: usize,
-    a: ActorId,
-) -> Poll {
-    // A `Done` slot here may be a *placeholder* from the sparse packed-id
-    // tables (the id was reserved for this LP's counter but only allocated
-    // by a later mid-run spawn), so it does not prove the body was taken —
-    // drain staged entries unless the actor demonstrably started already.
-    if !matches!(slots.get(&a), Some(ActorSlot::Started(_))) {
-        drain_staged_local(shared, slots, w, workers);
-    }
-    let slot = slots
-        .entry(a)
-        .or_insert_with(|| unreachable!("woke actor {a} with no staged body"));
-    if matches!(slot, ActorSlot::Pending { .. }) {
-        let taken = std::mem::replace(slot, ActorSlot::Done);
-        let ActorSlot::Pending {
-            name,
-            stack_size,
-            body,
-        } = taken
-        else {
-            unreachable!()
-        };
-        *slot = ActorSlot::Started(build_context(shared, pool, a, name, stack_size, body));
-    }
-    let ActorSlot::Started(c) = slot else {
-        unreachable!("woke actor {a} with no execution context");
-    };
-    c.resume(ResumeArg::Run)
-}
-
-/// One parallel worker: owns the LPs in `owned` (all `lp % workers == w`)
-/// plus their actors' execution state; loops popping safe events for those
-/// LPs until the run completes or fails. Returns its slot table and stack
-/// pool so the scheduler can merge them back for teardown.
-fn worker_loop(
-    shared: Arc<Shared>,
-    w: usize,
-    workers: usize,
-    owned: Vec<usize>,
-    mut slots: HashMap<ActorId, ActorSlot>,
-    ctl: &ParCtl,
-) -> (HashMap<ActorId, ActorSlot>, Vec<Stack>) {
-    let mut pool: Vec<Stack> = Vec::new();
-    'run: loop {
-        let mut k = shared.kernel.lock();
-        let (lp, event) = loop {
-            if ctl.stop.load(Ordering::SeqCst) {
-                break 'run;
-            }
-            if k.live_actors == 0 {
-                drop(k);
-                ctl.finish(&shared);
-                break 'run;
-            }
-            if let Some(found) = k.pop_safe(&owned) {
-                break found;
-            }
-            if k.pending_events() == 0 && !k.any_lp_busy() {
-                // Globally out of events with actors still blocked: the
-                // same deadlock the sequential loop reports. Whichever
-                // worker notices first records the wait graph.
-                let wait_graph = k.wait_graph();
-                let time = k.max_lp_now();
-                drop(k);
-                ctl.fail(&shared, SimError::Deadlock { time, wait_graph });
-                break 'run;
-            }
-            // Nothing safe for our LPs right now. Park until a neighbor
-            // finishes an event (raising its LBTS); the timeout is a
-            // belt-and-braces backstop, not a correctness requirement.
-            ctl.waiting.fetch_add(1, Ordering::SeqCst);
-            k = k.wait_timeout(&shared.work_cv, Duration::from_micros(200));
-            ctl.waiting.fetch_sub(1, Ordering::SeqCst);
-        };
-        match k.dispatch(lp, event) {
-            None => {
-                k.finish_lp(lp);
-                drop(k);
-            }
-            Some(a) => {
-                drop(k);
-                // Run the actor with the kernel lock free; it belongs to
-                // one of our LPs, so no other worker can touch it.
-                let poll = resume_actor_local(&shared, &mut slots, &mut pool, w, workers, a);
-                if poll == Poll::Finished {
-                    if let Some(slot) = slots.get_mut(&a) {
-                        if let ActorSlot::Started(c) = slot {
-                            debug_assert!(c.finished());
-                            if let Some(stack) = c.take_stack() {
-                                if pool.len() < STACK_POOL_CAP {
-                                    pool.push(stack);
-                                }
-                            }
-                            *slot = ActorSlot::Done;
-                        }
-                    }
-                }
-                let mut k = shared.kernel.lock();
-                let note = k
-                    .take_panic_note()
-                    .map(|(id, message)| (id, k.actors[id].name.clone(), message));
-                k.finish_lp(lp);
-                drop(k);
-                if let Some((id, name, message)) = note {
-                    ctl.fail(
-                        &shared,
-                        SimError::ActorPanic {
-                            actor: id,
-                            name,
-                            message,
-                        },
-                    );
-                    break 'run;
-                }
-            }
-        }
-        // Our LP advanced: neighbors blocked on our LBTS may now have safe
-        // events. Skip the notify when nobody is parked.
-        if ctl.waiting.load(Ordering::SeqCst) > 0 {
-            shared.work_cv.notify_all();
-        }
-    }
-    (slots, pool)
-}
-
 type ActorBody = Box<dyn FnOnce(&Ctx) + Send + 'static>;
 
 /// Register an actor: create the kernel record, schedule its first wake at
-/// `start_time`, and stage the body for the scheduler to start lazily on
+/// the current time, and stage the body for the scheduler to start lazily on
 /// first dispatch.
-/// `lp` is the new actor's home; `from_lp` is the LP context performing the
-/// spawn (the parent's LP, or the target itself for pre-run root spawns).
-/// A cross-LP spawn (`lp != from_lp`) schedules the start wake no earlier
-/// than `spawner now + lookahead` — the same contract every cross-LP event
-/// obeys — so conservative parallel dispatch never sees it early.
 fn register_actor(
     shared: &Arc<Shared>,
     name: String,
     stack_size: usize,
     body: ActorBody,
-    start_time: Time,
-    lp: usize,
-    from_lp: usize,
 ) -> ActorRef {
     let mut k = shared.kernel.lock();
-    assert!(
-        lp < k.num_lps(),
-        "spawn_on: LP {lp} out of range (simulation has {} LPs)",
-        k.num_lps()
-    );
-    k.enter_lp(from_lp);
     let spawned_at = k.now();
-    let min_start = if lp == from_lp {
-        spawned_at
-    } else {
-        spawned_at.saturating_add(k.lookahead())
-    };
-    let start = start_time.max(min_start);
-    // Actor id and exit completion are both allocated from the *spawner's*
-    // LP counters (deterministic: one LP's actions are serial); the actor
-    // is nevertheless homed on `lp`.
     let exit = k.new_completion();
     let id = k.alloc_actor(ActorMeta {
         name: name.clone(),
         status: ActorStatus::Blocked,
-        lp,
         exit,
         blocked_on: BlockKind::Start,
         wake_epoch: 0,
@@ -1004,20 +573,14 @@ fn register_actor(
         recent: RecentRing::new(),
     });
     k.live_actors += 1;
-    k.wake_at(start, id);
-    // Stage the body while still holding the kernel lock: under the
-    // parallel backend another worker may dispatch the start wake the
-    // instant the lock drops, and it must find the staged entry. (Staged is
-    // only ever taken while holding — or strictly after releasing — the
-    // kernel lock, never the other way around, so the nesting is safe.)
+    k.wake_at(spawned_at, id);
+    drop(k);
     relock(&shared.staged).push(StagedActor {
         id,
-        lp,
         name,
         stack_size,
         body,
     });
-    drop(k);
     ActorRef { id, exit }
 }
 
@@ -1038,7 +601,7 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 ///
 /// It belongs to its actor alone. `Ctx` and [`Simulation`] are deliberately
 /// `!Sync`: no reference to either can reach a second host thread, which is
-/// what lets a sequential run own its kernel instead of locking it.
+/// what lets the run own its kernel instead of locking it.
 ///
 /// ```
 /// fn assert_send<T: Send>() {}
@@ -1056,10 +619,6 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 pub struct Ctx {
     shared: Arc<Shared>,
     id: ActorId,
-    /// Home LP (fixed at spawn). Every kernel interaction from this actor
-    /// re-enters this LP's context first, so virtual time reads the LP's
-    /// clock and pushed events carry the LP's sequence counter.
-    lp: usize,
     /// Lazily accumulated pure delay ([`Ctx::advance_lazy`]): virtual time
     /// this actor has charged but not yet pushed into the kernel. Flushed —
     /// as a single logical advance — before any kernel interaction, so no
@@ -1109,22 +668,14 @@ impl Ctx {
         self.kernel().now() + self.deferred.get()
     }
 
-    /// This actor's home logical process.
-    #[inline]
-    pub fn lp(&self) -> usize {
-        self.lp
-    }
-
     // Inlined so the guard stays in the caller's registers: out of line it
     // is built in one frame and copied to the next on every simcall.
     #[inline(always)]
     fn kernel(&self) -> KernelGuard<'_> {
-        let mut k = self.shared.kernel.lock();
-        k.enter_lp(self.lp);
-        k
+        self.shared.kernel.lock()
     }
 
-    /// Lock the kernel after flushing any lazily deferred delay. Every
+    /// Take the kernel after flushing any lazily deferred delay. Every
     /// simcall that reads or mutates kernel state goes through this, which
     /// is what makes the lazy clock invisible: by the time anything can
     /// observe the kernel, the clock has caught up.
@@ -1377,8 +928,7 @@ impl Ctx {
         self.kernel_synced().mutex_unlock(m, me);
     }
 
-    /// Spawn a child actor starting at the current time, homed on this
-    /// actor's LP. The child is a full actor (own coroutine stack, created
+    /// Spawn a child actor starting at the current time. The child is a full actor (own coroutine stack, created
     /// lazily at its first wake); join via
     /// `ctx.wait(child.exit_completion())`.
     pub fn spawn<F>(&self, name: impl Into<String>, body: F) -> ActorRef
@@ -1387,21 +937,6 @@ impl Ctx {
     {
         let stack = self.shared.stack_size.load(Ordering::SeqCst);
         self.spawn_with_stack(name, stack, body)
-    }
-
-    /// Spawn a child actor homed on logical process `lp`. For a cross-LP
-    /// target the child starts at `now + lookahead` (the cross-LP event
-    /// contract), not `now` — and joining it from this actor would violate
-    /// the same contract (the exit wake would land below the floor), so
-    /// cross-LP children must be fire-and-forget or synchronize through
-    /// events at `≥ now + lookahead`.
-    pub fn spawn_on<F>(&self, lp: usize, name: impl Into<String>, body: F) -> ActorRef
-    where
-        F: FnOnce(&Ctx) + Send + 'static,
-    {
-        let stack = self.shared.stack_size.load(Ordering::SeqCst);
-        drop(self.kernel_synced()); // flush lazy delay before reading `now`
-        register_actor(&self.shared, name.into(), stack, Box::new(body), 0, lp, self.lp)
     }
 
     /// [`Ctx::spawn`] with an explicit stack size (bytes) for the child.
@@ -1415,15 +950,7 @@ impl Ctx {
         F: FnOnce(&Ctx) + Send + 'static,
     {
         drop(self.kernel_synced()); // flush lazy delay before reading `now`
-        register_actor(
-            &self.shared,
-            name.into(),
-            stack_bytes,
-            Box::new(body),
-            0,
-            self.lp,
-            self.lp,
-        )
+        register_actor(&self.shared, name.into(), stack_bytes, Box::new(body))
     }
 
     /// Block until `child` has finished.
@@ -2330,204 +1857,6 @@ mod tests {
         sim.run();
     }
 
-    // ----- conservative parallel backend ----------------------------------
-
-    /// A single-LP workload (the shape every existing app has) with enough
-    /// scheduler traffic to exercise bypass, barriers, contention and
-    /// dynamic spawn.
-    fn single_lp_workload(backend: SimBackend) -> (Vec<crate::kernel::TraceEvent>, SimulationStats) {
-        let mut sim = Simulation::new();
-        sim.set_sim_backend(backend);
-        sim.kernel().record_event_log(true);
-        let res = sim.kernel().new_resource("r");
-        let bar = sim.kernel().new_barrier(2);
-        for id in 0..2u64 {
-            sim.spawn(format!("a{id}"), move |ctx| {
-                for i in 0..4u64 {
-                    ctx.advance(time::ns(3 + id * 7));
-                    ctx.acquire(res, time::ns(50 + i));
-                    ctx.barrier_wait(bar);
-                }
-                if id == 0 {
-                    let child = ctx.spawn("kid", |c| c.advance(time::us(1)));
-                    ctx.join(child);
-                }
-            });
-        }
-        let stats = sim.run();
-        let log = sim.kernel().take_event_log();
-        (log, stats)
-    }
-
-    #[test]
-    fn parallel_single_lp_is_bit_identical_to_sequential() {
-        // One LP means the parallel engine runs the full worker/pop_safe
-        // machinery on one worker — and must reproduce the sequential run
-        // exactly, stats included (same bypass decisions, same heap ops).
-        let seq = single_lp_workload(SimBackend::Sequential);
-        for n in [1, 2, 4] {
-            let par = single_lp_workload(SimBackend::Parallel(n));
-            assert_eq!(seq, par, "Parallel({n}) diverged from Sequential");
-        }
-    }
-
-    /// A 4-LP workload: per-LP contention plus cross-LP fire-and-forget
-    /// spawns, the partition contract every distributed app follows.
-    fn multi_lp_workload(backend: SimBackend) -> (Vec<crate::kernel::TraceEvent>, SimulationStats) {
-        let mut sim = Simulation::new();
-        sim.set_sim_backend(backend);
-        sim.set_lp_count(4);
-        sim.set_lookahead(time::us(1));
-        sim.kernel().record_event_log(true);
-        for lp in 0..4usize {
-            let res = sim.kernel().new_resource(format!("r{lp}"));
-            for a in 0..2u64 {
-                sim.spawn_on(lp, format!("lp{lp}a{a}"), move |ctx| {
-                    assert_eq!(ctx.lp(), lp);
-                    for i in 0..5u64 {
-                        ctx.advance(time::ns(10 + a * 3 + i));
-                        ctx.acquire(res, time::ns(40 + i));
-                    }
-                    if a == 0 {
-                        let target = (lp + 1) % 4;
-                        ctx.spawn_on(target, format!("x{lp}"), move |c| {
-                            assert_eq!(c.lp(), target);
-                            c.advance(time::ns(5));
-                        });
-                    }
-                });
-            }
-        }
-        let stats = sim.run();
-        let log = sim.kernel().take_event_log();
-        (log, stats)
-    }
-
-    #[test]
-    fn parallel_multi_lp_matches_sequential_event_log_and_times() {
-        // Across a real partition the dispatch interleaving is host-timing
-        // dependent, but the committed event log (sorted by (t, seq)) and
-        // the virtual outcome must be identical. Host-side counters
-        // (bypass hits, handoffs, heap ops) legitimately differ.
-        let seq = multi_lp_workload(SimBackend::Sequential);
-        for n in [1, 2, 4] {
-            let par = multi_lp_workload(SimBackend::Parallel(n));
-            assert_eq!(seq.0, par.0, "Parallel({n}) event log diverged");
-            assert_eq!(seq.1.end_time, par.1.end_time);
-            assert_eq!(seq.1.events, par.1.events);
-            assert_eq!(seq.1.actors, par.1.actors);
-        }
-    }
-
-    #[test]
-    fn cross_lp_spawn_starts_at_the_lookahead_floor() {
-        let mut sim = Simulation::new();
-        sim.set_sim_backend(SimBackend::Parallel(2));
-        sim.set_lp_count(2);
-        sim.set_lookahead(time::us(1));
-        sim.spawn_on(0, "parent", |ctx| {
-            ctx.advance(time::ns(50));
-            ctx.spawn_on(1, "child", |c| {
-                // The start wake is a cross-LP event: it lands no earlier
-                // than the spawner's clock plus the lookahead.
-                assert_eq!(c.now(), time::ns(50) + time::us(1));
-            });
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn kernel_is_owned_again_after_a_parallel_run() {
-        // Parallel(2) over 2 LPs really runs two workers against the gated
-        // kernel; once they are joined the mode is cleared, so the owning
-        // thread reads the kernel through the unlocked path — where a second
-        // guard is a nested access, not a wait on the gate.
-        let mut sim = Simulation::new();
-        sim.set_sim_backend(SimBackend::Parallel(2));
-        sim.set_lp_count(2);
-        sim.set_lookahead(time::us(1));
-        for lp in 0..2usize {
-            let res = sim.kernel().new_resource(format!("r{lp}"));
-            sim.spawn_on(lp, format!("lp{lp}"), move |ctx| {
-                for i in 0..200u64 {
-                    ctx.advance(time::ns(10 + i % 3));
-                    ctx.acquire(res, time::ns(40));
-                }
-            });
-        }
-        let stats = sim.run();
-        assert_eq!(stats.actors, 2);
-        let k = sim.kernel();
-        assert_eq!(k.events_processed(), stats.events);
-        let nested = catch_unwind(AssertUnwindSafe(|| sim.kernel().now()));
-        let message = panic_message(nested.unwrap_err().as_ref());
-        assert!(message.contains("nested kernel access"), "{message}");
-    }
-
-    #[test]
-    fn parallel_deadlock_reports_wait_graph() {
-        let mut sim = Simulation::new();
-        sim.set_sim_backend(SimBackend::Parallel(2));
-        sim.set_lp_count(2);
-        sim.set_lookahead(1);
-        let c = sim.kernel().new_completion();
-        sim.spawn_on(0, "stuck", move |ctx| ctx.wait(c));
-        sim.spawn_on(1, "fine", |ctx| ctx.advance(time::us(1)));
-        match sim.run_result() {
-            Err(SimError::Deadlock { wait_graph, .. }) => {
-                assert!(wait_graph.to_string().contains("stuck"));
-            }
-            other => panic!("expected deadlock, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parallel_actor_panic_propagates() {
-        let mut sim = Simulation::new();
-        sim.set_sim_backend(SimBackend::Parallel(2));
-        sim.set_lp_count(2);
-        sim.set_lookahead(1);
-        sim.spawn_on(0, "ok", |ctx| ctx.advance(time::us(1)));
-        sim.spawn_on(1, "bad", |ctx| {
-            ctx.advance(time::ns(10));
-            panic!("boom in parallel");
-        });
-        match sim.run_result() {
-            Err(SimError::ActorPanic { name, message, .. }) => {
-                assert_eq!(name, "bad");
-                assert!(message.contains("boom in parallel"));
-            }
-            other => panic!("expected actor panic, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parallel_with_policy_falls_back_to_sequential_dispatch() {
-        use crate::kernel::{ReadyEvent, SchedulePolicy};
-        struct PickLast;
-        impl SchedulePolicy for PickLast {
-            fn choose(&mut self, ready: &[ReadyEvent]) -> usize {
-                ready.len() - 1
-            }
-        }
-        // A tie-break policy forces the sequential loop even when a
-        // parallel backend is selected, so `.schedule` replays behave
-        // identically no matter the configured backend.
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = Simulation::new();
-        sim.set_sim_backend(SimBackend::Parallel(4));
-        sim.set_schedule_policy(Some(Box::new(PickLast)));
-        for id in 0..3u64 {
-            let order = Arc::clone(&order);
-            sim.spawn(format!("a{id}"), move |ctx| {
-                order.lock().unwrap().push(id);
-                ctx.advance(time::us(10 + id));
-            });
-        }
-        sim.run();
-        assert_eq!(*order.lock().unwrap(), vec![2, 1, 0]);
-    }
-
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "set_stack_size after first dispatch")]
@@ -2583,16 +1912,5 @@ mod tests {
             ctx.with_kernel(|k| k.set_actor_backend(ActorBackend::OsThread));
         });
         sim.run();
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "set_sim_backend after first dispatch")]
-    fn set_sim_backend_after_dispatch_is_rejected() {
-        let mut sim = Simulation::new();
-        sim.spawn("a", |ctx| ctx.advance(1));
-        sim.run();
-        // The run loop this call claims to choose has already run.
-        sim.set_sim_backend(SimBackend::Parallel(2));
     }
 }

@@ -2,16 +2,15 @@
 //! resource primitives actors synchronize through.
 //!
 //! The kernel lives in one `KernelCell` (`kernel_cell.rs`): only the running
-//! actor (or the scheduler between actors) ever touches it, so a sequential
-//! run owns it outright and only a parallel run's workers lock it. All
-//! mutation goes through methods here so invariants — monotone time, at most
-//! one pending wake per actor, FIFO resource queues — hold in one place.
+//! actor (or the scheduler between actors) ever touches it, so the run owns
+//! it outright instead of locking it. All mutation goes through methods here
+//! so invariants — monotone time, at most one pending wake per actor, FIFO
+//! resource queues — hold in one place.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::coro::ActorBackend;
-use crate::engine::SimBackend;
 use crate::time::Time;
 
 /// Identifies an actor within one simulation.
@@ -161,10 +160,6 @@ fn park_code(on: BlockKind) -> u64 {
 pub(crate) struct ActorMeta {
     pub name: String,
     pub status: ActorStatus,
-    /// The logical process this actor lives on. Its wake/timeout events are
-    /// queued there and (under the parallel backend) it only ever runs on
-    /// the worker thread owning that LP.
-    pub lp: usize,
     /// Completed when the actor finishes; joiners wait on it.
     pub exit: CompletionId,
     /// What the actor is blocked on, for timeouts and deadlock diagnostics.
@@ -273,11 +268,6 @@ struct ResourceState {
 struct CompletionState {
     done: bool,
     waiters: Vec<ActorId>,
-    /// Home LP: `Complete` events dispatch here, and firing wakes waiters at
-    /// the current instant — so waiters must live on the same LP (a
-    /// cross-LP waiter would need a zero-latency wake, which the partition
-    /// contract forbids).
-    lp: usize,
 }
 
 #[derive(Debug, Default)]
@@ -295,69 +285,6 @@ struct BarrierState {
 struct MutexState {
     owner: Option<ActorId>,
     queue: Vec<ActorId>,
-}
-
-/// Per-LP half of the split event queue plus the LP's private clock.
-///
-/// With one logical process (the default) this is exactly the old global
-/// queue: `near`/`far` hold every event and `now` mirrors the kernel clock.
-/// With `set_lp_count(k)` the simulation is partitioned: each LP owns the
-/// events that target its actors (and completions homed on it), advances its
-/// own clock, and draws sequence numbers from its own counter so numbering
-/// never depends on cross-LP interleaving.
-#[derive(Debug, Default)]
-struct LpQueue {
-    /// Near bucket: events at `time == now` *pushed by this LP*, in push
-    /// (= sequence) order. Cross-LP arrivals always go to `far` — their
-    /// sequence numbers come from the sender's counter and would break the
-    /// bucket's FIFO-by-seq invariant.
-    near: VecDeque<Event>,
-    /// Everything else targeting this LP.
-    far: BinaryHeap<Reverse<Event>>,
-    /// Local sequence counter; global seq = `lseq * num_lps + lp`, which
-    /// reduces to today's single counter when there is one LP.
-    lseq: u64,
-    /// Local actor-id counter: actors registered *by* this LP (wherever
-    /// they are homed) get id `actor_lid * num_lps + lp`. Allocating from
-    /// the spawner's counter keeps ids deterministic under the parallel
-    /// backend — a single LP's actions are serial, while a shared global
-    /// counter would hand out ids in host-timing order.
-    actor_lid: u64,
-    /// Local completion-id counter; same packing and rationale as
-    /// `actor_lid`.
-    comp_lid: u64,
-    /// The LP's private virtual clock (last event it processed).
-    now: Time,
-    /// A worker is currently executing one of this LP's events (parallel
-    /// backend only); the LP's lower-bound contribution is then `now`.
-    busy: bool,
-}
-
-impl LpQueue {
-    /// Head of this LP's queue by `(time, seq)`, and whether it sits in the
-    /// far heap.
-    fn head(&self) -> Option<(Time, u64, bool)> {
-        match (self.near.front(), self.far.peek()) {
-            (Some(n), Some(Reverse(f))) => {
-                if (f.time, f.seq) < (n.time, n.seq) {
-                    Some((f.time, f.seq, true))
-                } else {
-                    Some((n.time, n.seq, false))
-                }
-            }
-            (Some(n), None) => Some((n.time, n.seq, false)),
-            (None, Some(Reverse(f))) => Some((f.time, f.seq, true)),
-            (None, None) => None,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.near.is_empty() && self.far.is_empty()
-    }
-
-    fn len(&self) -> usize {
-        self.near.len() + self.far.len()
-    }
 }
 
 /// One processed scheduler event, as recorded by the optional event log
@@ -388,24 +315,17 @@ pub enum TraceKind {
 /// [`crate::Ctx::with_kernel`] (from inside an actor).
 pub struct Kernel {
     now: Time,
-    /// Split event queues, one per logical process. `lps[0]` alone exists by
-    /// default; [`Kernel::set_lp_count`] partitions the simulation. Each
-    /// LP's near bucket holds events scheduled *at* its current time in push
-    /// (= sequence) order — `wake_at(now, ..)`, every completion fire, mutex
-    /// handover and cond notify land there, making the hot-path insert and
-    /// pop O(1) instead of a heap churn.
-    lps: Vec<LpQueue>,
-    /// The LP whose context is active: the LP of the running actor, or of
-    /// the event being dispatched. Sequence numbers are drawn from its
-    /// counter and `set_now` advances its clock.
-    cur_lp: usize,
-    /// Minimum cross-LP event latency (the conservative-synchronization
-    /// lookahead). Every cross-LP push must be at least this far in the
-    /// sender's future; `hupc-net` link latencies provide the static floor.
-    lookahead: Time,
-    /// Parallel backend active: `now` tracks the *current LP's* clock (set
-    /// on `enter_lp`) instead of a single global clock.
-    parallel: bool,
+    /// Near half of the split event queue: events scheduled *at* the current
+    /// time, in push (= sequence) order. `wake_at(now, ..)`, every
+    /// completion fire, mutex handover and cond notify land here, making
+    /// the hot-path insert and pop O(1) instead of a heap churn. All entries
+    /// share `time == now` (the clock cannot advance past a pending
+    /// now-event, so the bucket drains before `now` moves).
+    near: VecDeque<Event>,
+    /// Everything scheduled into the future.
+    far: BinaryHeap<Reverse<Event>>,
+    /// Next event sequence number: the `(time, seq)` tie-break.
+    seq: u64,
     events_processed: u64,
     resources: Vec<ResourceState>,
     completions: Vec<CompletionState>,
@@ -413,16 +333,12 @@ pub struct Kernel {
     barriers: Vec<BarrierState>,
     mutexes: Vec<MutexState>,
     pub(crate) actors: Vec<ActorMeta>,
-    /// Actors actually registered; `actors.len()` minus placeholder holes.
-    registered_actors: usize,
     pub(crate) live_actors: usize,
     pub(crate) trace: bool,
     /// Scheduler-bypass fast path enabled for this kernel (on by default).
     fast_path: bool,
     /// Execution backend for this simulation's actors.
     actor_backend: ActorBackend,
-    /// Dispatch engine this simulation runs on.
-    sim_backend: SimBackend,
     /// Simcalls resolved inline without a scheduler handoff.
     pub(crate) fast_path_hits: u64,
     /// Scheduler → actor dispatches that went through a full handoff (a
@@ -437,7 +353,7 @@ pub struct Kernel {
     /// sequence-order pop path with zero overhead.
     policy: Option<Box<dyn SchedulePolicy>>,
     /// First actor panic of the run: `(actor, payload rendering)`. Set by
-    /// the panicking actor under the kernel lock (before it switches back to
+    /// the panicking actor under the kernel guard (before it switches back to
     /// the scheduler) and drained by the scheduler loop — the typed channel
     /// behind [`crate::SimError::ActorPanic`].
     panic_note: Option<(ActorId, String)>,
@@ -452,10 +368,9 @@ impl Kernel {
     pub(crate) fn new() -> Self {
         Kernel {
             now: 0,
-            lps: vec![LpQueue::default()],
-            cur_lp: 0,
-            lookahead: 0,
-            parallel: false,
+            near: VecDeque::new(),
+            far: BinaryHeap::new(),
+            seq: 0,
             events_processed: 0,
             resources: Vec::new(),
             completions: Vec::new(),
@@ -463,12 +378,10 @@ impl Kernel {
             barriers: Vec::new(),
             mutexes: Vec::new(),
             actors: Vec::new(),
-            registered_actors: 0,
             live_actors: 0,
             trace: false,
             fast_path: true,
             actor_backend: ActorBackend::Coroutine,
-            sim_backend: SimBackend::Sequential,
             fast_path_hits: 0,
             handoffs: 0,
             heap_ops: 0,
@@ -486,11 +399,6 @@ impl Kernel {
     /// dispatches. Without one, ties break by sequence number as always.
     pub fn set_schedule_policy(&mut self, p: Option<Box<dyn SchedulePolicy>>) {
         self.policy = p;
-    }
-
-    /// Whether a schedule policy is installed.
-    pub fn has_schedule_policy(&self) -> bool {
-        self.policy.is_some()
     }
 
     /// Record the first actor panic of the run (later ones are dropped; the
@@ -565,7 +473,7 @@ impl Kernel {
 
     /// Whether the run has dispatched its first actor. From then on
     /// execution contexts exist, so the settings that shape them (stack
-    /// size, actor backend) and the choice of run loop are fixed.
+    /// size, actor backend) are fixed.
     pub(crate) fn dispatched(&self) -> bool {
         self.handoffs > 0
     }
@@ -592,147 +500,16 @@ impl Kernel {
         self.actor_backend
     }
 
-    /// Select the dispatch engine for this run (see [`SimBackend`];
-    /// sequential by default). Read once when the run starts, so a mid-run
-    /// call could only ever be ignored; it trips a `debug_assert!` instead.
-    /// A schedule-exploration policy forces the sequential loop regardless
-    /// (tie-breaking needs the global view of simultaneous events); replays
-    /// therefore behave identically under either setting.
-    pub fn set_sim_backend(&mut self, b: SimBackend) {
-        debug_assert!(
-            !self.dispatched(),
-            "set_sim_backend after first dispatch: the run loop is already chosen"
-        );
-        self.sim_backend = b;
-    }
-
-    /// The dispatch engine this simulation will run on.
-    pub(crate) fn sim_backend(&self) -> SimBackend {
-        self.sim_backend
-    }
-
-    // ----- logical processes (conservative parallel partitioning) ---------
-
-    /// Partition the simulation into `k` logical processes. Must be called
-    /// before any actor is spawned or event scheduled: sequence numbers are
-    /// packed as `lseq * k + lp`, so the count cannot change once numbering
-    /// has started. Each actor lives on exactly one LP (see
-    /// `Simulation::spawn_on`); intra-LP events need no synchronization, and
-    /// cross-LP events must honor the [`Kernel::set_lookahead`] floor.
-    pub fn set_lp_count(&mut self, k: usize) {
-        assert!(k >= 1, "need at least one logical process");
-        assert!(
-            self.actors.is_empty()
-                && self.completions.is_empty()
-                && self.events_processed == 0
-                && self.lps.iter().all(|q| q.is_empty() && q.lseq == 0),
-            "set_lp_count must be called before any spawn, completion or event"
-        );
-        self.lps = (0..k).map(|_| LpQueue::default()).collect();
-        self.cur_lp = 0;
-    }
-
-    /// Number of logical processes (1 unless partitioned).
-    pub fn num_lps(&self) -> usize {
-        self.lps.len()
-    }
-
-    /// Set the cross-LP lookahead: the minimum virtual-time distance of any
-    /// event one LP schedules onto another. The network model's minimum
-    /// inter-node wire latency is the natural value (`Fabric::lookahead`).
-    /// Cross-LP pushes closer than this panic — in *both* backends, so a
-    /// partitioning bug cannot hide behind the sequential oracle.
-    pub fn set_lookahead(&mut self, l: Time) {
-        self.lookahead = l;
-    }
-
-    /// Current cross-LP lookahead.
-    pub fn lookahead(&self) -> Time {
-        self.lookahead
-    }
-
-    /// Switch `now` bookkeeping to per-LP clocks (parallel backend) or back.
-    pub(crate) fn set_parallel_mode(&mut self, on: bool) {
-        self.parallel = on;
-    }
-
-    /// Make `lp` the active context: subsequent sequence numbers come from
-    /// its counter and (in parallel mode) `now()` reads its private clock.
-    /// In sequential mode the global clock stands — whenever an actor is
-    /// running, its LP's clock equals the global clock by construction.
-    pub(crate) fn enter_lp(&mut self, lp: usize) {
-        debug_assert!(lp < self.lps.len(), "LP {lp} out of range");
-        self.cur_lp = lp;
-        if self.parallel {
-            self.now = self.lps[lp].now;
-        }
-    }
-
-    /// The LP owning actor `a`.
-    pub(crate) fn actor_lp(&self, a: ActorId) -> usize {
-        self.actors[a].lp
-    }
-
-    /// Total pending events across every LP.
-    pub(crate) fn pending_events(&self) -> usize {
-        self.lps.iter().map(LpQueue::len).sum()
-    }
-
-    /// Whether any LP is mid-event on a worker (parallel backend).
-    pub(crate) fn any_lp_busy(&self) -> bool {
-        self.lps.iter().any(|q| q.busy)
-    }
-
-    /// Largest per-LP clock — the end time of a parallel run (equals the
-    /// global clock after a sequential run).
-    pub(crate) fn max_lp_now(&self) -> Time {
-        self.lps.iter().map(|q| q.now).max().unwrap_or(self.now)
-    }
-
-    /// This LP's contribution to every other LP's safe-time bound: its clock
-    /// while a worker is executing one of its events, else its queue head
-    /// (an idle, empty LP constrains nobody — any event it will ever process
-    /// must first be pushed by some other LP, whose own floor covers it).
-    fn lp_floor(&self, lp: usize) -> Time {
-        let q = &self.lps[lp];
-        if q.busy {
-            q.now
-        } else {
-            q.head().map_or(Time::MAX, |(t, _, _)| t)
-        }
-    }
-
-    /// Lower-bound timestamp for `lp`: no event earlier than this can ever
-    /// arrive from another LP. Computed under the kernel lock, so every
-    /// already-sent event is visible in some queue and every future send
-    /// is bounded below by its sender's floor plus the lookahead.
-    pub(crate) fn lbts(&self, lp: usize) -> Time {
-        let l = self.lookahead;
-        (0..self.lps.len())
-            .filter(|&i| i != lp)
-            .map(|i| self.lp_floor(i).saturating_add(l))
-            .min()
-            .unwrap_or(Time::MAX)
-    }
-
     /// Start recording every processed event (including bypassed ones) into
     /// an in-memory log; retrieve it with [`Kernel::take_event_log`].
     pub fn record_event_log(&mut self, on: bool) {
         self.event_log = if on { Some(Vec::new()) } else { None };
     }
 
-    /// Take the recorded event log (empty if recording was never enabled).
-    /// With multiple LPs the log is normalized to `(time, seq)` order: the
-    /// parallel backend appends in real-time completion order, and even the
-    /// sequential backend's per-LP clocks admit same-instant cross-LP ties
-    /// in either lock order — the sort makes logs comparable across
-    /// backends, which is exactly what the equivalence tests need.
+    /// Take the recorded event log (empty if recording was never enabled),
+    /// in dispatch — that is, `(time, seq)` — order.
     pub fn take_event_log(&mut self) -> Vec<TraceEvent> {
-        let mut log = self.event_log.take().unwrap_or_default();
-        if self.lps.len() > 1 {
-            log.sort_unstable_by_key(|e| (e.time, e.seq));
-        }
-        log
+        self.event_log.take().unwrap_or_default()
     }
 
     pub(crate) fn log_event(&mut self, time: Time, seq: u64, kind: EventKind) {
@@ -759,73 +536,41 @@ impl Kernel {
     }
 
     pub(crate) fn set_now(&mut self, t: Time) {
-        debug_assert!(
-            t >= self.lps[self.cur_lp].now,
-            "virtual time must be monotone per LP"
-        );
-        debug_assert!(
-            self.parallel || t >= self.now,
-            "virtual time must be monotone"
-        );
-        self.lps[self.cur_lp].now = t;
+        debug_assert!(t >= self.now, "virtual time must be monotone");
         self.now = t;
         self.events_processed += 1;
     }
 
-    /// Which LP an event targets: the actor's home LP for wakes and
-    /// timeouts, the completion's home LP for completes.
-    fn target_lp(&self, kind: EventKind) -> usize {
-        match kind {
-            EventKind::Wake(a) | EventKind::Timeout(a, _) => self.actors[a].lp,
-            EventKind::Complete(c) => self.completions[c.0].lp,
-        }
+    /// Draw the next sequence number.
+    #[inline]
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
     }
 
     pub(crate) fn push_event(&mut self, time: Time, kind: EventKind) {
-        let cur = self.cur_lp;
-        let target = self.target_lp(kind);
-        if target == cur {
-            debug_assert!(
-                time >= self.lps[cur].now,
-                "cannot schedule into the past"
-            );
-        } else {
-            // The partition contract, enforced identically in both backends:
-            // an LP may only reach into another LP's future by at least the
-            // lookahead — that slack is what makes conservative parallel
-            // execution (and the LBTS bound) sound.
-            assert!(
-                time >= self.lps[cur].now.saturating_add(self.lookahead),
-                "cross-LP event from LP {cur} (now {}) to LP {target} at {} \
-                 violates the lookahead floor of {}",
-                crate::time::format(self.lps[cur].now),
-                crate::time::format(time),
-                crate::time::format(self.lookahead),
-            );
-        }
-        let seq = self.lps[cur].lseq * self.lps.len() as u64 + cur as u64;
-        self.lps[cur].lseq += 1;
-        let ev = Event { time, seq, kind };
-        if target == cur && time == self.lps[cur].now {
-            // Near bucket: all entries share `time == now` (the LP's clock
-            // cannot advance past a pending now-event, so the bucket drains
-            // before `now` moves) and FIFO order is sequence order — both
-            // hold only for the LP's own pushes, so cross-LP events always
-            // take the far heap.
-            self.lps[cur].near.push_back(ev);
+        debug_assert!(time >= self.now, "cannot schedule into the past");
+        let ev = Event {
+            time,
+            seq: self.next_seq(),
+            kind,
+        };
+        if time == self.now {
+            // FIFO order in the near bucket is sequence order: every entry
+            // was pushed at this very instant, in seq order.
+            self.near.push_back(ev);
         } else {
             self.heap_ops += 1;
-            self.lps[target].far.push(Reverse(ev));
+            self.far.push(Reverse(ev));
         }
     }
 
-    /// Dispatch one popped event: the one definition both run loops (the
-    /// sequential scheduler and every parallel worker) share, called under
-    /// the kernel lock they already hold. `Complete` and `Timeout` events
-    /// are handled entirely here; a `Wake` returns the actor to resume.
+    /// Dispatch one popped event, under the kernel guard the run loop
+    /// already holds. `Complete` and `Timeout` events are handled entirely
+    /// here; a `Wake` returns the actor to resume.
     #[inline]
-    pub(crate) fn dispatch(&mut self, lp: usize, event: Event) -> Option<ActorId> {
-        self.enter_lp(lp);
+    pub(crate) fn dispatch(&mut self, event: Event) -> Option<ActorId> {
         self.log_event(event.time, event.seq, event.kind);
         #[cfg(feature = "trace")]
         self.trace_dispatch(&event);
@@ -863,123 +608,68 @@ impl Kernel {
         }
     }
 
-    /// Pop the globally earliest pending event by `(time, seq)` — the
-    /// sequential backend's dispatch source. Returns the owning LP so the
-    /// engine can enter its context before processing.
-    pub(crate) fn pop_event(&mut self) -> Option<(usize, Event)> {
+    /// The earliest pending event by `(time, seq)`, and whether it sits in
+    /// the far heap.
+    #[inline]
+    fn head(&self) -> Option<(&Event, bool)> {
+        match (self.near.front(), self.far.peek()) {
+            (Some(n), Some(Reverse(f))) if f < n => Some((f, true)),
+            (Some(n), _) => Some((n, false)),
+            (None, Some(Reverse(f))) => Some((f, true)),
+            (None, None) => None,
+        }
+    }
+
+    /// Pop the earliest pending event by `(time, seq)` — or, with a
+    /// [`SchedulePolicy`] installed, the member of the earliest tie it picks.
+    pub(crate) fn pop_event(&mut self) -> Option<Event> {
         if self.policy.is_some() {
             return self.pop_event_policy();
         }
-        let (lp, take_far) = self.earliest_lp()?;
-        let ev = if take_far {
+        if self.head()?.1 {
             self.heap_ops += 1;
-            self.lps[lp].far.pop().map(|Reverse(e)| e)
+            self.far.pop().map(|Reverse(e)| e)
         } else {
-            self.lps[lp].near.pop_front()
-        };
-        ev.map(|e| (lp, e))
-    }
-
-    /// The LP holding the globally earliest pending event by `(time, seq)`,
-    /// and whether that event sits in the LP's far heap.
-    fn earliest_lp(&self) -> Option<(usize, bool)> {
-        let mut best: Option<(usize, Time, u64, bool)> = None;
-        for (i, q) in self.lps.iter().enumerate() {
-            if let Some((t, s, far)) = q.head() {
-                if best.map_or(true, |(_, bt, bs, _)| (t, s) < (bt, bs)) {
-                    best = Some((i, t, s, far));
-                }
-            }
+            self.near.pop_front()
         }
-        best.map(|(lp, _, _, far)| (lp, far))
     }
 
-    /// The actor the sequential scheduler will resume next, if the event a
-    /// policy-free [`Kernel::pop_event`] would return right now is a `Wake`.
+    /// The actor the scheduler will resume next, if the event a policy-free
+    /// [`Kernel::pop_event`] would return right now is a `Wake`.
     /// Read-only: the engine uses it purely as a cache-prefetch hint while
     /// it dispatches the current event, so the answer may go stale (the
     /// running actor can schedule something earlier, and a
     /// [`SchedulePolicy`] may pick another member of a tie) at no cost to
     /// correctness.
     pub(crate) fn peek_next_wake(&self) -> Option<ActorId> {
-        let (lp, far) = self.earliest_lp()?;
-        let q = &self.lps[lp];
-        let head = if far {
-            q.far.peek().map(|Reverse(e)| e)
-        } else {
-            q.near.front()
-        };
-        match head?.kind {
+        match self.head()?.0.kind {
             EventKind::Wake(a) => Some(a),
             EventKind::Complete(_) | EventKind::Timeout(..) => None,
         }
-    }
-
-    /// Pop the earliest *safe* event among `owned` LPs for a parallel
-    /// worker: the head must beat every other LP's lower bound (its clock if
-    /// a worker is inside it, else its queue head) plus the lookahead — the
-    /// null-message guarantee that nothing earlier can still arrive. On
-    /// success the LP is marked busy (its floor freezes at the event time)
-    /// until the engine calls [`Kernel::finish_lp`].
-    pub(crate) fn pop_safe(&mut self, owned: &[usize]) -> Option<(usize, Event)> {
-        debug_assert!(self.policy.is_none(), "policy runs on the sequential path");
-        let mut best: Option<(usize, Time, u64, bool)> = None;
-        for &i in owned {
-            let q = &self.lps[i];
-            if q.busy {
-                continue; // a worker is mid-event on this LP
-            }
-            if let Some((t, s, far)) = q.head() {
-                if best.map_or(true, |(_, bt, bs, _)| (t, s) < (bt, bs)) {
-                    best = Some((i, t, s, far));
-                }
-            }
-        }
-        let (lp, t, _, take_far) = best?;
-        if t >= self.lbts(lp) {
-            return None; // not yet safe; wait for neighbors to advance
-        }
-        self.lps[lp].busy = true;
-        let ev = if take_far {
-            self.heap_ops += 1;
-            self.lps[lp].far.pop().map(|Reverse(e)| e)
-        } else {
-            self.lps[lp].near.pop_front()
-        };
-        ev.map(|e| (lp, e))
-    }
-
-    /// Release an LP a worker finished processing an event on.
-    pub(crate) fn finish_lp(&mut self, lp: usize) {
-        debug_assert!(self.lps[lp].busy);
-        self.lps[lp].busy = false;
     }
 
     /// Policy-mediated pop: gather every event tied at the earliest pending
     /// time, let the [`SchedulePolicy`] pick one, and reinsert the rest with
     /// their original sequence numbers (so the un-chosen members of the tie
     /// keep their identity for later decision points).
-    fn pop_event_policy(&mut self) -> Option<(usize, Event)> {
+    fn pop_event_policy(&mut self) -> Option<Event> {
         let t = self.earliest_pending()?;
-        let mut ready: Vec<(usize, Event)> = Vec::new();
-        for lp in 0..self.lps.len() {
-            while self.lps[lp].far.peek().is_some_and(|Reverse(f)| f.time == t) {
-                self.heap_ops += 1;
-                let e = self.lps[lp].far.pop().map(|Reverse(e)| e).unwrap();
-                ready.push((lp, e));
-            }
-            // Near entries all share the LP's `now`; they tie only at it.
-            while self.lps[lp].near.front().is_some_and(|n| n.time == t) {
-                ready.push((lp, self.lps[lp].near.pop_front().unwrap()));
-            }
+        let mut ready: Vec<Event> = Vec::new();
+        while self.far.peek().is_some_and(|Reverse(f)| f.time == t) {
+            self.heap_ops += 1;
+            ready.push(self.far.pop().map(|Reverse(e)| e).unwrap());
         }
-        // Cross-LP sequence numbers interleave counters, so seq order needs
-        // an explicit sort (a no-op for the single-LP fast case).
-        ready.sort_unstable_by_key(|(_, e)| e.seq);
+        // Near entries all share `now`; they tie only at it.
+        while self.near.front().is_some_and(|n| n.time == t) {
+            ready.push(self.near.pop_front().unwrap());
+        }
+        // Already in seq order: a far event at `t` was pushed before the
+        // clock reached `t`, a near one after.
+        debug_assert!(ready.windows(2).all(|w| w[0].seq < w[1].seq));
         let choice = if ready.len() > 1 {
             let view: Vec<ReadyEvent> = ready
                 .iter()
-                .map(|(_, e)| ReadyEvent {
+                .map(|e| ReadyEvent {
                     time: e.time,
                     seq: e.seq,
                     kind: match e.kind {
@@ -1000,53 +690,34 @@ impl Kernel {
         } else {
             0
         };
-        let (lp, ev) = ready.remove(choice);
-        let k = self.lps.len() as u64;
-        for (l, e) in ready {
-            // Ties at the LP's own clock that the LP itself pushed go back
-            // to its near bucket — fully drained above, and reinsertion in
-            // seq order keeps its FIFO-by-seq invariant (the LP's own future
-            // pushes carry strictly larger seqs). Everything else, including
-            // any cross-LP arrival, returns to the far heap.
-            if e.time == self.lps[l].now && e.seq % k == l as u64 {
-                self.lps[l].near.push_back(e);
+        let ev = ready.remove(choice);
+        for e in ready {
+            // Ties at the current instant go back to the near bucket — fully
+            // drained above, and reinsertion in seq order keeps its
+            // FIFO-by-seq invariant (future pushes carry strictly larger
+            // seqs). Ties still ahead of the clock return to the far heap.
+            if e.time == self.now {
+                self.near.push_back(e);
             } else {
                 self.heap_ops += 1;
-                self.lps[l].far.push(Reverse(e));
+                self.far.push(Reverse(e));
             }
         }
-        Some((lp, ev))
+        Some(ev)
     }
 
-    /// Time of the earliest pending event across every LP, if any.
+    /// Time of the earliest pending event, if any.
+    #[inline]
     fn earliest_pending(&self) -> Option<Time> {
-        self.lps
-            .iter()
-            .filter_map(|q| q.head().map(|(t, _, _)| t))
-            .min()
-    }
-
-    /// Time of the earliest pending event targeting `lp`, if any.
-    fn lp_earliest(&self, lp: usize) -> Option<Time> {
-        self.lps[lp].head().map(|(t, _, _)| t)
+        self.head().map(|(e, _)| e.time)
     }
 
     /// Whether an actor resuming itself at `t` may take the scheduler-bypass
     /// fast path: its wake must be *strictly* earlier than every pending
     /// event. (An existing event at the same time holds a smaller sequence
-    /// number and must run first, so ties disqualify.) Under the parallel
-    /// backend only the actor's own LP and the cross-LP safe-time bound
-    /// matter — other LPs' queues are causally separated by the lookahead.
+    /// number and must run first, so ties disqualify.)
     pub(crate) fn bypass_eligible(&self, t: Time) -> bool {
-        if !self.fast_path {
-            return false;
-        }
-        if self.parallel {
-            self.lp_earliest(self.cur_lp).map_or(true, |p| t < p)
-                && t < self.lbts(self.cur_lp)
-        } else {
-            self.earliest_pending().map_or(true, |p| t < p)
-        }
+        self.fast_path && self.earliest_pending().map_or(true, |p| t < p)
     }
 
     /// Process an actor's own wake inline: consume the sequence number the
@@ -1057,14 +728,9 @@ impl Kernel {
     pub(crate) fn bypass_resume(&mut self, actor: ActorId, t: Time) {
         // Bugfix-by-construction: taking the fast path while any other event
         // is pending at an earlier-or-equal (time, sequence) would silently
-        // reorder the schedule — fail loudly instead. (Under the parallel
-        // backend the bound is per-LP: other LPs are lookahead-separated.)
+        // reorder the schedule — fail loudly instead.
         debug_assert!(
-            if self.parallel {
-                self.lp_earliest(self.cur_lp).map_or(true, |p| t < p)
-            } else {
-                self.earliest_pending().map_or(true, |p| t < p)
-            },
+            self.earliest_pending().map_or(true, |p| t < p),
             "fast path taken at t={t} while an earlier event is pending"
         );
         debug_assert_eq!(
@@ -1072,13 +738,7 @@ impl Kernel {
             ActorStatus::Running,
             "fast path requires the calling actor to be the running actor"
         );
-        debug_assert_eq!(
-            self.actors[actor].lp, self.cur_lp,
-            "fast path requires the current LP context to be the actor's"
-        );
-        let cur = self.cur_lp;
-        let seq = self.lps[cur].lseq * self.lps.len() as u64 + cur as u64;
-        self.lps[cur].lseq += 1;
+        let seq = self.next_seq();
         self.actors[actor].wake_epoch += 1; // voids outstanding timeouts
         self.actors[actor].recent.note(RecentOp::Bypassed(t));
         if self.trace {
@@ -1214,67 +874,21 @@ impl Kernel {
 
     // ----- completions ----------------------------------------------------
 
-    /// Create a fresh not-yet-done completion, homed on the current LP.
-    ///
-    /// The id is allocated from the current LP's private counter (packed as
-    /// `lid * num_lps + lp`, like event sequence numbers), so completion
-    /// ids are deterministic even when LPs allocate concurrently. With one
-    /// LP this is the plain dense counter it always was.
+    /// Create a fresh not-yet-done completion.
     pub fn new_completion(&mut self) -> CompletionId {
-        let k = self.lps.len();
-        let lp = self.cur_lp;
-        let lid = self.lps[lp].comp_lid;
-        self.lps[lp].comp_lid += 1;
-        let id = lid as usize * k + lp;
-        if self.completions.len() <= id {
-            // Uneven allocation across LPs leaves holes; fill with inert
-            // already-done placeholders nothing can reference.
-            self.completions.resize_with(id + 1, || CompletionState {
-                done: true,
-                waiters: Vec::new(),
-                lp: 0,
-            });
-        }
-        self.completions[id] = CompletionState {
-            done: false,
-            waiters: Vec::new(),
-            lp: self.cur_lp,
-        };
-        CompletionId(id)
+        self.completions.push(CompletionState::default());
+        CompletionId(self.completions.len() - 1)
     }
 
-    /// Allocate an actor id from the current LP's private counter (same
-    /// packing as [`Kernel::new_completion`]) and install `meta` there.
-    /// Slot-table holes left by uneven cross-LP allocation are inert
-    /// finished placeholders.
+    /// Install `meta` under the next actor id.
     pub(crate) fn alloc_actor(&mut self, meta: ActorMeta) -> ActorId {
-        let k = self.lps.len();
-        let lp = self.cur_lp;
-        let lid = self.lps[lp].actor_lid;
-        self.lps[lp].actor_lid += 1;
-        let id = lid as usize * k + lp;
-        if self.actors.len() <= id {
-            self.actors.resize_with(id + 1, || ActorMeta {
-                name: String::new(),
-                status: ActorStatus::Finished,
-                lp: 0,
-                exit: CompletionId(usize::MAX),
-                blocked_on: BlockKind::Start,
-                wake_epoch: 0,
-                timed_out: false,
-                blocked_since: 0,
-                recent: RecentRing::new(),
-            });
-        }
-        self.actors[id] = meta;
-        self.registered_actors += 1;
-        id
+        self.actors.push(meta);
+        self.actors.len() - 1
     }
 
-    /// Number of actors actually registered (the slot table may be longer:
-    /// uneven per-LP id allocation leaves placeholder holes).
+    /// Number of actors registered so far (ids are dense from 0).
     pub fn registered_actors(&self) -> usize {
-        self.registered_actors
+        self.actors.len()
     }
 
     /// Schedule `comp` to become done at `time`.
@@ -1600,8 +1214,7 @@ impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Kernel")
             .field("now", &self.now)
-            .field("lps", &self.lps.len())
-            .field("pending_events", &self.pending_events())
+            .field("pending_events", &(self.near.len() + self.far.len()))
             .field("actors", &self.actors.len())
             .field("live_actors", &self.live_actors)
             .field("resources", &self.resources.len())
@@ -1613,8 +1226,7 @@ impl std::fmt::Debug for Kernel {
 mod tests {
     use super::*;
 
-    /// Register `n` completions so tests can push `Complete` events (which
-    /// need a home LP to route by).
+    /// Register `n` completions so tests can push `Complete` events.
     fn completions(k: &mut Kernel, n: usize) -> Vec<CompletionId> {
         (0..n).map(|_| k.new_completion()).collect()
     }
@@ -1626,9 +1238,9 @@ mod tests {
         k.push_event(10, EventKind::Complete(c[0]));
         k.push_event(5, EventKind::Complete(c[1]));
         k.push_event(5, EventKind::Complete(c[2]));
-        assert_eq!(k.pop_event().unwrap().1.kind, EventKind::Complete(c[1]));
-        assert_eq!(k.pop_event().unwrap().1.kind, EventKind::Complete(c[2]));
-        assert_eq!(k.pop_event().unwrap().1.kind, EventKind::Complete(c[0]));
+        assert_eq!(k.pop_event().unwrap().kind, EventKind::Complete(c[1]));
+        assert_eq!(k.pop_event().unwrap().kind, EventKind::Complete(c[2]));
+        assert_eq!(k.pop_event().unwrap().kind, EventKind::Complete(c[0]));
         assert!(k.pop_event().is_none());
     }
 
@@ -1671,142 +1283,70 @@ mod tests {
         let c = completions(&mut k, 5);
         k.push_event(5, EventKind::Complete(c[0])); // far, seq 0
         k.push_event(3, EventKind::Complete(c[1])); // far, seq 1
-        let (_, e) = k.pop_event().unwrap();
+        let e = k.pop_event().unwrap();
         assert_eq!(e.kind, EventKind::Complete(c[1]));
         k.set_now(e.time);
-        let (_, e) = k.pop_event().unwrap();
+        let e = k.pop_event().unwrap();
         assert_eq!(e.kind, EventKind::Complete(c[0]));
         k.set_now(e.time); // now = 5
         k.push_event(5, EventKind::Complete(c[2])); // bucket
         k.push_event(5, EventKind::Complete(c[3])); // bucket
         k.push_event(9, EventKind::Complete(c[4])); // far
-        assert_eq!(k.pop_event().unwrap().1.kind, EventKind::Complete(c[2]));
-        assert_eq!(k.pop_event().unwrap().1.kind, EventKind::Complete(c[3]));
-        assert_eq!(k.pop_event().unwrap().1.kind, EventKind::Complete(c[4]));
+        assert_eq!(k.pop_event().unwrap().kind, EventKind::Complete(c[2]));
+        assert_eq!(k.pop_event().unwrap().kind, EventKind::Complete(c[3]));
+        assert_eq!(k.pop_event().unwrap().kind, EventKind::Complete(c[4]));
         assert!(k.pop_event().is_none());
     }
 
     #[test]
     fn near_far_boundary_is_exact() {
-        // The near window is zero-width: an event at exactly the LP's `now`
+        // The near window is zero-width: an event at exactly `now`
         // lands in the near bucket, one nanosecond later goes to the heap.
         // Pinned at the boundary and boundary+1 because the bucket's FIFO
         // invariant only holds for events *at* the current instant.
         let mut k = Kernel::new();
         let c = completions(&mut k, 3);
-        let (_, e) = {
-            k.push_event(7, EventKind::Complete(c[0]));
-            k.pop_event().unwrap()
-        };
+        k.push_event(7, EventKind::Complete(c[0]));
+        let e = k.pop_event().unwrap();
         k.set_now(e.time); // now = 7
         let heap_before = k.heap_ops;
         k.push_event(7, EventKind::Complete(c[1])); // boundary: near
         assert_eq!(k.heap_ops, heap_before, "event at now must take the near bucket");
-        assert_eq!(k.lps[0].near.len(), 1);
+        assert_eq!(k.near.len(), 1);
         k.push_event(8, EventKind::Complete(c[2])); // boundary+1: far
         assert_eq!(k.heap_ops, heap_before + 1, "event at now+1 must take the far heap");
-        assert_eq!(k.lps[0].far.len(), 1);
+        assert_eq!(k.far.len(), 1);
+    }
+
+    /// An actor record for tests: blocked before its first wake.
+    fn meta(name: &str, exit: CompletionId) -> ActorMeta {
+        ActorMeta {
+            name: name.into(),
+            status: ActorStatus::Blocked,
+            exit,
+            blocked_on: BlockKind::Start,
+            wake_epoch: 0,
+            timed_out: false,
+            blocked_since: 0,
+            recent: RecentRing::new(),
+        }
     }
 
     #[test]
-    fn near_far_boundary_is_per_lp_and_cross_lp_goes_far() {
-        // Under partitioning the boundary is the *LP's own* clock, and a
-        // cross-LP push never takes the near bucket even when it ties the
-        // target's clock — its sender-drawn seq would break FIFO-by-seq.
+    fn ids_and_seqs_are_dense_in_allocation_order() {
         let mut k = Kernel::new();
-        k.set_lp_count(2);
-        k.set_lookahead(5);
-        k.enter_lp(0);
-        let c0 = k.new_completion(); // homed on LP 0
-        k.enter_lp(1);
-        let c1 = k.new_completion(); // homed on LP 1
-        let c1b = k.new_completion(); // homed on LP 1
-
-        // LP 1 schedules onto itself at its own now (= 0): near.
-        k.push_event(0, EventKind::Complete(c1));
-        assert_eq!(k.lps[1].near.len(), 1);
-        // ... and at now+1: far.
-        k.push_event(1, EventKind::Complete(c1b));
-        assert_eq!(k.lps[1].far.len(), 1);
-
-        // LP 1 pushes to LP 0 at exactly LP 0's now + lookahead — legal,
-        // but it must land in LP 0's far heap, not its near bucket.
-        k.push_event(5, EventKind::Complete(c0));
-        assert_eq!(k.lps[0].near.len(), 0, "cross-LP events must not enter near");
-        assert_eq!(k.lps[0].far.len(), 1);
-    }
-
-    #[test]
-    fn packed_seqs_interleave_lp_counters() {
-        let mut k = Kernel::new();
-        k.set_lp_count(2);
-        k.enter_lp(0);
-        let a = k.new_completion();
-        let b = k.new_completion();
-        k.enter_lp(1);
-        let c = k.new_completion();
-        k.enter_lp(0);
-        k.push_event(3, EventKind::Complete(a)); // LP0 lseq 0 -> seq 0
-        k.push_event(4, EventKind::Complete(b)); // LP0 lseq 1 -> seq 2
-        k.enter_lp(1);
-        k.push_event(3, EventKind::Complete(c)); // LP1 lseq 0 -> seq 1
-        let (lp, e) = k.pop_event().unwrap();
-        assert_eq!((lp, e.seq), (0, 0));
-        let (lp, e) = k.pop_event().unwrap();
-        assert_eq!((lp, e.seq), (1, 1), "time tie breaks by packed seq across LPs");
-        let (lp, e) = k.pop_event().unwrap();
-        assert_eq!((lp, e.seq), (0, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "violates the lookahead floor")]
-    fn cross_lp_push_below_lookahead_panics() {
-        let mut k = Kernel::new();
-        k.set_lp_count(2);
-        k.set_lookahead(10);
-        k.enter_lp(0);
-        let c = k.new_completion();
-        k.enter_lp(1);
-        k.push_event(9, EventKind::Complete(c)); // 9 < now(0) + 10
-    }
-
-    #[test]
-    #[should_panic(expected = "before any spawn, completion or event")]
-    fn lp_count_is_frozen_once_events_exist() {
-        let mut k = Kernel::new();
-        let c = k.new_completion();
-        k.push_event(1, EventKind::Complete(c));
-        k.set_lp_count(2);
-    }
-
-    #[test]
-    fn pop_safe_respects_neighbor_floors() {
-        let mut k = Kernel::new();
-        k.set_lp_count(2);
-        k.set_lookahead(5);
-        k.set_parallel_mode(true);
-        k.enter_lp(0);
-        let a = k.new_completion();
-        k.push_event(20, EventKind::Complete(a)); // LP0 head at 20
-        k.enter_lp(1);
-        let b = k.new_completion();
-        k.push_event(3, EventKind::Complete(b)); // LP1 head at 3
-        // LP0's head (20) is not safe: LP1 could still emit up to 3+5=8.
-        assert_eq!(k.lbts(0), 8);
-        assert!(k.pop_safe(&[0]).is_none());
-        // LP1's head (3) is safe: LP0 cannot emit before 20+5.
-        let (lp, e) = k.pop_safe(&[1]).expect("LP1 head is safe");
-        assert_eq!((lp, e.time), (1, 3));
-        assert!(k.lps[1].busy, "popped LP is held busy until finish_lp");
-        // While LP1 is busy its floor is its clock, not its (empty) queue.
-        k.enter_lp(1);
-        k.set_now(3);
-        assert_eq!(k.lbts(0), 8);
-        k.finish_lp(1);
-        // Idle + empty LP1 constrains nobody: LP0's head becomes safe.
-        assert_eq!(k.lbts(0), Time::MAX);
-        let (lp, e) = k.pop_safe(&[0]).expect("LP0 head safe once LP1 drained");
-        assert_eq!((lp, e.time), (0, 20));
+        let c = completions(&mut k, 2);
+        assert_eq!(c, [CompletionId(0), CompletionId(1)]);
+        let a = k.alloc_actor(meta("a", c[1]));
+        let b = k.alloc_actor(meta("b", c[0]));
+        assert_eq!((a, b), (0, 1));
+        assert_eq!(k.new_completion(), CompletionId(2));
+        assert_eq!(k.registered_actors(), k.actors.len());
+        k.push_event(4, EventKind::Complete(c[0])); // seq 0
+        k.push_event(3, EventKind::Wake(b)); // seq 1
+        k.push_event(3, EventKind::Complete(c[1])); // seq 2
+        let seqs: Vec<u64> = std::iter::from_fn(|| k.pop_event().map(|e| e.seq)).collect();
+        assert_eq!(seqs, [1, 2, 0], "(time, seq) order over one counter");
     }
 
     #[test]
@@ -1830,7 +1370,6 @@ mod tests {
         k.actors.push(ActorMeta {
             name: "a".into(),
             status: ActorStatus::Running,
-            lp: 0,
             exit,
             blocked_on: BlockKind::Start,
             wake_epoch: 3,
@@ -1851,70 +1390,61 @@ mod tests {
         // the consumed sequence number is gone: the next push gets seq 1
         let c = k.new_completion();
         k.push_event(50, EventKind::Complete(c));
-        assert_eq!(k.pop_event().unwrap().1.seq, 1);
+        assert_eq!(k.pop_event().unwrap().seq, 1);
     }
 
-    /// A kernel with `lps` LPs (lookahead 5), one completion and one actor
-    /// homed on each: actor `i` and `comps[i]` live on LP `i`.
-    fn peek_fixture(lps: usize) -> (Kernel, Vec<CompletionId>) {
+    /// A kernel with three actors and three completions to schedule for.
+    fn peek_fixture() -> (Kernel, Vec<CompletionId>) {
         let mut k = Kernel::new();
-        k.set_lp_count(lps);
-        k.set_lookahead(5);
-        let comps: Vec<CompletionId> = (0..lps)
-            .map(|lp| {
-                k.enter_lp(lp);
-                k.new_completion()
-            })
-            .collect();
-        for (lp, &exit) in comps.iter().enumerate() {
-            k.actors.push(ActorMeta {
-                name: format!("a{lp}"),
-                status: ActorStatus::Blocked,
-                lp,
-                exit,
-                blocked_on: BlockKind::Start,
-                wake_epoch: 0,
-                timed_out: false,
-                blocked_since: 0,
-                recent: RecentRing::new(),
-            });
+        let comps = completions(&mut k, 3);
+        for (i, &exit) in comps.iter().enumerate() {
+            k.alloc_actor(meta(&format!("a{i}"), exit));
         }
-        k.enter_lp(0);
         (k, comps)
     }
 
-    /// Pop the next event the way the sequential loop does, first checking
-    /// that `peek_next_wake` predicted it. Returns the LP it ran on.
-    fn pop_checking_peek(k: &mut Kernel) -> Option<usize> {
+    /// Pop the next event the way the run loop does, first checking that
+    /// `peek_next_wake` predicted it. Returns whether there was one.
+    fn pop_checking_peek(k: &mut Kernel) -> bool {
         let hint = k.peek_next_wake();
-        let (lp, e) = k.pop_event()?;
+        let Some(e) = k.pop_event() else {
+            return false;
+        };
         let woken = match e.kind {
             EventKind::Wake(a) => Some(a),
             EventKind::Complete(_) | EventKind::Timeout(..) => None,
         };
         assert_eq!(hint, woken, "peek disagrees with the pop of {e:?}");
-        k.enter_lp(lp);
         k.set_now(e.time);
-        Some(lp)
+        true
     }
 
     #[test]
-    fn peek_next_wake_follows_near_far_and_lp_order() {
-        let (mut k, c) = peek_fixture(2);
+    fn peek_next_wake_follows_near_far_and_seq_order() {
+        let (mut k, c) = peek_fixture();
         assert_eq!(k.peek_next_wake(), None, "empty queue");
-        k.push_event(4, EventKind::Wake(0)); // LP0 far, seq 0
+        k.push_event(4, EventKind::Wake(0)); // far, seq 0
         assert_eq!(k.peek_next_wake(), Some(0));
-        k.push_event(0, EventKind::Complete(c[0])); // LP0 near: earlier, not a wake
+        k.push_event(0, EventKind::Complete(c[0])); // near: earlier, not a wake
         assert_eq!(k.peek_next_wake(), None, "a Complete at the head is no hint");
-        assert_eq!(pop_checking_peek(&mut k), Some(0));
-        k.push_event(5, EventKind::Wake(1)); // cross-LP, LP1 far
-        k.push_event(5, EventKind::Timeout(1, 0)); // cross-LP, same time, later seq
-        assert_eq!(k.peek_next_wake(), Some(0));
-        assert_eq!(pop_checking_peek(&mut k), Some(0)); // Wake(0) at 4
+        assert!(pop_checking_peek(&mut k));
+        k.push_event(5, EventKind::Wake(1)); // far, seq 2
+        k.push_event(5, EventKind::Timeout(1, 0)); // far, same time, seq 3
+        assert!(pop_checking_peek(&mut k)); // Wake(0) at 4
+        k.push_event(4, EventKind::Wake(2)); // near at now = 4: before the far 5s
+        assert_eq!(k.peek_next_wake(), Some(2));
+        assert!(pop_checking_peek(&mut k));
         assert_eq!(k.peek_next_wake(), Some(1));
-        assert_eq!(pop_checking_peek(&mut k), Some(1)); // Wake(1) at 5
-        assert_eq!(k.peek_next_wake(), None, "a Timeout at the head is no hint");
-        assert_eq!(pop_checking_peek(&mut k), Some(1));
+        assert!(pop_checking_peek(&mut k)); // Wake(1) at 5
+        k.push_event(5, EventKind::Wake(0)); // near at now = 5, seq 5
+        assert_eq!(
+            k.peek_next_wake(),
+            None,
+            "the far Timeout ties at 5 with a smaller seq: it is the head"
+        );
+        assert!(pop_checking_peek(&mut k));
+        assert_eq!(k.peek_next_wake(), Some(0));
+        assert!(pop_checking_peek(&mut k));
         assert_eq!(k.peek_next_wake(), None);
         assert!(k.pop_event().is_none());
     }
@@ -1980,34 +1510,28 @@ mod tests {
             }
         }
 
-        /// Over random near / far / cross-LP pushes interleaved with pops,
+        /// Over random near / far pushes interleaved with pops,
         /// `peek_next_wake` names exactly the actor the very next
         /// `pop_event` wakes (and nothing when that event is not a wake).
         #[test]
         fn peek_next_wake_agrees_with_next_pop(
-            lps in 1usize..4,
             script in proptest::collection::vec(proptest::any::<u32>(), 0..96),
         ) {
-            let (mut k, comps) = peek_fixture(lps);
-            // Pushes come from the LP that ran last: its clock is the global
-            // clock, as it is for any running actor.
-            let mut cur = 0;
+            let (mut k, comps) = peek_fixture();
             for word in script {
-                let (op, target, dt) = (word & 3, (word >> 2) as usize % lps, (word >> 8) % 4);
+                let (op, target, dt) = (word & 3, (word >> 2) as usize % comps.len(), (word >> 8) % 4);
                 if op == 3 {
-                    cur = pop_checking_peek(&mut k).unwrap_or(cur);
+                    pop_checking_peek(&mut k);
                     continue;
                 }
-                k.enter_lp(cur);
-                let floor = if target == cur { 0 } else { k.lookahead() };
                 let kind = match op {
                     0 => EventKind::Wake(target),
                     1 => EventKind::Complete(comps[target]),
                     _ => EventKind::Timeout(target, 0),
                 };
-                k.push_event(k.lps[cur].now + floor + dt as Time, kind);
+                k.push_event(k.now() + dt as Time, kind);
             }
-            while pop_checking_peek(&mut k).is_some() {}
+            while pop_checking_peek(&mut k) {}
         }
     }
 }

@@ -12,23 +12,15 @@
 //! Every simulated execution stream (a UPC thread, a sub-thread, an MPI rank)
 //! is an **actor**: a stackful coroutine that runs user Rust code, resumed in
 //! place by the scheduler (see [`ActorBackend`]; a portable one-OS-thread-
-//! per-actor fallback implements the same protocol). On the default
-//! sequential backend exactly one actor runs at any instant; an actor
-//! executes until it performs a *simcall* ([`Ctx::advance`],
-//! [`Ctx::acquire`], [`Ctx::wait`], [`Ctx::barrier_wait`], …), at which
-//! point control switches back to the central scheduler. The scheduler pops
-//! the event queue in `(virtual_time, sequence)` order and resumes the next
-//! runnable actor. This makes every run bit-for-bit deterministic while
-//! still letting user code use plain Rust data structures.
-//!
-//! The simulation can additionally be partitioned into **logical processes**
-//! ([`Simulation::set_lp_count`], [`Simulation::spawn_on`]) and dispatched
-//! on multiple host cores with [`SimBackend::Parallel`] — a conservative
-//! parallel engine using cross-LP lookahead ([`Simulation::set_lookahead`])
-//! for synchronization. Actors on the *same* LP still never run
-//! concurrently (so [`SimCell`] sharing stays LP-local), and virtual-time
-//! behavior — events, times, sequence numbers — is identical to the
-//! sequential backend. See DESIGN.md §12.
+//! per-actor fallback implements the same protocol). Exactly one actor runs
+//! at any instant; an actor executes until it performs a *simcall*
+//! ([`Ctx::advance`], [`Ctx::acquire`], [`Ctx::wait`], [`Ctx::barrier_wait`],
+//! …), at which point control switches back to the central scheduler. The
+//! scheduler pops its one event queue in `(virtual_time, sequence)` order
+//! and resumes the next runnable actor. This makes every run bit-for-bit
+//! deterministic while still letting user code use plain Rust data
+//! structures. (The simulated machine is hierarchical; the simulator's own
+//! host-thread parallelism is not — DESIGN.md §12 records why.)
 //!
 //! Because an actor is a heap stack plus a saved register file — not a kernel
 //! thread — a handoff costs ~100ns of user-space register swapping and a
@@ -44,7 +36,7 @@
 //!
 //! A simcall whose resulting wake is provably the next event to run and
 //! resumes the *same* actor (a plain advance, an uncontended resource
-//! charge) is processed inline under the kernel lock — the actor keeps
+//! charge) is processed inline under the kernel guard — the actor keeps
 //! running with no scheduler handoff at all. Virtual-time behavior is
 //! bit-identical with the fast path on or off (same events, times and
 //! sequence numbers); only host speed and the [`SimulationStats`] counters
@@ -79,8 +71,8 @@ pub mod time;
 
 pub use cell::SimCell;
 pub use engine::{
-    ActorBackend, ActorRef, Ctx, SimBackend, SimError, SimResult, Simulation,
-    SimulationStats, WaitTimedOut, DEFAULT_STACK_SIZE,
+    ActorBackend, ActorRef, Ctx, SimError, SimResult, Simulation, SimulationStats, WaitTimedOut,
+    DEFAULT_STACK_SIZE,
 };
 pub use kernel::{
     BarrierId, CompletionId, CondId, Kernel, MutexId, ReadyEvent, ReadyEventKind, ResourceId,
