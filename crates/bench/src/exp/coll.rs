@@ -13,9 +13,8 @@
 //! message coalescing (one message per destination *node*) is the whole
 //! effect.
 //!
-//! The binary writes `BENCH_coll.json`; with `--check <path>` it fails
-//! when the headline broadcast/allreduce speedups drop below 2x (or below
-//! half the committed baseline on full runs) — the CI perf-smoke gate.
+//! Virtual time is deterministic, so the headline broadcast / allreduce
+//! speedups are pinned by a unit test on the quick slice.
 
 use std::sync::Arc;
 
@@ -23,60 +22,6 @@ use hupc::prelude::*;
 use hupc::sim::time;
 
 use crate::Table;
-
-/// The numbers `BENCH_coll.json` records.
-#[derive(Clone, Copy, Debug)]
-pub struct CollMetrics {
-    pub threads: f64,
-    pub bcast_flat_ms: f64,
-    pub bcast_hier_ms: f64,
-    pub bcast_speedup: f64,
-    pub allreduce_flat_ms: f64,
-    pub allreduce_hier_ms: f64,
-    pub allreduce_speedup: f64,
-    pub allgather_flat_ms: f64,
-    pub allgather_hier_ms: f64,
-    pub allgather_speedup: f64,
-    pub exchange_flat_ms: f64,
-    pub exchange_hier_ms: f64,
-    pub exchange_speedup: f64,
-    pub barrier_flat_us: f64,
-    pub barrier_hier_us: f64,
-    pub barrier_speedup: f64,
-}
-
-impl CollMetrics {
-    /// Flat JSON object, one numeric field per metric (the shape
-    /// [`crate::exp::simcore::json_number`] reads).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"threads\": {:.0},\n  \"bcast_flat_ms\": {:.3},\n  \
-             \"bcast_hier_ms\": {:.3},\n  \"bcast_speedup\": {:.2},\n  \
-             \"allreduce_flat_ms\": {:.3},\n  \"allreduce_hier_ms\": {:.3},\n  \
-             \"allreduce_speedup\": {:.2},\n  \"allgather_flat_ms\": {:.3},\n  \
-             \"allgather_hier_ms\": {:.3},\n  \"allgather_speedup\": {:.2},\n  \
-             \"exchange_flat_ms\": {:.3},\n  \"exchange_hier_ms\": {:.3},\n  \
-             \"exchange_speedup\": {:.2},\n  \"barrier_flat_us\": {:.3},\n  \
-             \"barrier_hier_us\": {:.3},\n  \"barrier_speedup\": {:.2}\n}}\n",
-            self.threads,
-            self.bcast_flat_ms,
-            self.bcast_hier_ms,
-            self.bcast_speedup,
-            self.allreduce_flat_ms,
-            self.allreduce_hier_ms,
-            self.allreduce_speedup,
-            self.allgather_flat_ms,
-            self.allgather_hier_ms,
-            self.allgather_speedup,
-            self.exchange_flat_ms,
-            self.exchange_hier_ms,
-            self.exchange_speedup,
-            self.barrier_flat_us,
-            self.barrier_hier_us,
-            self.barrier_speedup,
-        )
-    }
-}
 
 /// Virtual seconds one collective `op` takes: barrier, timestamp, op,
 /// barrier, timestamp — measured on thread 0 (the closing barrier makes
@@ -145,7 +90,13 @@ fn exchange_seconds(spec: &MachineSpec, threads: usize, nodes: usize, hier: bool
     time::as_secs_f64(Arc::try_unwrap(dt).expect("job done").into_inner())
 }
 
-pub fn run(quick: bool) -> (Vec<Table>, CollMetrics) {
+/// One table row: operation, payload, flat and hierarchical virtual
+/// seconds.
+type Row = (&'static str, String, f64, f64);
+
+/// Run every operation flat and hierarchical; returns the table title and
+/// its rows.
+fn measure(quick: bool) -> (String, Vec<Row>) {
     // Pyramid slice for the rooted/staged ops; Lehman for the all-to-all.
     let pyramid = MachineSpec::pyramid();
     let lehman = MachineSpec::lehman();
@@ -179,114 +130,82 @@ pub fn run(quick: bool) -> (Vec<Table>, CollMetrics) {
             upc.staged_barrier();
         }
     };
-
-    let bcast_flat = op_seconds(&pyramid, py_threads, py_nodes, false, bcast);
-    let bcast_hier = op_seconds(&pyramid, py_threads, py_nodes, true, bcast);
-    let red_flat = op_seconds(&pyramid, py_threads, py_nodes, false, allreduce);
-    let red_hier = op_seconds(&pyramid, py_threads, py_nodes, true, allreduce);
-    let gat_flat = op_seconds(&pyramid, py_threads, py_nodes, false, allgather);
-    let gat_hier = op_seconds(&pyramid, py_threads, py_nodes, true, allgather);
-    let bar_flat = op_seconds(&pyramid, py_threads, py_nodes, false, barrier);
-    let bar_hier = op_seconds(&pyramid, py_threads, py_nodes, true, barrier);
-    let exch_flat = exchange_seconds(&lehman, le_threads, le_nodes, false, bw);
-    let exch_hier = exchange_seconds(&lehman, le_threads, le_nodes, true, bw);
-
-    let m = CollMetrics {
-        threads: py_threads as f64,
-        bcast_flat_ms: bcast_flat * 1e3,
-        bcast_hier_ms: bcast_hier * 1e3,
-        bcast_speedup: bcast_flat / bcast_hier,
-        allreduce_flat_ms: red_flat * 1e3,
-        allreduce_hier_ms: red_hier * 1e3,
-        allreduce_speedup: red_flat / red_hier,
-        allgather_flat_ms: gat_flat * 1e3,
-        allgather_hier_ms: gat_hier * 1e3,
-        allgather_speedup: gat_flat / gat_hier,
-        exchange_flat_ms: exch_flat * 1e3,
-        exchange_hier_ms: exch_hier * 1e3,
-        exchange_speedup: exch_flat / exch_hier,
-        barrier_flat_us: bar_flat * 1e6 / barrier_reps as f64,
-        barrier_hier_us: bar_hier * 1e6 / barrier_reps as f64,
-        barrier_speedup: bar_flat / bar_hier,
-    };
-
-    let mut t = Table::new(
-        format!(
-            "Collectives — flat vs hierarchical (pyramid {py_nodes} nodes × 8 = {py_threads} \
-             threads; all-to-all on lehman {le_nodes} × 8 = {le_threads})"
+    let title = format!(
+        "Collectives — flat vs hierarchical (pyramid {py_nodes} nodes × 8 = {py_threads} \
+         threads; all-to-all on lehman {le_nodes} × 8 = {le_threads})"
+    );
+    let rows = vec![
+        (
+            "broadcast",
+            format!("{bcast_words} words"),
+            op_seconds(&pyramid, py_threads, py_nodes, false, bcast),
+            op_seconds(&pyramid, py_threads, py_nodes, true, bcast),
         ),
+        (
+            "allreduce (vec)",
+            format!("{red_words} words"),
+            op_seconds(&pyramid, py_threads, py_nodes, false, allreduce),
+            op_seconds(&pyramid, py_threads, py_nodes, true, allreduce),
+        ),
+        (
+            "allgather",
+            format!("{gather_words} words/thread"),
+            op_seconds(&pyramid, py_threads, py_nodes, false, allgather),
+            op_seconds(&pyramid, py_threads, py_nodes, true, allgather),
+        ),
+        (
+            "all-to-all",
+            format!("{bw} words/pair"),
+            exchange_seconds(&lehman, le_threads, le_nodes, false, bw),
+            exchange_seconds(&lehman, le_threads, le_nodes, true, bw),
+        ),
+        (
+            "barrier",
+            format!("{barrier_reps} reps"),
+            op_seconds(&pyramid, py_threads, py_nodes, false, barrier),
+            op_seconds(&pyramid, py_threads, py_nodes, true, barrier),
+        ),
+    ];
+    (title, rows)
+}
+
+pub fn run(quick: bool) -> Vec<Table> {
+    let (title, rows) = measure(quick);
+    let mut t = Table::new(
+        title,
         &["operation", "payload", "flat (virt)", "hier (virt)", "speedup"],
     );
     let ms = |s: f64| format!("{:.3} ms", s * 1e3);
-    t.row(vec![
-        "broadcast".into(),
-        format!("{bcast_words} words"),
-        ms(bcast_flat),
-        ms(bcast_hier),
-        format!("{:.2}x", m.bcast_speedup),
-    ]);
-    t.row(vec![
-        "allreduce (vec)".into(),
-        format!("{red_words} words"),
-        ms(red_flat),
-        ms(red_hier),
-        format!("{:.2}x", m.allreduce_speedup),
-    ]);
-    t.row(vec![
-        "allgather".into(),
-        format!("{gather_words} words/thread"),
-        ms(gat_flat),
-        ms(gat_hier),
-        format!("{:.2}x", m.allgather_speedup),
-    ]);
-    t.row(vec![
-        "all-to-all".into(),
-        format!("{bw} words/pair"),
-        ms(exch_flat),
-        ms(exch_hier),
-        format!("{:.2}x", m.exchange_speedup),
-    ]);
-    t.row(vec![
-        "barrier".into(),
-        format!("{barrier_reps} reps"),
-        ms(bar_flat),
-        ms(bar_hier),
-        format!("{:.2}x", m.barrier_speedup),
-    ]);
-
-    (vec![t], m)
+    for (op, payload, flat, hier) in rows {
+        t.row(vec![
+            op.into(),
+            payload,
+            ms(flat),
+            ms(hier),
+            format!("{:.2}x", flat / hier),
+        ]);
+    }
+    vec![t]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exp::simcore::json_number;
 
+    /// The headline speedups on the quick Pyramid slice (16 nodes × 8):
+    /// hierarchical broadcast and allreduce stay at least 2x ahead of flat
+    /// (measured 2.16x and 17.89x).
     #[test]
-    fn json_round_trips_through_the_checker() {
-        let m = CollMetrics {
-            threads: 1024.0,
-            bcast_flat_ms: 10.5,
-            bcast_hier_ms: 2.1,
-            bcast_speedup: 5.0,
-            allreduce_flat_ms: 8.0,
-            allreduce_hier_ms: 1.0,
-            allreduce_speedup: 8.0,
-            allgather_flat_ms: 3.0,
-            allgather_hier_ms: 1.5,
-            allgather_speedup: 2.0,
-            exchange_flat_ms: 4.0,
-            exchange_hier_ms: 2.0,
-            exchange_speedup: 2.0,
-            barrier_flat_us: 9.0,
-            barrier_hier_us: 4.5,
-            barrier_speedup: 2.0,
+    fn quick_slice_keeps_bcast_and_allreduce_twice_as_fast() {
+        let (_, rows) = measure(true);
+        let speedup = |op: &str| {
+            let (_, _, flat, hier) = rows.iter().find(|r| r.0 == op).unwrap();
+            flat / hier
         };
-        let j = m.to_json();
-        assert_eq!(json_number(&j, "bcast_speedup"), Some(5.0));
-        assert_eq!(json_number(&j, "allreduce_speedup"), Some(8.0));
-        assert_eq!(json_number(&j, "barrier_hier_us"), Some(4.5));
-        assert_eq!(json_number(&j, "missing"), None);
+        let bcast = speedup("broadcast");
+        let allreduce = speedup("allreduce (vec)");
+        assert!(bcast >= 2.0, "broadcast speedup {bcast:.2}x < 2x");
+        assert!(allreduce >= 2.0, "allreduce speedup {allreduce:.2}x < 2x");
     }
 
     #[test]

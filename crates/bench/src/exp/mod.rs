@@ -1,4 +1,5 @@
-//! One module per table / figure of the thesis' evaluation.
+//! One module per table / figure of the thesis' evaluation, plus the
+//! collectives, serving and workload-registry tables.
 
 pub mod ablation;
 pub mod apps;
@@ -10,9 +11,7 @@ pub mod fig_4_2;
 pub mod fig_4_4;
 pub mod fig_4_5;
 pub mod fig_4_6;
-pub mod hostkern;
 pub mod serve;
-pub mod simcore;
 pub mod table_3_1;
 #[cfg(feature = "trace")]
 pub mod trace;
@@ -25,9 +24,11 @@ use crate::Table;
 /// generator (`quick` in, tables out).
 pub type Experiment = (&'static str, fn(bool) -> Vec<Table>);
 
-/// Every thesis table and figure plus the two sweeps built on them, in
-/// thesis order — the one list behind `repro <name>` and `all_experiments`.
-pub const EXPERIMENTS: [Experiment; 11] = [
+/// Every thesis table and figure in thesis order, then the tables the
+/// subsystems beyond the thesis are judged by (hierarchical collectives,
+/// KV serving, the workload-registry sweep) — the one list behind
+/// `repro <name>` and `all_experiments`.
+pub const EXPERIMENTS: [Experiment; 14] = [
     ("table_3_1", table_3_1::run),
     ("fig_3_3", fig_3_3::run),
     ("table_3_2", table_3_2::run),
@@ -39,6 +40,9 @@ pub const EXPERIMENTS: [Experiment; 11] = [
     ("fig_4_6", fig_4_6::run),
     ("ablation", ablation::run),
     ("fault_uts", fault_uts::run),
+    ("coll", coll::run),
+    ("serve", serve::run),
+    ("apps", apps::run),
 ];
 
 /// `repro` was asked for a name that is not in [`EXPERIMENTS`].

@@ -1,22 +1,51 @@
-//! Table rendering, CSV output and the shared `--check` regression-gate
-//! machinery for the experiment binaries.
+//! Table rendering, CSV output and the command line shared by the
+//! experiment binaries.
 
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Command-line options shared by every experiment binary.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Args {
     pub csv: Option<PathBuf>,
     pub quick: bool,
-    /// Baseline JSON to compare against (the perf-smoke binaries).
-    pub check: Option<PathBuf>,
-    /// `all_experiments` only: run just the workload-registry sweep.
-    pub smoke: bool,
 }
 
-/// Parse `--csv <path>`, `--quick`, `--smoke` and `--check <path>` from
-/// `std::env::args`; anything else is a usage error.
+/// Split a command line (program name already stripped) into the shared
+/// options — `--quick` and `--csv <path>` — and the positional arguments,
+/// in order. Any other `-` argument, or `--csv` without its path, is an
+/// `Err` carrying the one-line message to print.
+fn parse(argv: impl IntoIterator<Item = String>) -> Result<(Args, Vec<String>), String> {
+    let mut out = Args::default();
+    let mut names = Vec::new();
+    let mut it = argv.into_iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--quick" => out.quick = true,
+            "--csv" => out.csv = Some(it.next().ok_or("--csv needs a path")?.into()),
+            flag if flag.starts_with('-') => return Err(format!("unknown argument: {flag}")),
+            _ => names.push(a),
+        }
+    }
+    Ok((out, names))
+}
+
+/// [`parse`] over `std::env::args` for `repro`: `--help` prints the usage
+/// line and exits 0, a malformed command line prints its error and exits 2.
+pub fn parse_args_with_names() -> (Args, Vec<String>) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!("usage: <experiment> [--quick] [--csv <path>]");
+        std::process::exit(0);
+    }
+    parse(argv).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// [`parse_args_with_names`] for binaries that take no positional
+/// arguments: any name is a usage error too.
 pub fn parse_args() -> Args {
     let (args, names) = parse_args_with_names();
     if let Some(other) = names.first() {
@@ -24,149 +53,6 @@ pub fn parse_args() -> Args {
         std::process::exit(2);
     }
     args
-}
-
-/// [`parse_args`] for `repro`: positional arguments (experiment names) are
-/// returned in order instead of being rejected.
-pub fn parse_args_with_names() -> (Args, Vec<String>) {
-    let mut out = Args::default();
-    let mut names = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--csv" => {
-                out.csv = Some(PathBuf::from(
-                    it.next().expect("--csv requires a path argument"),
-                ));
-            }
-            "--check" => {
-                out.check = Some(PathBuf::from(
-                    it.next().expect("--check requires a path argument"),
-                ));
-            }
-            "--quick" => out.quick = true,
-            "--smoke" => out.smoke = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: <experiment> [--quick] [--smoke] [--csv <path>] \
-                     [--check <baseline.json>]"
-                );
-                std::process::exit(0);
-            }
-            flag if flag.starts_with('-') => {
-                eprintln!("unknown argument: {flag}");
-                std::process::exit(2);
-            }
-            name => names.push(name.to_string()),
-        }
-    }
-    (out, names)
-}
-
-/// Pull one numeric field out of a flat JSON object (the shape every
-/// `BENCH_*.json` metrics file writes). Enough of a parser for `--check`;
-/// no strings, no nesting.
-pub fn json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Read a committed baseline file and extract `keys`, panicking with the
-/// offending path/key on any miss — the shared head of every perf-smoke
-/// binary's `--check` path.
-pub fn baseline_metrics(path: &Path, keys: &[&str]) -> Vec<f64> {
-    let s = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-    keys.iter()
-        .map(|key| {
-            json_number(&s, key).unwrap_or_else(|| panic!("no {key} in {}", path.display()))
-        })
-        .collect()
-}
-
-/// One perf-smoke regression gate: a measured value against a bound.
-#[derive(Clone, Debug)]
-pub struct Gate {
-    pub name: String,
-    pub value: f64,
-    pub bound: f64,
-    /// `true` when the gate wants `value >= bound`, `false` for `<=`.
-    pub at_least: bool,
-}
-
-impl Gate {
-    /// Gate demanding `value >= bound` (throughputs, speedups).
-    pub fn at_least(name: impl Into<String>, value: f64, bound: f64) -> Gate {
-        Gate {
-            name: name.into(),
-            value,
-            bound,
-            at_least: true,
-        }
-    }
-
-    /// Gate demanding `value <= bound` (latencies, times).
-    pub fn at_most(name: impl Into<String>, value: f64, bound: f64) -> Gate {
-        Gate {
-            name: name.into(),
-            value,
-            bound,
-            at_least: false,
-        }
-    }
-
-    pub fn ok(&self) -> bool {
-        if self.at_least {
-            self.value >= self.bound
-        } else {
-            self.value <= self.bound
-        }
-    }
-
-    pub fn json(&self) -> String {
-        let verdict = if self.ok() { "ok" } else { "fail" };
-        // `{:?}` prints the shortest round-trip form, so nanosecond-scale
-        // virtual times and million-scale throughputs both stay readable.
-        format!(
-            "{{\"gate\":\"{}\",\"value\":{:?},\"{}\":{:?},\"verdict\":\"{verdict}\"}}",
-            self.name,
-            self.value,
-            if self.at_least { "min" } else { "max" },
-            self.bound,
-        )
-    }
-}
-
-/// Evaluate every gate and report all of them as one machine-readable line
-/// — pass or fail, CI logs capture the whole picture in one grep. Returns
-/// `false` (after printing `PERF REGRESSION`) when any enforced gate trips;
-/// `context` key/value pairs are embedded in the regression JSON.
-pub fn check_gates(context: &[(&str, f64)], gates: &[Gate]) -> bool {
-    let joined = |sep: &str| gates.iter().map(Gate::json).collect::<Vec<_>>().join(sep);
-    if gates.iter().all(Gate::ok) {
-        eprintln!("[perf check ok: {}]", joined(" "));
-        true
-    } else {
-        let ctx: String = context
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v:.0},"))
-            .collect();
-        eprintln!("PERF REGRESSION: {{{ctx}\"gates\":[{}]}}", joined(","));
-        false
-    }
-}
-
-/// [`check_gates`], exiting 1 on regression — the tail of every perf-smoke
-/// binary.
-pub fn enforce_gates(context: &[(&str, f64)], gates: &[Gate]) {
-    if !check_gates(context, gates) {
-        std::process::exit(1);
-    }
 }
 
 /// A titled table with aligned text rendering and CSV dumping.
@@ -271,35 +157,25 @@ mod tests {
     }
 
     #[test]
-    fn json_number_extracts_flat_fields() {
-        let j = r#"{"a":1.5,"b":-2e3,"nested":{"c":7},"d":42}"#;
-        assert_eq!(json_number(j, "a"), Some(1.5));
-        assert_eq!(json_number(j, "b"), Some(-2000.0));
-        assert_eq!(json_number(j, "c"), Some(7.0));
-        assert_eq!(json_number(j, "d"), Some(42.0));
-        assert_eq!(json_number(j, "missing"), None);
-    }
-
-    #[test]
-    fn gates_evaluate() {
-        assert!(Gate::at_least("tput", 10.0, 5.0).ok());
-        assert!(!Gate::at_least("tput", 4.0, 5.0).ok());
-        assert!(Gate::at_most("lat", 4.0, 5.0).ok());
-        assert!(!Gate::at_most("lat", 6.0, 5.0).ok());
-        assert!(Gate::at_most("lat", 4.0, 5.0)
-            .json()
-            .contains("\"verdict\":\"ok\""));
-        assert!(Gate::at_least("tput", 4.0, 5.0)
-            .json()
-            .contains("\"verdict\":\"fail\""));
-    }
-
-    #[test]
-    fn check_gates_reports_all() {
-        assert!(check_gates(&[], &[Gate::at_least("a", 2.0, 1.0)]));
-        assert!(!check_gates(
-            &[("host_cpus", 8.0)],
-            &[Gate::at_least("a", 2.0, 1.0), Gate::at_most("b", 9.0, 5.0)]
-        ));
+    fn parse_rejects_malformed_and_keeps_names_in_order() {
+        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            parse(argv(&["coll", "--csv"])),
+            Err("--csv needs a path".into())
+        );
+        assert_eq!(
+            parse(argv(&["--check", "x.json"])),
+            Err("unknown argument: --check".into())
+        );
+        let (args, names) =
+            parse(argv(&["fig_3_3", "--quick", "coll", "--csv", "p", "serve"])).unwrap();
+        assert_eq!(
+            args,
+            Args {
+                csv: Some("p".into()),
+                quick: true
+            }
+        );
+        assert_eq!(names, ["fig_3_3", "coll", "serve"]);
     }
 }

@@ -4,9 +4,10 @@
 //! lightweight-actor refactor exists for: a hundred thousand simultaneously
 //! live actors spawn, synchronize, and tear down in a debug build without
 //! exhausting memory or kernel limits (the old one-OS-thread-per-actor
-//! engine capped out around a few thousand). The million-actor run lives in
-//! the perf-smoke benchmark (`hupc-bench simcore`), not here, to keep tier-1
-//! fast.
+//! engine capped out around a few thousand). The two million-actor probes
+//! are `#[ignore]`d to keep tier-1 fast; CI's `scale` job runs them in
+//! release with `cargo test --release -p hupc-sim --test scale --
+//! --include-ignored`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -83,4 +84,63 @@ fn fifty_thousand_actor_dynamic_spawn_tree() {
     assert_eq!(visited.load(Ordering::Relaxed), TOTAL);
     assert_eq!(stats.actors as u64, TOTAL);
     assert_eq!(budget.load(Ordering::Relaxed), 0);
+}
+
+/// Flat spawn storm: a million trivial actors registered up front, so all
+/// of them are live at once when the run starts — the max-actor-count
+/// probe. Registration is cheap by design (actor meta + one wake event; no
+/// stack until first dispatch).
+#[test]
+#[ignore = "million actors; run in release with --include-ignored"]
+fn million_actor_spawn_storm() {
+    let n: u64 = 1_000_000;
+    let mut sim = Simulation::new();
+    sim.set_stack_size(16 * 1024);
+    for i in 0..n {
+        sim.spawn(format!("s{i}"), move |ctx| {
+            ctx.advance(time::ns(1 + (i & 7)))
+        });
+    }
+    let stats = sim.run();
+    assert_eq!(stats.actors as u64, n, "storm lost actors");
+}
+
+/// Million-actor UTS-style tree: one actor per tree node, children spawned
+/// dynamically from running actors with a deterministic 2-or-3 branching
+/// factor, capped by a shared budget at exactly a million nodes. Parents
+/// don't join — a finished node's stack goes back to the pool, so live
+/// stacks track the dispatch frontier, not the tree size.
+#[test]
+#[ignore = "million actors; run in release with --include-ignored"]
+fn million_actor_dynamic_spawn_tree() {
+    const TOTAL: u64 = 1_000_000;
+
+    fn node(ctx: &hupc_sim::Ctx, id: u64, budget: &Arc<AtomicU64>, seen: &Arc<AtomicU64>) {
+        seen.fetch_add(1, Ordering::Relaxed);
+        // splitmix-style hash: deterministic per-node work and branching.
+        let h = (id.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 33;
+        ctx.advance(time::ns(1 + (h & 15)));
+        let kids = 2 + (h & 1);
+        for c in 0..kids {
+            if budget
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
+                .is_err()
+            {
+                return;
+            }
+            let (b, s) = (Arc::clone(budget), Arc::clone(seen));
+            ctx.spawn_with_stack(format!("n{id}.{c}"), 16 * 1024, move |cctx| {
+                node(cctx, id.wrapping_mul(3).wrapping_add(c + 1), &b, &s)
+            });
+        }
+    }
+
+    let budget = Arc::new(AtomicU64::new(TOTAL - 1));
+    let seen = Arc::new(AtomicU64::new(0));
+    let mut sim = Simulation::new();
+    let (b, s) = (Arc::clone(&budget), Arc::clone(&seen));
+    sim.spawn_with_stack("root", 16 * 1024, move |ctx| node(ctx, 1, &b, &s));
+    let stats = sim.run();
+    assert_eq!(seen.load(Ordering::Relaxed), TOTAL, "tree lost nodes");
+    assert_eq!(stats.actors as u64, TOTAL);
 }
