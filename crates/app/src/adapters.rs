@@ -75,7 +75,6 @@ impl Workload for UtsWorkload {
                 ("comm_failures".into(), r.comm_failures as f64),
             ],
             end_seconds: r.seconds,
-            metrics_json: None,
         })
     }
 }
@@ -152,7 +151,6 @@ impl Workload for FtWorkload {
                 ("checksum_worst_rel_err".into(), worst),
             ],
             end_seconds: r.total_seconds,
-            metrics_json: None,
         })
     }
 }
@@ -223,7 +221,6 @@ impl Workload for GupsWorkload {
                 ("exchange_seconds".into(), r.exchange_seconds),
             ],
             end_seconds: r.seconds,
-            metrics_json: None,
         })
     }
 }
@@ -301,7 +298,6 @@ impl Workload for StreamWorkload {
             ),
             metrics: vec![("gbps".into(), r.gbps), ("max_error".into(), r.max_error)],
             end_seconds: r.seconds,
-            metrics_json: None,
         })
     }
 }

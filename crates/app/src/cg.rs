@@ -204,7 +204,6 @@ impl Workload for CgWorkload {
                 ("mflops".into(), 2.0 * nnz as f64 * iters as f64 / secs.max(1e-12) / 1e6),
             ],
             end_seconds: secs,
-            metrics_json: None,
         })
     }
 }

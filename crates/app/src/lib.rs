@@ -5,10 +5,9 @@
 //! workload is anything implementing [`Workload`]: environment
 //! ([`RunEnv`]: machine + layout + conduit + fault plan)
 //! and typed `key=value` config ([`Params`]) in, a [`Verified`] result
-//! (pass/fail oracle, summary metrics, end virtual time, metrics snapshot)
-//! out. The [`Registry`] names every app; [`runner::run_workload`] owns
-//! tracing and report shaping, so an app is only its kernel plus its
-//! oracle.
+//! (pass/fail oracle, summary metrics, end virtual time) out. The
+//! [`Registry`] names every app; [`runner::run_by_name`] owns lookup and
+//! report shaping, so an app is only its kernel plus its oracle.
 //!
 //! Built-ins: the four migrated thesis apps (`uts`, `ft`, `gups`,
 //! `stream` — kernels stay in their own crates, adapters live in
@@ -51,7 +50,6 @@
 //!             oracle: format!("pi ≈ {pi}"),
 //!             metrics: vec![("pi".into(), pi)],
 //!             end_seconds: secs,
-//!             metrics_json: None,
 //!         })
 //!     }
 //! }

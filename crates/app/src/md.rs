@@ -393,7 +393,6 @@ impl Workload for MdWorkload {
                 ("pairs_per_sec".into(), pairs as f64 / secs.max(1e-12)),
             ],
             end_seconds: secs,
-            metrics_json: None,
         })
     }
 }

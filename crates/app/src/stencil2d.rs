@@ -256,7 +256,6 @@ impl Workload for Stencil2dWorkload {
                 ("cells_per_sec".into(), (n * n * steps) as f64 / secs.max(1e-12)),
             ],
             end_seconds: secs,
-            metrics_json: None,
         })
     }
 }

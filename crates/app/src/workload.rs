@@ -55,9 +55,7 @@ impl RunEnv {
 }
 
 /// The outcome of one workload run: the verification verdict, a flat list
-/// of summary metrics, the end-of-run virtual time, and (when tracing is
-/// compiled in and the runner installed a tracer) the `MetricsRegistry`
-/// snapshot as deterministic JSON.
+/// of summary metrics and the end-of-run virtual time.
 #[derive(Clone, Debug, Default)]
 pub struct Verified {
     /// Did the workload's own oracle pass?
@@ -68,9 +66,6 @@ pub struct Verified {
     pub metrics: Vec<(String, f64)>,
     /// Virtual seconds at the end of the timed section.
     pub end_seconds: f64,
-    /// `MetricsRegistry` snapshot JSON (filled by the runner under the
-    /// `trace` feature; `None` otherwise).
-    pub metrics_json: Option<String>,
 }
 
 impl Verified {
@@ -114,8 +109,8 @@ impl From<ParamError> for AppError {
 }
 
 /// One pluggable application. Implementations own their kernel and their
-/// oracle; the SDK owns everything around them (registry lookup, tracing,
-/// report emission).
+/// oracle; the SDK owns everything around them (registry lookup, report
+/// shaping).
 ///
 /// The contract:
 /// - `run` must be deterministic: same `(env, params)` ⇒ same [`Verified`]

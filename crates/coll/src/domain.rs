@@ -567,7 +567,6 @@ impl CollDomain {
         bw: usize,
         _blocking: bool,
     ) {
-        let p = upc.threads();
         let me = upc.mythread();
         let grp = self.nodes.len();
         let m = self.node_size;
@@ -584,7 +583,7 @@ impl CollDomain {
                 phase,
             )
         };
-        emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_OP), (p * bw) as u64);
+        emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_OP), (upc.threads() * bw) as u64);
         // Intra: co-member blocks go straight to their destination over
         // shared memory (staggered start).
         emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_INTRA), (m * bw) as u64);

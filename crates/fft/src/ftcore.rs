@@ -2,8 +2,8 @@
 //! math, and the flop/byte charge constants — shared by the UPC and MPI
 //! variants so their numerics are bit-identical.
 
-use crate::grid::Grid;
-use crate::kernel::{Complex, Direction, FftPlan};
+use crate::grid::{wrapped_sq, Grid};
+use crate::kernel::{Complex, Direction, FftPlan, COL_BLOCK};
 
 /// Fraction of peak flops the FFT kernels sustain (FFTW-on-Nehalem scale).
 pub(crate) const FFT_EFF: f64 = 0.30;
@@ -93,80 +93,82 @@ impl Charges {
 }
 
 /// Real per-rank data (Execute mode).
+///
+/// One grid buffer serves both layouts: it holds the spatial slab while the
+/// rank is in space and the frequency slice while it is in frequency. Only
+/// an exchange's unpack switches layouts, and every schedule unpacks after
+/// its last pack has read the old layout: the UPC exchanges after every
+/// put's `wait_sync` and the closing barrier (each pack runs inside its put
+/// call), the hierarchical one after its all-to-all, which needs the whole
+/// send staging packed first, and MPI after `alltoall`, whose blocks were
+/// packed into owned buffers before the call. So the overwritten layout is
+/// never read again, and a rank needs `grid` + `u0` (+ the exchange
+/// buffer) instead of a slab and a slice side by side.
 pub(crate) struct Data {
-    /// Spatial slab (nzp × ny × nx).
-    pub s: Vec<Complex>,
-    /// Frequency slice (nyp × nx × nz).
-    pub f: Vec<Complex>,
+    /// Spatial slab (nzp × ny × nx) or frequency slice (nyp × nx × nz).
+    pub grid: Vec<Complex>,
     /// Forward-transformed initial field (frequency layout).
     pub u0: Vec<Complex>,
     px: FftPlan,
     py: FftPlan,
     pz: FftPlan,
-    ybuf: Vec<Complex>,
+    /// `transform_columns` scratch for the y pass.
+    cols: Vec<Complex>,
 }
 
 pub(crate) fn init_data(g: &Grid, l: &Layout, me: usize) -> Data {
-    let mut s = vec![Complex::ZERO; l.chunk];
+    let mut grid = vec![Complex::ZERO; l.chunk];
     for zl in 0..l.nzp {
         let z = me * l.nzp + zl;
         for y in 0..l.ny {
             for x in 0..l.nx {
-                s[l.s_idx(x, y, zl)] = g.initial(x, y, z);
+                grid[l.s_idx(x, y, zl)] = g.initial(x, y, z);
             }
         }
     }
     Data {
-        s,
-        f: vec![Complex::ZERO; l.chunk],
+        grid,
         u0: vec![Complex::ZERO; l.chunk],
         px: FftPlan::new(l.nx),
         py: FftPlan::new(l.ny),
         pz: FftPlan::new(l.nz),
-        ybuf: vec![Complex::ZERO; l.ny],
+        cols: vec![Complex::ZERO; COL_BLOCK * l.ny],
     }
 }
 
 /// x+y FFT passes over every spatial plane.
 pub(crate) fn data_fft2d(d: &mut Data, l: &Layout, dir: Direction) {
-    for zl in 0..l.nzp {
-        let plane = &mut d.s[zl * l.nx * l.ny..(zl + 1) * l.nx * l.ny];
+    for plane in d.grid.chunks_exact_mut(l.nx * l.ny) {
         for row in plane.chunks_exact_mut(l.nx) {
             d.px.transform(row, dir);
         }
-        for x in 0..l.nx {
-            for (yy, b) in d.ybuf.iter_mut().enumerate() {
-                *b = plane[x + l.nx * yy];
-            }
-            d.py.transform(&mut d.ybuf, dir);
-            for (yy, b) in d.ybuf.iter().enumerate() {
-                plane[x + l.nx * yy] = *b;
-            }
-        }
+        d.py.transform_columns(plane, l.nx, l.nx, dir, &mut d.cols);
     }
 }
 
 /// z FFT pass over every frequency pencil.
 pub(crate) fn data_fftz(d: &mut Data, l: &Layout, dir: Direction) {
-    for pencil in d.f.chunks_exact_mut(l.nz) {
+    for pencil in d.grid.chunks_exact_mut(l.nz) {
         d.pz.transform(pencil, dir);
     }
 }
 
-/// Frequency-space evolution at step `t`.
+/// Frequency-space evolution at step `t`: `grid = u0 · factor`, with the
+/// factors looked up in this step's [`Grid::evolve_table`].
 pub(crate) fn data_evolve(d: &mut Data, l: &Layout, me: usize, t: usize) {
     let g = Grid {
         nx: l.nx,
         ny: l.ny,
         nz: l.nz,
     };
-    for yl in 0..l.nyp {
-        let ky = me * l.nyp + yl;
-        for x in 0..l.nx {
-            for z in 0..l.nz {
-                let i = l.f_idx(yl, x, z);
-                d.f[i] = d.u0[i].scale(g.evolve_factor(t, x, ky, z));
-            }
+    let table = g.evolve_table(t);
+    let kz2: Vec<usize> = (0..l.nz).map(|z| wrapped_sq(z, l.nz)).collect();
+    let pencils = d.grid.chunks_exact_mut(l.nz).zip(d.u0.chunks_exact(l.nz));
+    for (p, (out, u0)) in pencils.enumerate() {
+        // Pencil p is (yl, x) = (p / nx, p % nx), z fastest.
+        let kxy = wrapped_sq(p % l.nx, l.nx) + wrapped_sq(me * l.nyp + p / l.nx, l.ny);
+        for ((o, u), k) in out.iter_mut().zip(u0).zip(&kz2) {
+            *o = u.scale(table[kxy + k]);
         }
     }
 }
@@ -175,7 +177,7 @@ pub(crate) fn data_evolve(d: &mut Data, l: &Layout, me: usize, t: usize) {
 pub(crate) fn pack_fwd_block(d: &Data, l: &Layout, zl: usize, dest: usize, words: &mut [u64]) {
     for yl in 0..l.nyp {
         for x in 0..l.nx {
-            let v = d.s[l.s_idx(x, dest * l.nyp + yl, zl)];
+            let v = d.grid[l.s_idx(x, dest * l.nyp + yl, zl)];
             let bi = l.fwd_slot_idx(0, yl, x);
             words[bi * 2] = v.re.to_bits();
             words[bi * 2 + 1] = v.im.to_bits();
@@ -187,7 +189,7 @@ pub(crate) fn pack_fwd_block(d: &Data, l: &Layout, zl: usize, dest: usize, words
 pub(crate) fn pack_inv_block(d: &Data, l: &Layout, yl: usize, dest: usize, words: &mut [u64]) {
     for x in 0..l.nx {
         for zl in 0..l.nzp {
-            let v = d.f[l.f_idx(yl, x, dest * l.nzp + zl)];
+            let v = d.grid[l.f_idx(yl, x, dest * l.nzp + zl)];
             let bi = l.inv_slot_idx(0, x, zl);
             words[bi * 2] = v.re.to_bits();
             words[bi * 2 + 1] = v.im.to_bits();
@@ -209,7 +211,7 @@ pub(crate) fn unpack_forward_with<'a>(
             for yl in 0..l.nyp {
                 for x in 0..l.nx {
                     let bi = l.fwd_slot_idx(zl, yl, x);
-                    d.f[l.f_idx(yl, x, z)] =
+                    d.grid[l.f_idx(yl, x, z)] =
                         Complex::new(f64::from_bits(s[bi * 2]), f64::from_bits(s[bi * 2 + 1]));
                 }
             }
@@ -230,7 +232,7 @@ pub(crate) fn unpack_inverse_with<'a>(
             for x in 0..l.nx {
                 for zl in 0..l.nzp {
                     let bi = l.inv_slot_idx(yl, x, zl);
-                    d.s[l.s_idx(x, y, zl)] =
+                    d.grid[l.s_idx(x, y, zl)] =
                         Complex::new(f64::from_bits(s[bi * 2]), f64::from_bits(s[bi * 2 + 1]));
                 }
             }
@@ -243,7 +245,7 @@ pub(crate) fn checksum_local(d: &Data, l: &Layout, g: &Grid, me: usize) -> (f64,
     let (mut re, mut im) = (0.0, 0.0);
     for (x, y, z) in g.checksum_coords() {
         if z / l.nzp == me {
-            let v = d.s[l.s_idx(x, y, z % l.nzp)];
+            let v = d.grid[l.s_idx(x, y, z % l.nzp)];
             re += v.re;
             im += v.im;
         }
@@ -306,7 +308,7 @@ mod tests {
                 for x in 0..l.nx {
                     for z in 0..l.nz {
                         let want = g.initial(x, me * l.nyp + yl, z);
-                        let got = ranks[me].f[l.f_idx(yl, x, z)];
+                        let got = ranks[me].grid[l.f_idx(yl, x, z)];
                         assert_eq!(got, want, "rank {me} ({x},{yl},{z})");
                     }
                 }

@@ -1,7 +1,7 @@
 //! Problem classes, deterministic initial data, evolution factors, checksum
 //! probes, and a sequential reference implementation.
 
-use crate::kernel::{Complex, Direction, FftPlan};
+use crate::kernel::{Complex, Direction, FftPlan, COL_BLOCK};
 
 /// NAS FT problem classes (grid + iteration count).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,6 +78,21 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Square of the signed (wrapped) frequency of index `k` in a dimension of
+/// size `n`: `k` up to `n/2`, `k − n` above.
+pub(crate) fn wrapped_sq(k: usize, n: usize) -> usize {
+    let f = k.min(n - k);
+    f * f
+}
+
+/// The one expression behind [`Grid::evolve_factor`] and
+/// [`Grid::evolve_table`]. `k2` is an integer far below 2⁵³, so `k2 as
+/// f64` is exactly the float sum `fx² + fy² + fz²` of the signed
+/// frequencies.
+fn decay(t: usize, k2: usize) -> f64 {
+    (-4.0 * std::f64::consts::PI * std::f64::consts::PI * ALPHA * t as f64 * k2 as f64).exp()
+}
+
 impl Grid {
     pub fn total(&self) -> usize {
         self.nx * self.ny * self.nz
@@ -96,23 +111,26 @@ impl Grid {
         Complex::new(re, im)
     }
 
-    /// Signed (wrapped) frequency of index `k` in a dimension of size `n`.
-    fn wrapped(k: usize, n: usize) -> f64 {
-        if k <= n / 2 {
-            k as f64
-        } else {
-            k as f64 - n as f64
-        }
+    /// `|k̄|²` of frequency-space index `(kx, ky, kz)`: an integer, and the
+    /// index into [`Grid::evolve_table`].
+    pub(crate) fn k2(&self, kx: usize, ky: usize, kz: usize) -> usize {
+        wrapped_sq(kx, self.nx) + wrapped_sq(ky, self.ny) + wrapped_sq(kz, self.nz)
     }
 
     /// Evolution factor `exp(-4π²·α·t·|k̄|²)` for frequency-space index
     /// `(kx, ky, kz)` at timestep `t`.
     pub fn evolve_factor(&self, t: usize, kx: usize, ky: usize, kz: usize) -> f64 {
-        let fx = Self::wrapped(kx, self.nx);
-        let fy = Self::wrapped(ky, self.ny);
-        let fz = Self::wrapped(kz, self.nz);
-        let k2 = fx * fx + fy * fy + fz * fz;
-        (-4.0 * std::f64::consts::PI * std::f64::consts::PI * ALPHA * t as f64 * k2).exp()
+        decay(t, self.k2(kx, ky, kz))
+    }
+
+    /// Every evolution factor of timestep `t`, indexed by `|k̄|²` (see
+    /// [`Grid::k2`]): `(nx/2)² + (ny/2)² + (nz/2)² + 1` entries (36 865 at
+    /// class A), each the same bits as the matching
+    /// [`Grid::evolve_factor`], for one `exp` per entry instead of one per
+    /// grid point.
+    pub(crate) fn evolve_table(&self, t: usize) -> Vec<f64> {
+        let max = self.k2(self.nx / 2, self.ny / 2, self.nz / 2);
+        (0..=max).map(|k2| decay(t, k2)).collect()
     }
 
     /// The 1024 spatial probe coordinates whose sum is the per-iteration
@@ -128,8 +146,8 @@ impl Grid {
 }
 
 /// Sequential reference FT: full 3-D FFT + evolve + inverse per iteration;
-/// returns the per-iteration checksums. Oracle for the distributed variants
-/// (small grids only — O(total) memory ×3).
+/// returns the per-iteration checksums. Oracle for the distributed variants;
+/// holds two full grids (`u0` and the evolved copy), 256 MiB at class A.
 pub fn seq_checksums(class: FtClass) -> Vec<Complex> {
     let g = class.grid();
     let (nx, ny, nz) = (g.nx, g.ny, g.nz);
@@ -144,12 +162,15 @@ pub fn seq_checksums(class: FtClass) -> Vec<Complex> {
     fft3d(&mut u0, &g, Direction::Forward);
     let mut sums = Vec::with_capacity(class.iters());
     let mut ut = vec![Complex::ZERO; g.total()];
+    let kx2: Vec<usize> = (0..nx).map(|x| wrapped_sq(x, nx)).collect();
     for t in 1..=class.iters() {
+        let table = g.evolve_table(t);
         for z in 0..nz {
             for y in 0..ny {
-                for x in 0..nx {
-                    let i = x + nx * (y + ny * z);
-                    ut[i] = u0[i].scale(g.evolve_factor(t, x, y, z));
+                let kyz = wrapped_sq(y, ny) + wrapped_sq(z, nz);
+                let row = nx * (y + ny * z);
+                for ((u, v), k) in ut[row..row + nx].iter_mut().zip(&u0[row..row + nx]).zip(&kx2) {
+                    *u = v.scale(table[kyz + k]);
                 }
             }
         }
@@ -174,31 +195,14 @@ pub fn fft3d(data: &mut [Complex], g: &Grid, dir: Direction) {
     for row in data.chunks_exact_mut(nx) {
         px.transform(row, dir);
     }
+    let mut scratch = vec![Complex::ZERO; COL_BLOCK * ny.max(nz)];
     // y columns (stride nx within each z plane)
-    let mut buf = vec![Complex::ZERO; ny];
-    for z in 0..nz {
-        for x in 0..nx {
-            for (yy, b) in buf.iter_mut().enumerate() {
-                *b = data[x + nx * (yy + ny * z)];
-            }
-            py.transform(&mut buf, dir);
-            for (yy, b) in buf.iter().enumerate() {
-                data[x + nx * (yy + ny * z)] = *b;
-            }
-        }
+    for plane in data.chunks_exact_mut(nx * ny) {
+        py.transform_columns(plane, nx, nx, dir, &mut scratch);
     }
-    // z pencils (stride nx*ny)
-    let mut buf = vec![Complex::ZERO; nz];
+    // z pencils (stride nx*ny), one row of x columns per y
     for y in 0..ny {
-        for x in 0..nx {
-            for (zz, b) in buf.iter_mut().enumerate() {
-                *b = data[x + nx * (y + ny * zz)];
-            }
-            pz.transform(&mut buf, dir);
-            for (zz, b) in buf.iter().enumerate() {
-                data[x + nx * (y + ny * zz)] = *b;
-            }
-        }
+        pz.transform_columns(&mut data[nx * y..], nx, nx * ny, dir, &mut scratch);
     }
 }
 
@@ -238,6 +242,36 @@ mod tests {
         // k and n-k have the same |k̄|² in each dimension
         assert_eq!(g.evolve_factor(3, 1, 0, 0), g.evolve_factor(3, 7, 0, 0));
         assert_eq!(g.evolve_factor(3, 0, 2, 0), g.evolve_factor(3, 0, 6, 0));
+    }
+
+    #[test]
+    fn evolve_table_is_bit_identical_to_evolve_factor() {
+        // Both are also checked against an independent reference: the
+        // per-axis float expression exp(-4π²·α·t·(fx² + fy² + fz²)).
+        let wrapped = |k: usize, n: usize| if k <= n / 2 { k as f64 } else { k as f64 - n as f64 };
+        let g = FtClass::Custom { nx: 16, ny: 8, nz: 32, iters: 1 }.grid();
+        for t in 1..=3 {
+            let table = g.evolve_table(t);
+            assert_eq!(table.len(), 8 * 8 + 4 * 4 + 16 * 16 + 1);
+            for kz in 0..g.nz {
+                for ky in 0..g.ny {
+                    for kx in 0..g.nx {
+                        let f = g.evolve_factor(t, kx, ky, kz);
+                        let at = format!("t={t} ({kx},{ky},{kz})");
+                        assert_eq!(table[g.k2(kx, ky, kz)].to_bits(), f.to_bits(), "{at}");
+                        let (fx, fy) = (wrapped(kx, g.nx), wrapped(ky, g.ny));
+                        let fz = wrapped(kz, g.nz);
+                        let k2 = fx * fx + fy * fy + fz * fz;
+                        let old = (-4.0 * std::f64::consts::PI * std::f64::consts::PI * ALPHA
+                            * t as f64
+                            * k2)
+                            .exp();
+                        assert_eq!(f.to_bits(), old.to_bits(), "{at}");
+                    }
+                }
+            }
+        }
+        assert_eq!(FtClass::A.grid().evolve_table(1).len(), 36_865);
     }
 
     #[test]

@@ -84,6 +84,10 @@ pub enum Direction {
     Inverse,
 }
 
+/// Columns a strided pass gathers per sweep ([`FftPlan::transform_columns`]):
+/// eight 16-byte elements are two 64-byte cache lines of each row.
+pub(crate) const COL_BLOCK: usize = 8;
+
 /// A reusable FFT plan for one power-of-two length (twiddles + bit-reversal
 /// table, computed once — the "FFTW plan" analogue).
 #[derive(Clone, Debug)]
@@ -190,8 +194,44 @@ impl FftPlan {
         self.post(data, dir);
     }
 
+    /// Transform `ncols` strided columns in place: column `c` is
+    /// `data[c + stride·k]` for `k < len()`. Adjacent columns are gathered
+    /// [`COL_BLOCK`] at a time into `scratch` (at least `COL_BLOCK · len()`
+    /// long), so every strided row visit reads whole cache lines instead of
+    /// one 16-byte element; each column then goes through the same
+    /// [`FftPlan::transform`] call as an unblocked loop would make, so the
+    /// results are bit-identical to one.
+    pub(crate) fn transform_columns(
+        &self,
+        data: &mut [Complex],
+        ncols: usize,
+        stride: usize,
+        dir: Direction,
+        scratch: &mut [Complex],
+    ) {
+        let n = self.n;
+        for c0 in (0..ncols).step_by(COL_BLOCK) {
+            let w = COL_BLOCK.min(ncols - c0);
+            let block = &mut scratch[..w * n];
+            for k in 0..n {
+                for (j, v) in data[c0 + stride * k..][..w].iter().enumerate() {
+                    block[j * n + k] = *v;
+                }
+            }
+            for col in block.chunks_exact_mut(n) {
+                self.transform(col, dir);
+            }
+            for k in 0..n {
+                for (j, v) in data[c0 + stride * k..][..w].iter_mut().enumerate() {
+                    *v = block[j * n + k];
+                }
+            }
+        }
+    }
+
     /// The historical single-stage radix-2 sweep. Kept as the reference the
-    /// `hostkern` benchmark and the bit-identity tests compare against.
+    /// bit-identity tests (`fused_radix4_is_bit_identical_to_radix2`, the
+    /// `radix4_bit_identical_to_radix2` proptest) compare against.
     pub fn transform_radix2(&self, data: &mut [Complex], dir: Direction) {
         assert_eq!(data.len(), self.n, "plan is for length {}", self.n);
         let n = self.n;
@@ -389,6 +429,40 @@ mod tests {
                 for (p, q) in a.iter().zip(&b) {
                     assert_eq!(p.re.to_bits(), q.re.to_bits(), "n={n} {dir:?}");
                     assert_eq!(p.im.to_bits(), q.im.to_bits(), "n={n} {dir:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_columns_are_bit_identical_to_a_column_loop() {
+        // Partial (1, 2, 4) and whole (8, 16, 32) blocks; stride == ncols is
+        // a y pass over one plane, stride 3·ncols a z pass (rows of other
+        // columns in between).
+        let n = 16;
+        let plan = FftPlan::new(n);
+        let mut scratch = vec![Complex::ZERO; COL_BLOCK * n];
+        let bits = |v: &[Complex]| {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect::<Vec<_>>()
+        };
+        for nx in [1usize, 2, 4, 8, 16, 32] {
+            for stride in [nx, 3 * nx] {
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    let x = random_signal(stride * n, (nx * stride) as u64);
+                    let mut want = x.clone();
+                    let mut col = vec![Complex::ZERO; n];
+                    for c in 0..nx {
+                        for (k, v) in col.iter_mut().enumerate() {
+                            *v = want[c + stride * k];
+                        }
+                        plan.transform(&mut col, dir);
+                        for (k, v) in col.iter().enumerate() {
+                            want[c + stride * k] = *v;
+                        }
+                    }
+                    let mut got = x;
+                    plan.transform_columns(&mut got, nx, stride, dir, &mut scratch);
+                    assert_eq!(bits(&got), bits(&want), "nx={nx} stride={stride} {dir:?}");
                 }
             }
         }

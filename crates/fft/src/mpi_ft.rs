@@ -76,7 +76,7 @@ pub fn run_ft_mpi(cfg: FtConfig) -> FtResult {
             charge_flops(m, l.nyp as f64 * charges.planez);
         });
         if let Some(d) = data.as_mut() {
-            d.u0.copy_from_slice(&d.f);
+            d.u0.copy_from_slice(&d.grid);
         }
 
         for t in 1..=iters {

@@ -229,7 +229,7 @@ pub fn run_ft_upc(cfg: FtConfig) -> FtResult {
         run_unpack(&upc, &l, recv.as_ref(), data.as_mut(), true, pool.as_ref(), &mut ph);
         run_fftz(&upc, &l, &charges, pool.as_ref(), data.as_mut(), Direction::Forward, &mut ph);
         if let Some(d) = data.as_mut() {
-            d.u0.copy_from_slice(&d.f);
+            d.u0.copy_from_slice(&d.grid);
         }
 
         for t in 1..=iters {
