@@ -98,6 +98,19 @@ pub fn ft_config(env: &RunEnv, params: &Params) -> Result<FtConfig, AppError> {
         _ => hupc_fft::ExchangeKind::Hierarchical,
     };
     r.finish()?;
+    for (name, n) in [("nx", nx), ("ny", ny), ("nz", nz)] {
+        if !n.is_power_of_two() {
+            return Err(AppError::Unsupported(format!(
+                "ft: {name} = {n} is not a power of two"
+            )));
+        }
+    }
+    let p = env.threads;
+    if ny % p != 0 || nz % p != 0 {
+        return Err(AppError::Unsupported(format!(
+            "ft: {p} threads must divide ny ({ny}) and nz ({nz})"
+        )));
+    }
     let mut cfg = FtConfig::test_custom(nx, ny, nz, iters, env.threads, env.nodes_used);
     cfg.machine = env.machine.clone();
     cfg.conduit = env.conduit.clone();
@@ -118,7 +131,7 @@ impl Workload for FtWorkload {
     fn param_spec(&self) -> Vec<(&'static str, String, &'static str)> {
         vec![
             ("nx", "8".into(), "grid x (power of two)"),
-            ("ny", "8".into(), "grid y (power of two)"),
+            ("ny", "8".into(), "grid y (power of two, divisible by threads)"),
             ("nz", "16".into(), "grid z (power of two, divisible by threads)"),
             ("iters", "2".into(), "evolve iterations"),
             ("exchange", "split".into(), "exchange schedule: split|overlap|hier"),
@@ -299,5 +312,24 @@ impl Workload for StreamWorkload {
             metrics: vec![("gbps".into(), r.gbps), ("max_error".into(), r.max_error)],
             end_seconds: r.seconds,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ft_rejects_shapes_it_cannot_run() {
+        let unsupported = |env: RunEnv, params: &[&str]| {
+            let params = Params::parse(params).unwrap();
+            matches!(FtWorkload.run(&env, &params), Err(AppError::Unsupported(_)))
+        };
+        // 3 threads divide neither the default ny = 8 nor nz = 16.
+        assert!(unsupported(RunEnv::small(3, 1), &[]));
+        // 4 threads divide nz = 16 but not ny = 2.
+        assert!(unsupported(RunEnv::small(4, 2), &["ny=2"]));
+        assert!(unsupported(RunEnv::small(4, 2), &["nx=12"]));
+        assert!(unsupported(RunEnv::small(4, 2), &["nz=0"]));
     }
 }

@@ -2,8 +2,8 @@
 //! math, and the flop/byte charge constants — shared by the UPC and MPI
 //! variants so their numerics are bit-identical.
 
-use crate::grid::{wrapped_sq, Grid};
-use crate::kernel::{Complex, Direction, FftPlan, COL_BLOCK};
+use crate::grid::{fft_plane, wrapped_sq, Grid};
+use crate::kernel::{Complex, Direction, FftPlan, Lanes};
 
 /// Fraction of peak flops the FFT kernels sustain (FFTW-on-Nehalem scale).
 pub(crate) const FFT_EFF: f64 = 0.30;
@@ -112,8 +112,10 @@ pub(crate) struct Data {
     px: FftPlan,
     py: FftPlan,
     pz: FftPlan,
-    /// `transform_columns` scratch for the y pass.
-    cols: Vec<Complex>,
+    /// `transform_lanes` scratch shared by the x, y and z passes:
+    /// `max(nx, ny, nz)` elements of `LANES` split-complex lanes (16 KiB at
+    /// class A).
+    lanes: Vec<Lanes>,
 }
 
 pub(crate) fn init_data(g: &Grid, l: &Layout, me: usize) -> Data {
@@ -132,25 +134,20 @@ pub(crate) fn init_data(g: &Grid, l: &Layout, me: usize) -> Data {
         px: FftPlan::new(l.nx),
         py: FftPlan::new(l.ny),
         pz: FftPlan::new(l.nz),
-        cols: vec![Complex::ZERO; COL_BLOCK * l.ny],
+        lanes: vec![Lanes::default(); l.nx.max(l.ny).max(l.nz)],
     }
 }
 
 /// x+y FFT passes over every spatial plane.
 pub(crate) fn data_fft2d(d: &mut Data, l: &Layout, dir: Direction) {
     for plane in d.grid.chunks_exact_mut(l.nx * l.ny) {
-        for row in plane.chunks_exact_mut(l.nx) {
-            d.px.transform(row, dir);
-        }
-        d.py.transform_columns(plane, l.nx, l.nx, dir, &mut d.cols);
+        fft_plane(&d.px, &d.py, plane, dir, &mut d.lanes);
     }
 }
 
-/// z FFT pass over every frequency pencil.
+/// z FFT pass over every frequency pencil (contiguous, z fastest).
 pub(crate) fn data_fftz(d: &mut Data, l: &Layout, dir: Direction) {
-    for pencil in d.grid.chunks_exact_mut(l.nz) {
-        d.pz.transform(pencil, dir);
-    }
+    d.pz.transform_lanes(&mut d.grid, l.chunk / l.nz, l.nz, 1, dir, &mut d.lanes);
 }
 
 /// Frequency-space evolution at step `t`: `grid = u0 · factor`, with the

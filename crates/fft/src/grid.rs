@@ -1,7 +1,7 @@
 //! Problem classes, deterministic initial data, evolution factors, checksum
 //! probes, and a sequential reference implementation.
 
-use crate::kernel::{Complex, Direction, FftPlan, COL_BLOCK};
+use crate::kernel::{Complex, Direction, FftPlan, Lanes};
 
 /// NAS FT problem classes (grid + iteration count).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,9 +145,19 @@ impl Grid {
     }
 }
 
-/// Sequential reference FT: full 3-D FFT + evolve + inverse per iteration;
-/// returns the per-iteration checksums. Oracle for the distributed variants;
-/// holds two full grids (`u0` and the evolved copy), 256 MiB at class A.
+/// Sequential reference FT: returns the per-iteration checksums. Oracle for
+/// the distributed variants.
+///
+/// It computes only what the checksums read. After the full forward
+/// [`fft3d`] of `u0`, each iteration evolves one z-plane at a time from
+/// `u0` into a one-plane buffer, runs the inverse x and y passes on it and
+/// copies out the `(x, y)` pencils some probe of [`Grid::checksum_coords`]
+/// lies on; then the inverse z pass runs on those pencils alone, and the
+/// probes are summed in `checksum_coords` order. Every 1-D transform of a
+/// full inverse `fft3d` reads only the outputs of the passes before it
+/// along its own line, so the probes get the same bits as from the full
+/// grid. Holds `u0` (128 MiB at class A) plus a plane and the probed
+/// pencils (1.5 MiB: 256 of the 65 536 pencils).
 pub fn seq_checksums(class: FtClass) -> Vec<Complex> {
     let g = class.grid();
     let (nx, ny, nz) = (g.nx, g.ny, g.nz);
@@ -160,49 +170,76 @@ pub fn seq_checksums(class: FtClass) -> Vec<Complex> {
         }
     }
     fft3d(&mut u0, &g, Direction::Forward);
-    let mut sums = Vec::with_capacity(class.iters());
-    let mut ut = vec![Complex::ZERO; g.total()];
+    let (px, py, pz) = (FftPlan::new(nx), FftPlan::new(ny), FftPlan::new(nz));
+    let mut lanes = vec![Lanes::default(); nx.max(ny).max(nz)];
+    // The probed pencils, in plane order, and pencil i's z-line at i·nz.
+    let mut xy: Vec<(usize, usize)> = g.checksum_coords().map(|(x, y, _)| (y, x)).collect();
+    xy.sort_unstable();
+    xy.dedup();
+    let pencil = |x: usize, y: usize| {
+        xy.binary_search(&(y, x)).expect("every probe's pencil is kept")
+    };
+    let mut pencils = vec![Complex::ZERO; xy.len() * nz];
+    let mut plane = vec![Complex::ZERO; nx * ny];
     let kx2: Vec<usize> = (0..nx).map(|x| wrapped_sq(x, nx)).collect();
+    let mut sums = Vec::with_capacity(class.iters());
     for t in 1..=class.iters() {
         let table = g.evolve_table(t);
-        for z in 0..nz {
-            for y in 0..ny {
+        for (z, u0_plane) in u0.chunks_exact(nx * ny).enumerate() {
+            let rows = plane.chunks_exact_mut(nx).zip(u0_plane.chunks_exact(nx));
+            for (y, (row, u0_row)) in rows.enumerate() {
                 let kyz = wrapped_sq(y, ny) + wrapped_sq(z, nz);
-                let row = nx * (y + ny * z);
-                for ((u, v), k) in ut[row..row + nx].iter_mut().zip(&u0[row..row + nx]).zip(&kx2) {
+                for ((u, v), k) in row.iter_mut().zip(u0_row).zip(&kx2) {
                     *u = v.scale(table[kyz + k]);
                 }
             }
+            fft_plane(&px, &py, &mut plane, Direction::Inverse, &mut lanes);
+            for (i, &(y, x)) in xy.iter().enumerate() {
+                pencils[i * nz + z] = plane[x + nx * y];
+            }
         }
-        fft3d(&mut ut, &g, Direction::Inverse);
+        pz.transform_lanes(&mut pencils, xy.len(), nz, 1, Direction::Inverse, &mut lanes);
         let mut s = Complex::ZERO;
         for (x, y, z) in g.checksum_coords() {
-            s = s + ut[x + nx * (y + ny * z)];
+            s = s + pencils[pencil(x, y) * nz + z];
         }
         sums.push(s);
     }
     sums
 }
 
-/// In-place 3-D FFT on a spatially-laid-out array (x fastest).
+/// The x then the y FFT pass over one spatial plane (x fastest), each
+/// through [`FftPlan::transform_lanes`] with `scratch` at least
+/// `max(nx, ny)` long.
+pub(crate) fn fft_plane(
+    px: &FftPlan,
+    py: &FftPlan,
+    plane: &mut [Complex],
+    dir: Direction,
+    scratch: &mut [Lanes],
+) {
+    let (nx, ny) = (px.len(), py.len());
+    px.transform_lanes(plane, ny, nx, 1, dir, scratch);
+    py.transform_lanes(plane, nx, 1, nx, dir, scratch);
+}
+
+/// In-place 3-D FFT on a spatially-laid-out array (x fastest): the x and y
+/// passes plane by plane, then the z pass over each y's row of x-adjacent
+/// pencils (stride `nx·ny`), all through `FftPlan::transform_lanes`, so a
+/// strided pass reads a whole cache line of four adjacent sequences at a
+/// time.
 pub fn fft3d(data: &mut [Complex], g: &Grid, dir: Direction) {
     let (nx, ny, nz) = (g.nx, g.ny, g.nz);
     assert_eq!(data.len(), g.total());
     let px = FftPlan::new(nx);
     let py = FftPlan::new(ny);
     let pz = FftPlan::new(nz);
-    // x rows (contiguous)
-    for row in data.chunks_exact_mut(nx) {
-        px.transform(row, dir);
-    }
-    let mut scratch = vec![Complex::ZERO; COL_BLOCK * ny.max(nz)];
-    // y columns (stride nx within each z plane)
+    let mut lanes = vec![Lanes::default(); nx.max(ny).max(nz)];
     for plane in data.chunks_exact_mut(nx * ny) {
-        py.transform_columns(plane, nx, nx, dir, &mut scratch);
+        fft_plane(&px, &py, plane, dir, &mut lanes);
     }
-    // z pencils (stride nx*ny), one row of x columns per y
     for y in 0..ny {
-        pz.transform_columns(&mut data[nx * y..], nx, nx * ny, dir, &mut scratch);
+        pz.transform_lanes(&mut data[nx * y..], nx, 1, nx * ny, dir, &mut lanes);
     }
 }
 
@@ -305,6 +342,49 @@ mod tests {
         }
         // successive iterations differ (the field evolves)
         assert_ne!(a[0].re.to_bits(), a[2].re.to_bits());
+    }
+
+    /// The oracle the long way: evolve the whole grid, run a full inverse
+    /// 3-D FFT, sum the probes.
+    fn full_grid_checksums(class: FtClass) -> Vec<Complex> {
+        let g = class.grid();
+        let at = |i: usize| (i % g.nx, i / g.nx % g.ny, i / (g.nx * g.ny));
+        let mut u0: Vec<Complex> = (0..g.total())
+            .map(|i| {
+                let (x, y, z) = at(i);
+                g.initial(x, y, z)
+            })
+            .collect();
+        fft3d(&mut u0, &g, Direction::Forward);
+        (1..=class.iters())
+            .map(|t| {
+                let mut ut: Vec<Complex> = u0
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| {
+                        let (x, y, z) = at(i);
+                        v.scale(g.evolve_factor(t, x, y, z))
+                    })
+                    .collect();
+                fft3d(&mut ut, &g, Direction::Inverse);
+                g.checksum_coords()
+                    .fold(Complex::ZERO, |s, (x, y, z)| s + ut[x + g.nx * (y + g.ny * z)])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn seq_checksums_are_bit_identical_to_the_full_grid() {
+        // 1×4×8 probes every pencil (and runs length-1 x transforms), 2×8×8
+        // half of them, 16×8×32 and 64×32×32 one in eight and one in 32.
+        for (nx, ny, nz) in [(1, 4, 8), (2, 8, 8), (16, 8, 32), (64, 32, 32)] {
+            let class = FtClass::Custom { nx, ny, nz, iters: 2 };
+            let bits = |v: Vec<Complex>| {
+                v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect::<Vec<_>>()
+            };
+            let want = bits(full_grid_checksums(class));
+            assert_eq!(bits(seq_checksums(class)), want, "{}", class.name());
+        }
     }
 
     #[test]

@@ -1,7 +1,14 @@
 //! Complex double-precision FFT, written from scratch (the FFTW 3.2.2
-//! stand-in). Iterative radix-2 decimation-in-time with precomputed twiddle
-//! tables; power-of-two lengths only — all NAS FT grid dimensions are
-//! powers of two.
+//! stand-in). Iterative decimation-in-time with precomputed twiddle tables,
+//! consecutive radix-2 stages fused into radix-4 passes; power-of-two
+//! lengths only — all NAS FT grid dimensions are powers of two.
+//!
+//! [`FftPlan::transform`] transforms one sequence. FT's grid passes go
+//! through [`FftPlan::transform_lanes`] instead, which runs [`LANES`]
+//! sequences side by side in split-complex scratch so each butterfly is
+//! plain `[f64; LANES]` arithmetic the compiler vectorises with baseline
+//! instructions; every element gets the same operations in the same order
+//! as in `transform`, so both give the same bits.
 
 /// A complex number as `[re, im]` (bit-compatible with the PGAS element
 /// `[f64; 2]`).
@@ -84,9 +91,59 @@ pub enum Direction {
     Inverse,
 }
 
-/// Columns a strided pass gathers per sweep ([`FftPlan::transform_columns`]):
-/// eight 16-byte elements are two 64-byte cache lines of each row.
-pub(crate) const COL_BLOCK: usize = 8;
+/// Sequences [`FftPlan::transform_lanes`] transforms at once. Four 16-byte
+/// elements are one 64-byte cache line of a strided row, and at n = 256
+/// four lanes of scratch plus the lines they gather (32 KiB) fit a 48 KiB
+/// first-level data cache where eight (64 KiB) do not; of 2, 4 and 8, four
+/// measured fastest (EXPERIMENTS.md "Four transforms per sweep").
+pub(crate) const LANES: usize = 4;
+
+/// One element of [`LANES`] independent sequences, split into real and
+/// imaginary parts: the scratch element of [`FftPlan::transform_lanes`].
+/// Its arithmetic is lane-wise and mirrors [`Complex`]'s operator for
+/// operator, so a lane computes exactly what `Complex` would.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Lanes {
+    re: [f64; LANES],
+    im: [f64; LANES],
+}
+
+impl std::ops::Add for Lanes {
+    type Output = Lanes;
+
+    #[inline(always)]
+    fn add(self, o: Lanes) -> Lanes {
+        Lanes {
+            re: std::array::from_fn(|l| self.re[l] + o.re[l]),
+            im: std::array::from_fn(|l| self.im[l] + o.im[l]),
+        }
+    }
+}
+
+impl std::ops::Sub for Lanes {
+    type Output = Lanes;
+
+    #[inline(always)]
+    fn sub(self, o: Lanes) -> Lanes {
+        Lanes {
+            re: std::array::from_fn(|l| self.re[l] - o.re[l]),
+            im: std::array::from_fn(|l| self.im[l] - o.im[l]),
+        }
+    }
+}
+
+/// Every lane times one shared twiddle, as `Complex * Complex`.
+impl std::ops::Mul<Complex> for Lanes {
+    type Output = Lanes;
+
+    #[inline(always)]
+    fn mul(self, w: Complex) -> Lanes {
+        Lanes {
+            re: std::array::from_fn(|l| self.re[l] * w.re - self.im[l] * w.im),
+            im: std::array::from_fn(|l| self.re[l] * w.im + self.im[l] * w.re),
+        }
+    }
+}
 
 /// A reusable FFT plan for one power-of-two length (twiddles + bit-reversal
 /// table, computed once — the "FFTW plan" analogue).
@@ -147,6 +204,70 @@ impl FftPlan {
             return;
         }
         self.pre(data, dir);
+        self.butterflies(data);
+        self.post(data, dir);
+    }
+
+    /// Transform `count` sequences in place, [`LANES`] at a time: sequence
+    /// `j`, element `k` is `data[j·js + k·ks]`, so rows (`js = len()`,
+    /// `ks = 1`), strided columns (`js = 1`, `ks` = the row length) and
+    /// pencils are each one call. A batch is gathered into `scratch` (at
+    /// least `len()` long) with `pre`'s conjugation and bit reversal folded
+    /// in, swept by the butterflies [`FftPlan::transform`] runs, one lane per
+    /// sequence, and scattered back with `post`'s conjugate-and-scale folded
+    /// in. Every element sees the operations `transform` applies to it, in
+    /// the same order, so the results are bit-identical to one `transform`
+    /// call per sequence. Lanes past the last sequence carry stale values
+    /// that are never scattered.
+    pub(crate) fn transform_lanes(
+        &self,
+        data: &mut [Complex],
+        count: usize,
+        js: usize,
+        ks: usize,
+        dir: Direction,
+        scratch: &mut [Lanes],
+    ) {
+        let n = self.n;
+        if n == 1 {
+            return;
+        }
+        let inverse = dir == Direction::Inverse;
+        let s = 1.0 / n as f64;
+        let scratch = &mut scratch[..n];
+        for j0 in (0..count).step_by(LANES) {
+            let width = LANES.min(count - j0);
+            let base = j0 * js;
+            for (k, &r) in self.bitrev.iter().enumerate() {
+                let v = &mut scratch[r as usize];
+                for l in 0..width {
+                    let c = data[base + l * js + k * ks];
+                    let c = if inverse { c.conj() } else { c };
+                    v.re[l] = c.re;
+                    v.im[l] = c.im;
+                }
+            }
+            self.butterflies(scratch);
+            for (k, v) in scratch.iter().enumerate() {
+                for l in 0..width {
+                    let c = Complex::new(v.re[l], v.im[l]);
+                    data[base + l * js + k * ks] = if inverse { c.conj().scale(s) } else { c };
+                }
+            }
+        }
+    }
+
+    /// The butterfly sweep over bit-reversed input: one sequence
+    /// (`T = Complex`) or [`LANES`] of them (`T = Lanes`).
+    #[inline(always)]
+    fn butterflies<T>(&self, data: &mut [T])
+    where
+        T: Copy
+            + std::ops::Add<Output = T>
+            + std::ops::Sub<Output = T>
+            + std::ops::Mul<Complex, Output = T>,
+    {
+        let n = self.n;
         let mut m = 1;
         let mut tw_base = 0;
         if n.trailing_zeros() % 2 == 1 {
@@ -191,42 +312,6 @@ impl FftPlan {
             tw_base += 3 * m;
             m <<= 2;
         }
-        self.post(data, dir);
-    }
-
-    /// Transform `ncols` strided columns in place: column `c` is
-    /// `data[c + stride·k]` for `k < len()`. Adjacent columns are gathered
-    /// [`COL_BLOCK`] at a time into `scratch` (at least `COL_BLOCK · len()`
-    /// long), so every strided row visit reads whole cache lines instead of
-    /// one 16-byte element; each column then goes through the same
-    /// [`FftPlan::transform`] call as an unblocked loop would make, so the
-    /// results are bit-identical to one.
-    pub(crate) fn transform_columns(
-        &self,
-        data: &mut [Complex],
-        ncols: usize,
-        stride: usize,
-        dir: Direction,
-        scratch: &mut [Complex],
-    ) {
-        let n = self.n;
-        for c0 in (0..ncols).step_by(COL_BLOCK) {
-            let w = COL_BLOCK.min(ncols - c0);
-            let block = &mut scratch[..w * n];
-            for k in 0..n {
-                for (j, v) in data[c0 + stride * k..][..w].iter().enumerate() {
-                    block[j * n + k] = *v;
-                }
-            }
-            for col in block.chunks_exact_mut(n) {
-                self.transform(col, dir);
-            }
-            for k in 0..n {
-                for (j, v) in data[c0 + stride * k..][..w].iter_mut().enumerate() {
-                    *v = block[j * n + k];
-                }
-            }
-        }
     }
 
     /// The historical single-stage radix-2 sweep. Kept as the reference the
@@ -251,7 +336,13 @@ impl FftPlan {
 
     /// One radix-2 butterfly stage of half-size `m`.
     #[inline]
-    fn radix2_stage(&self, data: &mut [Complex], m: usize, tw_base: usize) {
+    fn radix2_stage<T>(&self, data: &mut [T], m: usize, tw_base: usize)
+    where
+        T: Copy
+            + std::ops::Add<Output = T>
+            + std::ops::Sub<Output = T>
+            + std::ops::Mul<Complex, Output = T>,
+    {
         for k in (0..self.n).step_by(2 * m) {
             for j in 0..m {
                 let w = self.twiddles[tw_base + j];
@@ -435,34 +526,38 @@ mod tests {
     }
 
     #[test]
-    fn blocked_columns_are_bit_identical_to_a_column_loop() {
-        // Partial (1, 2, 4) and whole (8, 16, 32) blocks; stride == ncols is
-        // a y pass over one plane, stride 3·ncols a z pass (rows of other
-        // columns in between).
-        let n = 16;
-        let plan = FftPlan::new(n);
-        let mut scratch = vec![Complex::ZERO; COL_BLOCK * n];
+    fn lanes_are_bit_identical_to_a_transform_per_sequence() {
+        // Every length to 2048 (odd and even log2 n), one partial batch up to
+        // two whole ones and a partial, rows (js = n, ks = 1) and strided
+        // columns with a gap column that must stay untouched (js = 1,
+        // ks = count + 1), both directions.
         let bits = |v: &[Complex]| {
             v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect::<Vec<_>>()
         };
-        for nx in [1usize, 2, 4, 8, 16, 32] {
-            for stride in [nx, 3 * nx] {
-                for dir in [Direction::Forward, Direction::Inverse] {
-                    let x = random_signal(stride * n, (nx * stride) as u64);
-                    let mut want = x.clone();
-                    let mut col = vec![Complex::ZERO; n];
-                    for c in 0..nx {
-                        for (k, v) in col.iter_mut().enumerate() {
-                            *v = want[c + stride * k];
+        for log in 0..=11 {
+            let n = 1usize << log;
+            let plan = FftPlan::new(n);
+            let mut scratch = vec![Lanes::default(); n];
+            for count in 1..=2 * LANES + 1 {
+                for (js, ks) in [(n, 1), (1, count + 1)] {
+                    for dir in [Direction::Forward, Direction::Inverse] {
+                        let x = random_signal((count + 1) * n, (n * count + js) as u64);
+                        let mut want = x.clone();
+                        let mut seq = vec![Complex::ZERO; n];
+                        for j in 0..count {
+                            for (k, v) in seq.iter_mut().enumerate() {
+                                *v = want[j * js + k * ks];
+                            }
+                            plan.transform(&mut seq, dir);
+                            for (k, v) in seq.iter().enumerate() {
+                                want[j * js + k * ks] = *v;
+                            }
                         }
-                        plan.transform(&mut col, dir);
-                        for (k, v) in col.iter().enumerate() {
-                            want[c + stride * k] = *v;
-                        }
+                        let mut got = x;
+                        plan.transform_lanes(&mut got, count, js, ks, dir, &mut scratch);
+                        let at = format!("n={n} count={count} js={js} ks={ks} {dir:?}");
+                        assert_eq!(bits(&got), bits(&want), "{at}");
                     }
-                    let mut got = x;
-                    plan.transform_columns(&mut got, nx, stride, dir, &mut scratch);
-                    assert_eq!(bits(&got), bits(&want), "nx={nx} stride={stride} {dir:?}");
                 }
             }
         }
