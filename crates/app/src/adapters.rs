@@ -30,6 +30,7 @@ pub fn uts_config(env: &RunEnv, params: &Params) -> Result<UtsConfig, AppError> 
         _ => StealStrategy::LocalFirstRapid,
     };
     r.finish()?;
+    env.check_layout()?;
     let mut cfg = UtsConfig::small(env.threads, env.nodes_used, strategy, seed);
     cfg.machine = env.machine.clone();
     cfg.conduit = env.conduit.clone();
@@ -98,6 +99,7 @@ pub fn ft_config(env: &RunEnv, params: &Params) -> Result<FtConfig, AppError> {
         _ => hupc_fft::ExchangeKind::Hierarchical,
     };
     r.finish()?;
+    env.check_layout()?;
     for (name, n) in [("nx", nx), ("ny", ny), ("nz", nz)] {
         if !n.is_power_of_two() {
             return Err(AppError::Unsupported(format!(
@@ -185,6 +187,7 @@ pub fn gups_config(env: &RunEnv, params: &Params) -> Result<GupsConfig, AppError
     let updates = r.usize_or("updates", 300)?;
     let seed = r.u64_or("seed", 0xD00D)?;
     r.finish()?;
+    env.check_layout()?;
     let mut cfg = GupsConfig::small(env.threads, env.nodes_used, routing);
     cfg.machine = env.machine.clone();
     cfg.conduit = env.conduit.clone();
@@ -260,6 +263,12 @@ pub fn stream_config(env: &RunEnv, params: &Params) -> Result<TwistedConfig, App
     let elems = r.usize_or("elems", 1 << 12)?;
     let iters = r.usize_or("iters", 2)?;
     r.finish()?;
+    // The triad always runs on one node, whatever `nodes_used` says.
+    RunEnv {
+        nodes_used: 1,
+        ..env.clone()
+    }
+    .check_layout()?;
     if env.threads % 2 != 0 {
         return Err(AppError::Unsupported(
             "stream: twisting pairs threads odd/even (threads must be even)".into(),
@@ -331,5 +340,24 @@ mod tests {
         assert!(unsupported(RunEnv::small(4, 2), &["ny=2"]));
         assert!(unsupported(RunEnv::small(4, 2), &["nx=12"]));
         assert!(unsupported(RunEnv::small(4, 2), &["nz=0"]));
+    }
+
+    #[test]
+    fn unplaceable_layouts_are_unsupported_not_panics() {
+        // Each `(threads, nodes)` breaks one of `Placement::build`'s
+        // asserts on the small-test machine (4 PUs per node).
+        let layouts = [(3, 2), (5, 2), (2, 3), (1, 4), (0, 1), (4, 0), (64, 1)];
+        for w in crate::registry::Registry::builtin().iter() {
+            for (threads, nodes) in layouts {
+                // STREAM runs on one node whatever `nodes_used` says, so
+                // these two layouts are placeable for it.
+                let runs = w.name() == "stream" && matches!((threads, nodes), (2, 3) | (4, 0));
+                match w.run(&RunEnv::small(threads, nodes), &Params::empty()) {
+                    Err(AppError::Unsupported(_)) if !runs => {}
+                    Ok(v) if runs && v.passed => {}
+                    other => panic!("{} on ({threads}, {nodes}): {other:?}", w.name()),
+                }
+            }
+        }
     }
 }

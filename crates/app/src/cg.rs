@@ -89,6 +89,7 @@ impl Workload for CgWorkload {
         let seed = r.u64_or("seed", 17)?;
         let tol = r.f64_or("tol", 1e-8)?;
         r.finish()?;
+        env.check_layout()?;
         let p = env.threads;
         if n % p != 0 {
             return Err(AppError::Unsupported(format!(

@@ -136,6 +136,7 @@ impl Workload for MdWorkload {
         let tol = r.f64_or("tol", 1e-4)?;
         let seed = r.u64_or("seed", 23)?;
         r.finish()?;
+        env.check_layout()?;
         let p = env.threads;
         let (px, py, pz) = grid3(p);
         let cell_l = (n_per as f64 / density).cbrt();

@@ -122,6 +122,7 @@ impl Workload for Stencil2dWorkload {
         let alpha = r.f64_or("alpha", 0.2)?;
         let seed = r.u64_or("seed", 11)?;
         r.finish()?;
+        env.check_layout()?;
         let p = env.threads;
         if n % p != 0 || n / p < 1 {
             return Err(AppError::Unsupported(format!(

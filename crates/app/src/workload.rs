@@ -40,6 +40,28 @@ impl RunEnv {
         self
     }
 
+    /// Whether the SPMD layout can be placed on the machine: at least one
+    /// thread, `1..=machine.nodes` nodes, threads dividing evenly over them
+    /// and no more per node than a node has PUs. These are
+    /// [`hupc_topo::Placement::build`]'s preconditions, returned typed
+    /// instead of asserted; every UPC-backed workload checks them first.
+    pub fn check_layout(&self) -> Result<(), AppError> {
+        let (threads, nodes) = (self.threads, self.nodes_used);
+        let pus = self.machine.pus_per_node();
+        let why = if threads == 0 {
+            "at least one thread is required".to_string()
+        } else if nodes == 0 || nodes > self.machine.nodes {
+            format!("nodes_used {nodes} out of range (machine has {})", self.machine.nodes)
+        } else if threads % nodes != 0 {
+            format!("threads ({threads}) must divide evenly over nodes ({nodes})")
+        } else if threads / nodes > pus {
+            format!("{} threads per node exceed {pus} PUs", threads / nodes)
+        } else {
+            return Ok(());
+        };
+        Err(AppError::Unsupported(why))
+    }
+
     /// The standard launch configuration for this environment (see
     /// [`UpcConfig::standard`]).
     pub fn upc_config(&self, segment_words: usize) -> UpcConfig {

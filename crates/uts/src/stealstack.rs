@@ -8,11 +8,11 @@
 //! words META..      : node slots, 3 words each, `[0, workavail)` live
 //! ```
 //!
-//! The owner moves work between its private stack and this region; thieves
-//! probe `workavail` with a one-word get and transfer nodes under the
-//! owner's lock. All counters are read/written through the normal one-sided
-//! paths, so probe and steal costs follow the conduit (the IB-vs-Ethernet
-//! contrast of Fig 3.3 comes from exactly these operations).
+//! The owner moves work between its private stack and this region in bulk,
+//! owner-local and uncharged: one segment borrow per `release`/`reacquire`.
+//! Thieves probe `workavail` with a one-word get and transfer nodes under
+//! the owner's lock through the one-sided paths, so probe and steal costs
+//! follow the conduit (Fig 3.3's IB-vs-Ethernet contrast comes from these).
 
 use hupc_upc::{CommError, SharedArray, Upc, UpcLock};
 
@@ -65,33 +65,41 @@ impl StealStacks {
             .read_word(self.avail_word()) as usize
     }
 
+    /// Owner: one exclusive borrow of the own chunk, `workavail` at index 0.
+    fn with_own_chunk<R>(&self, upc: &Upc<'_>, f: impl FnOnce(&mut [u64]) -> R) -> R {
+        let seg = upc.gasnet().segment(upc.mythread());
+        seg.with_range_mut(self.avail_word(), META + self.cap * Node::WORDS, f)
+    }
+
     /// Owner: append `nodes` to the stealable region (hold the own lock).
-    /// Returns how many were actually placed (bounded by capacity).
-    pub fn release(&self, upc: &Upc<'_>, nodes: &[Node]) -> usize {
-        let me = upc.mythread();
-        let seg = upc.gasnet().segment(me);
-        let avail = seg.read_word(self.avail_word()) as usize;
-        let take = nodes.len().min(self.cap - avail);
-        for (i, n) in nodes[..take].iter().enumerate() {
-            seg.write(self.slot_word(avail + i), &n.to_words());
-        }
-        seg.write_word(self.avail_word(), (avail + take) as u64);
-        take
+    /// Returns how many were placed: the first ones, up to capacity.
+    pub fn release<'n>(
+        &self,
+        upc: &Upc<'_>,
+        nodes: impl ExactSizeIterator<Item = &'n Node>,
+    ) -> usize {
+        self.with_own_chunk(upc, |chunk| {
+            let avail = chunk[0] as usize;
+            let take = nodes.len().min(self.cap - avail);
+            let free = &mut chunk[META + avail * Node::WORDS..];
+            for (slot, n) in free.chunks_exact_mut(Node::WORDS).zip(nodes) {
+                slot.copy_from_slice(&n.to_words());
+            }
+            chunk[0] = (avail + take) as u64;
+            take
+        })
     }
 
     /// Owner: reclaim all stealable nodes back to the private stack (hold
     /// the own lock).
     pub fn reacquire(&self, upc: &Upc<'_>, out: &mut Vec<Node>) -> usize {
-        let me = upc.mythread();
-        let seg = upc.gasnet().segment(me);
-        let avail = seg.read_word(self.avail_word()) as usize;
-        let mut buf = vec![0u64; Node::WORDS];
-        for i in 0..avail {
-            seg.read(self.slot_word(i), &mut buf);
-            out.push(Node::from_words(&buf));
-        }
-        seg.write_word(self.avail_word(), 0);
-        avail
+        self.with_own_chunk(upc, |chunk| {
+            let avail = chunk[0] as usize;
+            let live = &chunk[META..META + avail * Node::WORDS];
+            out.extend(live.chunks_exact(Node::WORDS).map(Node::from_words));
+            chunk[0] = 0;
+            avail
+        })
     }
 
     // ----- thief-side (remote, charged) ---------------------------------------
@@ -156,6 +164,14 @@ mod tests {
     use super::*;
     use crate::tree::TreeParams;
     use hupc_upc::{UpcConfig, UpcJob};
+    use proptest::prelude::*;
+
+    fn root_kids(seed: u32) -> Vec<Node> {
+        let p = TreeParams::small_binomial(seed);
+        let mut kids = Vec::new();
+        p.expand(&p.root(), |k| kids.push(k)); // 60 children
+        kids
+    }
 
     #[test]
     fn release_reacquire_round_trip() {
@@ -163,12 +179,10 @@ mod tests {
         let (stacks, locks) = StealStacks::allocate(&job, 64);
         job.run(move |upc| {
             if upc.mythread() == 0 {
-                let p = TreeParams::small_binomial(1);
-                let mut kids = Vec::new();
-                p.children(&p.root(), &mut kids);
+                let kids = root_kids(1);
                 let n = kids.len().min(10);
                 locks[0].lock(&upc);
-                let placed = stacks.release(&upc, &kids[..n]);
+                let placed = stacks.release(&upc, kids[..n].iter());
                 assert_eq!(placed, n);
                 assert_eq!(stacks.my_avail(&upc), n);
                 let mut back = Vec::new();
@@ -186,13 +200,11 @@ mod tests {
         let job = UpcJob::new(UpcConfig::test_default(1, 1));
         let (stacks, locks) = StealStacks::allocate(&job, 4);
         job.run(move |upc| {
-            let p = TreeParams::small_binomial(2);
-            let mut kids = Vec::new();
-            p.children(&p.root(), &mut kids); // 60 children
+            let kids = root_kids(2);
             locks[0].lock(&upc);
-            let placed = stacks.release(&upc, &kids);
+            let placed = stacks.release(&upc, kids.iter());
             assert_eq!(placed, 4);
-            let more = stacks.release(&upc, &kids);
+            let more = stacks.release(&upc, kids.iter());
             assert_eq!(more, 0);
             locks[0].unlock(&upc);
         });
@@ -203,13 +215,11 @@ mod tests {
         let job = UpcJob::new(UpcConfig::test_default(2, 1));
         let (stacks, locks) = StealStacks::allocate(&job, 64);
         job.run(move |upc| {
-            let p = TreeParams::small_binomial(3);
-            let mut kids = Vec::new();
-            p.children(&p.root(), &mut kids);
+            let kids = root_kids(3);
             let kids = &kids[..8];
             if upc.mythread() == 0 {
                 locks[0].lock(&upc);
-                stacks.release(&upc, kids);
+                stacks.release(&upc, kids.iter());
                 locks[0].unlock(&upc);
             }
             upc.barrier();
@@ -230,12 +240,10 @@ mod tests {
         let job = UpcJob::new(UpcConfig::test_default(2, 1));
         let (stacks, locks) = StealStacks::allocate(&job, 16);
         job.run(move |upc| {
-            let p = TreeParams::small_binomial(4);
-            let mut kids = Vec::new();
-            p.children(&p.root(), &mut kids);
+            let kids = root_kids(4);
             if upc.mythread() == 0 {
                 locks[0].lock(&upc);
-                stacks.release(&upc, &kids[..5]);
+                stacks.release(&upc, kids[..5].iter());
                 locks[0].unlock(&upc);
             }
             upc.barrier();
@@ -248,5 +256,81 @@ mod tests {
             }
             upc.barrier();
         });
+    }
+
+    /// Node number `k`, recognisable in every word.
+    fn numbered(k: u64) -> Node {
+        Node::from_words(&[k, !k, k])
+    }
+
+    /// Thread 0's stealable region as its segment holds it, bottom first.
+    fn region(stacks: &StealStacks, upc: &Upc<'_>) -> Vec<Node> {
+        let seg = upc.gasnet().segment(0);
+        let avail = seg.read_word(stacks.avail_word()) as usize;
+        seg.with_range(stacks.slot_word(0), avail * Node::WORDS, |w| {
+            w.chunks_exact(Node::WORDS).map(Node::from_words).collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Thread 0 releases and reacquires, thread 1 steals, in a drawn
+        /// order, at capacities small enough to fill: the region and every
+        /// transfer match a `Vec<Node>` model, order and capacity clamp
+        /// included.
+        #[test]
+        fn transfers_match_a_vec_model(
+            cap in 1usize..10,
+            ops in prop::collection::vec(any::<u64>(), 1..40),
+        ) {
+            let job = UpcJob::new(UpcConfig::test_default(2, 1));
+            let (stacks, locks) = StealStacks::allocate(&job, cap);
+            job.run(move |upc| {
+                let me = upc.mythread();
+                // Both threads step the same model; the one whose turn it
+                // is runs the real operation and checks it.
+                let mut model: Vec<Node> = Vec::new();
+                let mut next = 0u64;
+                for &op in &ops {
+                    let k = (op >> 8) as usize % (cap + 3);
+                    match op % 3 {
+                        0 => {
+                            let fresh: Vec<Node> = (next..next + k as u64).map(numbered).collect();
+                            next += k as u64;
+                            let placed = k.min(cap - model.len());
+                            model.extend_from_slice(&fresh[..placed]);
+                            if me == 0 {
+                                locks[0].lock(&upc);
+                                prop_assert_eq!(stacks.release(&upc, fresh.iter()), placed);
+                                locks[0].unlock(&upc);
+                            }
+                        }
+                        1 => {
+                            let want = model.split_off(model.len() - k.min(model.len()));
+                            if me == 1 {
+                                locks[0].lock(&upc);
+                                prop_assert_eq!(stacks.steal_locked(&upc, 0, k), want);
+                                locks[0].unlock(&upc);
+                            }
+                        }
+                        _ => {
+                            let want = std::mem::take(&mut model);
+                            if me == 0 {
+                                let mut back = Vec::new();
+                                locks[0].lock(&upc);
+                                prop_assert_eq!(stacks.reacquire(&upc, &mut back), want.len());
+                                locks[0].unlock(&upc);
+                                prop_assert_eq!(back, want);
+                            }
+                        }
+                    }
+                    upc.barrier();
+                    if me == 0 {
+                        prop_assert_eq!(region(&stacks, &upc), model.clone());
+                    }
+                }
+            });
+        }
     }
 }

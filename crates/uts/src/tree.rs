@@ -106,17 +106,17 @@ impl TreeParams {
         }
     }
 
-    /// Generate the children of `node` into `out` (cleared first). Interior
-    /// expansion runs the batched hasher: one message template + round
-    /// prefix per parent instead of a full `sha1` per child.
-    pub fn children(&self, node: &Node, out: &mut Vec<Node>) {
-        out.clear();
+    /// Hand the children of `node` to `push` in index order; returns how
+    /// many there were. Interior expansion runs the batched hasher (one
+    /// message template + round prefix per parent instead of a full `sha1`
+    /// per child); a leaf returns before building one.
+    pub fn expand(&self, node: &Node, mut push: impl FnMut(Node)) -> u32 {
         let n = self.num_children(node);
-        out.reserve(n as usize);
-        let depth = node.depth + 1;
-        sha1_children(&node.digest, 0..n, |_, digest| {
-            out.push(Node { digest, depth });
-        });
+        if n > 0 {
+            let depth = node.depth + 1;
+            sha1_children(&node.digest, 0..n, |_, digest| push(Node { digest, depth }));
+        }
+        n
     }
 }
 
@@ -160,15 +160,12 @@ pub fn sequential_traverse(params: &TreeParams) -> (u64, u32, u64) {
     let mut total = 0u64;
     let mut max_depth = 0u32;
     let mut leaves = 0u64;
-    let mut kids = Vec::new();
     while let Some(node) = stack.pop() {
         total += 1;
         max_depth = max_depth.max(node.depth);
-        params.children(&node, &mut kids);
-        if kids.is_empty() {
+        if params.expand(&node, |kid| stack.push(kid)) == 0 {
             leaves += 1;
         }
-        stack.append(&mut kids);
     }
     (total, max_depth, leaves)
 }
@@ -176,16 +173,53 @@ pub fn sequential_traverse(params: &TreeParams) -> (u64, u32, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha1::sha1_child;
 
     #[test]
     fn node_word_round_trip() {
         let p = TreeParams::small_binomial(7);
         let mut kids = Vec::new();
-        p.children(&p.root(), &mut kids);
+        p.expand(&p.root(), |k| kids.push(k));
         for n in &kids {
             let w = n.to_words();
             assert_eq!(Node::from_words(&w), *n);
         }
+    }
+
+    #[test]
+    fn expand_emits_children_in_index_order() {
+        for p in [TreeParams::small_binomial(5), TreeParams::small_geometric(11)] {
+            let (mut leaves, mut interiors) = (0, 0);
+            let mut stack = vec![p.root()];
+            while let Some(node) = stack.pop() {
+                let mut kids = Vec::new();
+                let n = p.expand(&node, |k| kids.push(k));
+                assert_eq!(n, p.num_children(&node));
+                assert_eq!(kids.len(), n as usize, "a leaf must emit nothing");
+                for (i, kid) in kids.iter().enumerate() {
+                    assert_eq!(kid.digest, sha1_child(&node.digest, i as u32));
+                    assert_eq!(kid.depth, node.depth + 1);
+                }
+                if n == 0 {
+                    leaves += 1;
+                } else {
+                    interiors += 1;
+                }
+                stack.extend(kids);
+            }
+            assert!(leaves > 0 && interiors > 1, "{p:?}: {leaves} leaves, {interiors} interiors");
+        }
+    }
+
+    /// The thesis tree (Fig 3.3 / Table 3.2: "total 4.1 million nodes"),
+    /// pinned whole: node count, depth and leaves. About 0.3 s in release.
+    #[test]
+    #[ignore = "paper-scale tree; run in release with --include-ignored"]
+    fn thesis_tree_shape_is_pinned() {
+        assert_eq!(
+            sequential_traverse(&TreeParams::thesis_binomial()),
+            (4_065_321, 1308, 3_557_405)
+        );
     }
 
     #[test]

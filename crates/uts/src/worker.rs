@@ -217,11 +217,10 @@ pub fn run_uts_prepared(
         upc.staged_barrier();
         let t0 = upc.now();
         let mut rng = Rng::new((me as u64) << 32 | 0xC0FFEE);
-        let mut kids = Vec::new();
 
         'outer: loop {
             if !local.is_empty() {
-                work_batch(&upc, &cfg2, &mut local, &mut kids, &mut stats);
+                work_batch(&upc, &cfg2, &mut local, &mut stats);
                 maybe_release(&upc, &cfg2, &stacks, &locks, &mut local, &mut stats);
                 continue;
             }
@@ -306,7 +305,6 @@ fn work_batch(
     upc: &Upc<'_>,
     cfg: &UtsConfig,
     local: &mut VecDeque<Node>,
-    kids: &mut Vec<Node>,
     stats: &mut Stats,
 ) {
     let n = cfg.batch.min(local.len());
@@ -314,11 +312,9 @@ fn work_batch(
         let node = local.pop_back().expect("checked non-empty");
         stats.nodes += 1;
         stats.max_depth = stats.max_depth.max(node.depth as u64);
-        cfg.tree.children(&node, kids);
-        if kids.is_empty() {
+        if cfg.tree.expand(&node, |kid| local.push_back(kid)) == 0 {
             stats.leaves += 1;
         }
-        local.extend(kids.drain(..));
     }
     upc.compute(cfg.node_work * n as u64);
 }
@@ -347,15 +343,12 @@ fn maybe_release(
     if n == 0 {
         return;
     }
-    let release: Vec<Node> = local.drain(..n).collect();
     locks[me].lock(upc);
-    let placed = stacks.release(upc, &release);
+    let placed = stacks.release(upc, local.range(..n));
     locks[me].unlock(upc);
     stats.releases += 1;
-    // Anything that did not fit goes back to the private stack's bottom.
-    for n in release.into_iter().skip(placed).rev() {
-        local.push_front(n);
-    }
+    // Anything that did not fit stays at the private stack's bottom.
+    local.drain(..placed);
 }
 
 /// One steal round per the configured strategy. Empty result = round failed.
