@@ -37,12 +37,7 @@ pub fn sha1(data: &[u8]) -> Digest {
     }
     block[56..64].copy_from_slice(&ml.to_be_bytes());
     compress(&mut h, &block);
-
-    let mut out = [0u8; 20];
-    for (i, w) in h.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-    }
-    out
+    digest(h)
 }
 
 fn compress(h: &mut [u32; 5], block: &[u8; 64]) {
@@ -97,15 +92,26 @@ pub fn sha1_child(parent: &Digest, child: u32) -> Digest {
 // w7..w14 = 0, and w15 = 192 (the message bit length). A batch therefore
 // shares one message template per parent and precomputes the compression
 // state after rounds 0..=4 — the last rounds whose inputs (w0..w4) are
-// child-independent. Per child only rounds 5..=79 run, fully unrolled with
-// the 16-word rolling schedule kept in registers instead of a [u32; 80]
-// spill and with the per-round `i / 20` dispatch of [`compress`] folded
-// away. On x86-64, groups of four siblings additionally run lane-parallel
-// through SSE2 (multi-buffer hashing — the chains are independent and
-// identically structured, so one vector instruction serves four children).
+// child-independent. Per child only rounds 5..=79 run, spelled out as
+// straight-line code with the 16-word rolling schedule kept in registers
+// instead of a [u32; 80] spill and with the per-round `i / 20` dispatch of
+// [`compress`] folded away. Groups of eight siblings (the thesis tree's
+// m = 8) run lane-parallel — multi-buffer hashing: the chains are
+// independent and identically structured, so one vector instruction serves
+// all eight. The kernel is plain Rust, a loop over the eight lanes whose
+// body is one child's rounds, which the compiler's loop vectoriser widens
+// across siblings. The same body is compiled twice, for the baseline target
+// (SSE2 on x86-64, four lanes per instruction) and with AVX2 enabled (eight
+// per ymm instruction), and the copy is picked from CPUID at run time.
 // Bit-identical to `sha1_child` (pinned by tests + a proptest).
 
 const K: [u32; 4] = [0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xCA62C1D6];
+
+/// Siblings hashed per kernel call: the thesis tree's branching factor.
+const LANES: usize = 8;
+
+/// One state word of every sibling in a kernel call.
+type Lanes = [u32; LANES];
 
 macro_rules! rnd {
     ($a:ident,$b:ident,$c:ident,$d:ident,$e:ident, $f:expr, $k:expr, $wi:expr) => {{
@@ -133,7 +139,18 @@ macro_rules! wnext {
     }};
 }
 
-/// Reusable per-parent template for deriving many children of one node.
+/// Serialise five state words big-endian.
+fn digest(words: impl IntoIterator<Item = u32>) -> Digest {
+    let mut out = [0u8; 20];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(words) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// Reusable per-parent template for deriving many children of one node:
+/// the scalar [`child`](Self::child) per index, or eight siblings per call
+/// through the lane kernel behind [`sha1_children`].
 #[derive(Clone, Copy, Debug)]
 pub struct ChildHasher {
     /// One padded block; `w[5]` is patched with the child index per call.
@@ -169,221 +186,112 @@ impl ChildHasher {
     /// `SHA1(parent ‖ index)`, sharing the precomputed prefix.
     #[inline]
     pub fn child(&self, index: u32) -> Digest {
+        digest(self.state(index))
+    }
+
+    /// The final state words of `SHA1(parent ‖ index)`: rounds 5..=79 of
+    /// one child, with no loop left in them, so the lane loop of
+    /// [`child8`](Self::child8) is an innermost loop the vectoriser widens.
+    #[inline(always)]
+    #[allow(unused_assignments)] // rounds 77..=79 store ring slots no round reads
+    fn state(&self, index: u32) -> [u32; 5] {
         let mut w = self.w;
         w[5] = index;
         let [mut a, mut b, mut c, mut d, mut e] = self.mid;
+        // One round per listed schedule word.
+        macro_rules! rounds {
+            ($f:expr, $k:expr; $($wi:expr),+) => {$(
+                let wi = $wi;
+                rnd!(a, b, c, d, e, $f, $k, wi);
+            )+};
+        }
+        // One round per listed index `i`, expanding w[i] on the ring.
+        macro_rules! expanded {
+            ($f:expr, $k:expr; $($i:literal)+) => {$(
+                rounds!($f, $k; wnext!(w, $i));
+            )+};
+        }
         // Rounds 5..=15 — every schedule word here is a known padding
         // constant except w5, so spell them out and let the zero adds fold.
-        rnd!(a, b, c, d, e, (b & c) | (!b & d), K[0], index);
-        rnd!(a, b, c, d, e, (b & c) | (!b & d), K[0], 0x8000_0000u32);
-        for _ in 7..15 {
-            rnd!(a, b, c, d, e, (b & c) | (!b & d), K[0], 0u32);
-        }
-        rnd!(a, b, c, d, e, (b & c) | (!b & d), K[0], 24 * 8);
+        rounds!((b & c) | (!b & d), K[0]; index, 0x8000_0000, 0, 0, 0, 0, 0, 0, 0, 0, 24 * 8);
         // Rounds 16..=18 use the parent-precomputed expansions; the ring
         // slots still need the stores for the rolling schedule from 19 on.
-        for i in 16..19 {
-            let wi = self.w16[i - 16];
-            w[i & 15] = wi;
-            rnd!(a, b, c, d, e, (b & c) | (!b & d), K[0], wi);
-        }
-        {
-            let wi = wnext!(w, 19);
-            rnd!(a, b, c, d, e, (b & c) | (!b & d), K[0], wi);
-        }
-        for i in 20..40 {
-            let wi = wnext!(w, i);
-            rnd!(a, b, c, d, e, b ^ c ^ d, K[1], wi);
-        }
-        for i in 40..60 {
-            let wi = wnext!(w, i);
-            rnd!(a, b, c, d, e, (b & c) | (b & d) | (c & d), K[2], wi);
-        }
-        for i in 60..80 {
-            let wi = wnext!(w, i);
-            rnd!(a, b, c, d, e, b ^ c ^ d, K[3], wi);
-        }
-        let h = [
+        w[..3].copy_from_slice(&self.w16);
+        rounds!((b & c) | (!b & d), K[0]; w[0], w[1], w[2]);
+        expanded!((b & c) | (!b & d), K[0]; 19);
+        expanded!(b ^ c ^ d, K[1]; 20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39);
+        expanded!((b & c) | (b & d) | (c & d), K[2]; 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59);
+        expanded!(b ^ c ^ d, K[3]; 60 61 62 63 64 65 66 67 68 69 70 71 72 73 74 75 76 77 78 79);
+        [
             H0[0].wrapping_add(a),
             H0[1].wrapping_add(b),
             H0[2].wrapping_add(c),
             H0[3].wrapping_add(d),
             H0[4].wrapping_add(e),
-        ];
-        let mut out = [0u8; 20];
-        for (o, word) in out.chunks_exact_mut(4).zip(h) {
-            o.copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        ]
     }
 
-    /// Four consecutive siblings `i0..i0+4` at once. On x86-64 the four
-    /// (independent, identically-structured) compression chains run one per
-    /// 32-bit SSE2 lane — multi-buffer hashing — so the per-round work is
-    /// shared across all four children. Elsewhere this is four `child`
-    /// calls. Bit-identical to `child` either way (lane ops are exact u32
-    /// arithmetic).
-    #[inline]
-    pub fn child4(&self, i0: u32) -> [Digest; 4] {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SSE2 is part of the x86-64 baseline: no runtime detection
-            // needed, the intrinsics are unconditionally available.
-            unsafe { self.child4_sse2(i0) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            [
-                self.child(i0),
-                self.child(i0 + 1),
-                self.child(i0 + 2),
-                self.child(i0 + 3),
-            ]
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn child4_sse2(&self, i0: u32) -> [Digest; 4] {
-        use std::arch::x86_64::*;
-
-        #[inline(always)]
-        unsafe fn rotl<const L: i32, const R: i32>(x: __m128i) -> __m128i {
-            _mm_or_si128(_mm_slli_epi32(x, L), _mm_srli_epi32(x, R))
-        }
-        #[inline(always)]
-        unsafe fn add(a: __m128i, b: __m128i) -> __m128i {
-            _mm_add_epi32(a, b)
-        }
-        /// One SHA-1 round on four lane-parallel states (`f` precomputed).
-        #[inline(always)]
-        unsafe fn round4(s: &mut [__m128i; 5], f: __m128i, k: __m128i, wi: __m128i) {
-            let t = add(add(rotl::<5, 27>(s[0]), f), add(s[4], add(k, wi)));
-            s[4] = s[3];
-            s[3] = s[2];
-            s[2] = rotl::<30, 2>(s[1]);
-            s[1] = s[0];
-            s[0] = t;
-        }
-        #[inline(always)]
-        unsafe fn bc(x: u32) -> __m128i {
-            _mm_set1_epi32(x as i32)
-        }
-        // ch(b,c,d) = (b & c) | (!b & d) == d ^ (b & (c ^ d))
-        #[inline(always)]
-        unsafe fn ch(b: __m128i, c: __m128i, d: __m128i) -> __m128i {
-            _mm_xor_si128(d, _mm_and_si128(b, _mm_xor_si128(c, d)))
-        }
-        #[inline(always)]
-        unsafe fn parity(b: __m128i, c: __m128i, d: __m128i) -> __m128i {
-            _mm_xor_si128(_mm_xor_si128(b, c), d)
-        }
-        // maj(b,c,d) = (b & c) | (d & (b ^ c))
-        #[inline(always)]
-        unsafe fn maj(b: __m128i, c: __m128i, d: __m128i) -> __m128i {
-            _mm_or_si128(_mm_and_si128(b, c), _mm_and_si128(d, _mm_xor_si128(b, c)))
-        }
-
-        macro_rules! r4 {
-            ($s:ident, $f:ident, $k:expr, $wi:expr) => {{
-                let f = $f($s[1], $s[2], $s[3]);
-                round4(&mut $s, f, $k, $wi);
-            }};
-        }
-        macro_rules! w4 {
-            ($w:ident, $i:expr) => {{
-                let v = rotl::<1, 31>(_mm_xor_si128(
-                    _mm_xor_si128($w[($i + 13) & 15], $w[($i + 8) & 15]),
-                    _mm_xor_si128($w[($i + 2) & 15], $w[$i & 15]),
-                ));
-                $w[$i & 15] = v;
-                v
-            }};
-        }
-
-        // Broadcast the template; lane L of w5 is child i0 + L.
-        let mut w = [_mm_setzero_si128(); 16];
-        for (slot, &word) in w.iter_mut().zip(self.w.iter()) {
-            *slot = bc(word);
-        }
-        w[5] = _mm_set_epi32(
-            (i0 + 3) as i32,
-            (i0 + 2) as i32,
-            (i0 + 1) as i32,
-            i0 as i32,
-        );
-        let mut s = [
-            bc(self.mid[0]),
-            bc(self.mid[1]),
-            bc(self.mid[2]),
-            bc(self.mid[3]),
-            bc(self.mid[4]),
-        ];
-        let k0 = bc(K[0]);
-        let zero = _mm_setzero_si128();
-
-        // Rounds 5..=15: the padding constants, as in `child`.
-        r4!(s, ch, k0, w[5]);
-        r4!(s, ch, k0, bc(0x8000_0000));
-        for _ in 7..15 {
-            r4!(s, ch, k0, zero);
-        }
-        r4!(s, ch, k0, bc(24 * 8));
-        for i in 16..19 {
-            let wi = bc(self.w16[i - 16]);
-            w[i & 15] = wi;
-            r4!(s, ch, k0, wi);
-        }
-        {
-            let wi = w4!(w, 19);
-            r4!(s, ch, k0, wi);
-        }
-        let k1 = bc(K[1]);
-        for i in 20..40 {
-            let wi = w4!(w, i);
-            r4!(s, parity, k1, wi);
-        }
-        let k2 = bc(K[2]);
-        for i in 40..60 {
-            let wi = w4!(w, i);
-            r4!(s, maj, k2, wi);
-        }
-        let k3 = bc(K[3]);
-        for i in 60..80 {
-            let wi = w4!(w, i);
-            r4!(s, parity, k3, wi);
-        }
-
-        // lanes[word][lane]: final h-words per child.
-        let mut lanes = [[0u32; 4]; 5];
-        for (row, (v, h0)) in lanes.iter_mut().zip(s.into_iter().zip(H0)) {
-            _mm_storeu_si128(row.as_mut_ptr() as *mut __m128i, add(v, bc(h0)));
-        }
-        let mut out = [[0u8; 20]; 4];
-        for (lane, digest) in out.iter_mut().enumerate() {
-            for (bytes, row) in digest.chunks_exact_mut(4).zip(&lanes) {
-                bytes.copy_from_slice(&row[lane].to_be_bytes());
+    /// The lane kernel: children `i0..i0+8` (indices wrap past `u32::MAX`)
+    /// as word-major state, `h[word][lane]` being word `word` of child
+    /// `i0 + lane`. Each lane is [`state`](Self::state), so this is
+    /// bit-identical to `child`; the compiler turns the lane loop into one
+    /// vector instruction per round step, and the word-major result into
+    /// whole-vector stores. The body of both copies [`sha1_children`] picks
+    /// from.
+    #[inline(always)]
+    fn child8(&self, i0: u32) -> [Lanes; 5] {
+        let mut h = [[0u32; LANES]; 5];
+        for lane in 0..LANES {
+            let words = self.state(i0.wrapping_add(lane as u32));
+            for (row, word) in h.iter_mut().zip(words) {
+                row[lane] = word;
             }
         }
-        out
+        h
     }
+}
+
+/// A compiled copy of the lane kernel [`ChildHasher::child8`].
+type LaneKernel = fn(&ChildHasher, u32) -> [Lanes; 5];
+
+/// The copy for the baseline target, which every host runs.
+fn child8_plain(h: &ChildHasher, i0: u32) -> [Lanes; 5] {
+    h.child8(i0)
+}
+
+/// The AVX2 copy, where CPUID reports AVX2.
+fn avx2_kernel() -> Option<LaneKernel> {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        /// # Safety
+        /// The CPU must support AVX2.
+        #[target_feature(enable = "avx2")]
+        unsafe fn child8_avx2(h: &ChildHasher, i0: u32) -> [Lanes; 5] {
+            h.child8(i0)
+        }
+        // SAFETY: this CPU was just checked to support AVX2.
+        return Some(|h, i0| unsafe { child8_avx2(h, i0) });
+    }
+    None
 }
 
 /// Derive children `lo..hi` of `parent` in one batch, calling
 /// `emit(index, digest)` for each. Equivalent to `sha1_child` per index but
 /// amortizes the message template and round-0..4 prefix across the batch and
-/// runs groups of four siblings through the SIMD lanes of [`ChildHasher::child4`].
+/// runs every group of up to eight siblings through the lane kernel
+/// [`ChildHasher::child8`], the AVX2 copy where the CPU has it; a short last
+/// group emits only its first `hi - i` lanes.
 pub fn sha1_children(parent: &Digest, children: std::ops::Range<u32>, mut emit: impl FnMut(u32, Digest)) {
     let h = ChildHasher::new(parent);
+    let kernel = avx2_kernel().unwrap_or(child8_plain);
     let mut i = children.start;
-    while children.end.saturating_sub(i) >= 4 {
-        for (k, d) in h.child4(i).into_iter().enumerate() {
-            emit(i + k as u32, d);
-        }
-        i += 4;
-    }
     while i < children.end {
-        emit(i, h.child(i));
-        i += 1;
+        let n = (children.end - i).min(LANES as u32);
+        let words = kernel(&h, i);
+        for lane in 0..n {
+            emit(i + lane, digest(words.iter().map(|row| row[lane as usize])));
+        }
+        i += n;
     }
 }
 
@@ -467,6 +375,42 @@ mod tests {
                 assert_eq!(h.child(i), sha1_child(&parent, i));
             }
             parent = got[round].1;
+        }
+    }
+
+    /// Every copy of the lane kernel this host can run (the plain copy
+    /// always, the AVX2 copy where CPUID reports AVX2) against scalar
+    /// `sha1_child`, lane by lane. The dispatching proptest
+    /// `sha1_children_match_scalar` only reaches the copy the host picks.
+    #[test]
+    fn every_lane_copy_matches_sha1_child() {
+        let copies: Vec<LaneKernel> = [Some(child8_plain as LaneKernel), avx2_kernel()]
+            .into_iter()
+            .flatten()
+            .collect();
+        // u32::MAX - 3: the last three indices, then five lanes that wrap.
+        let starts = [0, 8, 1992, u32::MAX - 7, u32::MAX - 3];
+        let mut parent = sha1(b"lane-copies");
+        for _ in 0..256 {
+            let h = ChildHasher::new(&parent);
+            for (copy, kernel) in copies.iter().enumerate() {
+                for i0 in starts {
+                    let words = kernel(&h, i0);
+                    for lane in 0..LANES {
+                        let i = i0.wrapping_add(lane as u32);
+                        let got = digest(words.iter().map(|row| row[lane]));
+                        assert_eq!(got, sha1_child(&parent, i), "copy {copy}, child {i}");
+                    }
+                }
+            }
+            // A 3-child tail emits its three children and no wrapped lane.
+            let mut tail = Vec::new();
+            sha1_children(&parent, u32::MAX - 3..u32::MAX, |i, d| tail.push((i, d)));
+            let want: Vec<_> = (u32::MAX - 3..u32::MAX)
+                .map(|i| (i, sha1_child(&parent, i)))
+                .collect();
+            assert_eq!(tail, want);
+            parent = sha1(&parent);
         }
     }
 
