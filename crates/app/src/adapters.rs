@@ -274,6 +274,15 @@ pub fn stream_config(env: &RunEnv, params: &Params) -> Result<TwistedConfig, App
             "stream: twisting pairs threads odd/even (threads must be even)".into(),
         ));
     }
+    // No element allocates no array; no iteration writes no `a`, so the
+    // oracle would compare zeros against `b + s*c`.
+    for (name, n) in [("elems", elems), ("iters", iters)] {
+        if n == 0 {
+            return Err(AppError::Unsupported(format!(
+                "stream: {name} must be at least 1"
+            )));
+        }
+    }
     let mut cfg = TwistedConfig::small(variant);
     cfg.machine = env.machine.clone();
     cfg.threads = env.threads;
@@ -340,6 +349,22 @@ mod tests {
         assert!(unsupported(RunEnv::small(4, 2), &["ny=2"]));
         assert!(unsupported(RunEnv::small(4, 2), &["nx=12"]));
         assert!(unsupported(RunEnv::small(4, 2), &["nz=0"]));
+    }
+
+    #[test]
+    fn stream_rejects_empty_runs() {
+        let env = RunEnv::small(2, 1);
+        for params in [["elems=0"], ["iters=0"]] {
+            let params = Params::parse(&params).unwrap();
+            let got = StreamWorkload.run(&env, &params);
+            assert!(
+                matches!(got, Err(AppError::Unsupported(_))),
+                "{params:?}: {got:?}"
+            );
+        }
+        // The smallest run that writes `a` still verifies.
+        let params = Params::parse(&["elems=1", "iters=1"]).unwrap();
+        assert!(StreamWorkload.run(&env, &params).unwrap().passed);
     }
 
     #[test]

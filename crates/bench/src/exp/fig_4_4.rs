@@ -55,3 +55,41 @@ pub fn run(quick: bool) -> Vec<Table> {
     }
     vec![t]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The quick slice at its measured values, pinned exactly as printed
+    /// (the phases run in `ComputeMode::Model`, so only a model change moves
+    /// them). The orderings are the thesis' claims: the bulk kernels scale
+    /// perfectly, the split-phase all-to-all saturates from 16 threads.
+    #[test]
+    #[ignore = "about 0.2 s in release; CI runs it with --release"]
+    fn quick_figure_pins_perfect_kernels_and_saturating_all_to_all() {
+        // (threads, evolve, transpose, FFT 2D, FFT 1D, a2a split, a2a overlap)
+        let want = [
+            ["1", "1.0", "1.0", "1.0", "1.0", "1.0", "1.0"],
+            ["4", "4.0", "4.0", "4.0", "4.0", "3.8", "6.3"],
+            ["16", "16.0", "16.0", "16.0", "16.0", "14.2", "25.6"],
+            ["64", "64.0", "64.0", "64.0", "64.0", "22.3", "25.7"],
+        ];
+        let tables = run(true);
+        assert_eq!(tables.len(), 1);
+        let rows = &tables[0].rows;
+        assert_eq!(*rows, want.map(|row| row.map(String::from).to_vec()));
+        let num = |row: &[String], col: usize| row[col].parse::<f64>().unwrap();
+        for row in rows {
+            // Evolve, transpose, FFT 2D and FFT 1D speed up n-fold.
+            let n = num(row, 0);
+            for col in 1..=4 {
+                assert_eq!(num(row, col), n, "{row:?}");
+            }
+        }
+        // The split all-to-all still scales to 16 threads, then gains less
+        // than 2x for 4x the threads.
+        let (at16, at64) = (num(&rows[2], 5), num(&rows[3], 5));
+        assert!(at16 > 0.8 * 16.0, "16 threads: {at16}");
+        assert!(at64 < 2.0 * at16, "16 -> 64 threads: {at16} -> {at64}");
+    }
+}

@@ -179,3 +179,72 @@ pub fn run(quick: bool) -> Vec<Table> {
         scalability_table(&mut runner, ExchangeKind::Overlap, quick, "d"),
     ]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The quick slice at its measured values, pinned exactly as printed
+    /// (`ComputeMode::Model`, so only a model change moves them), with the
+    /// thesis' orderings: OpenMP ≥ thread pool > Cilk++ in every row, and
+    /// the 8×n single-master configurations decay as n grows.
+    #[test]
+    #[ignore = "about 1 s in release; CI runs it with --release"]
+    fn quick_figure_pins_runtime_order_and_single_master_decay() {
+        // Panels (a)/(b): (config, pthreads, OpenMP, Cilk++, thread pool).
+        let improvement = [
+            [
+                ["8*1", "+0.0%", "-0.0%", "-8.9%", "-0.0%"],
+                ["8*2", "-8.1%", "-9.8%", "-17.0%", "-9.8%"],
+                ["8*4", "-13.9%", "-17.0%", "-22.5%", "-17.0%"],
+                ["8*8", "-21.5%", "-25.3%", "-29.0%", "-25.3%"],
+            ],
+            [
+                ["8*1", "+0.0%", "-0.0%", "-9.9%", "-0.1%"],
+                ["8*2", "-9.2%", "-8.9%", "-16.1%", "-8.9%"],
+                ["8*4", "-15.1%", "-14.3%", "-19.9%", "-14.3%"],
+                ["8*8", "-22.6%", "-20.7%", "-24.6%", "-20.7%"],
+            ],
+        ];
+        // Panels (c)/(d): (threads, processes, pthreads, OpenMP, Cilk++,
+        // thread pool).
+        let speedup = [
+            [
+                ["8", "1.0", "1.0", "1.0", "0.9", "1.0"],
+                ["32", "3.5", "3.0", "3.5", "3.2", "3.5"],
+            ],
+            [
+                ["8", "1.0", "1.0", "1.0", "0.9", "1.0"],
+                ["32", "3.4", "2.9", "3.4", "3.2", "3.4"],
+            ],
+        ];
+        let tables = run(true);
+        assert_eq!(tables.len(), 4);
+        let rows = |t: usize| &tables[t].rows;
+        for (t, want) in improvement.iter().enumerate() {
+            assert_eq!(*rows(t), want.map(|row| row.map(String::from).to_vec()));
+        }
+        for (t, want) in speedup.iter().enumerate() {
+            assert_eq!(*rows(t + 2), want.map(|row| row.map(String::from).to_vec()));
+        }
+        let num = |cell: &str| cell.trim_end_matches('%').parse::<f64>().unwrap();
+        for (t, (openmp, cilk, pool)) in [(2, 3, 4), (2, 3, 4), (3, 4, 5), (3, 4, 5)]
+            .into_iter()
+            .enumerate()
+        {
+            for row in rows(t) {
+                let at = format!("{}: {row:?}", tables[t].title);
+                assert!(num(&row[openmp]) >= num(&row[pool]), "{at}");
+                assert!(num(&row[pool]) > num(&row[cilk]), "{at}");
+            }
+        }
+        // 8×1 → 8×8: every hybrid runtime loses more to processes as n grows.
+        for table in &tables[..2] {
+            for col in 2..=4 {
+                let column: Vec<f64> = table.rows.iter().map(|row| num(&row[col])).collect();
+                let at = format!("{} column {col}: {column:?}", table.title);
+                assert!(column.windows(2).all(|w| w[1] < w[0]), "{at}");
+            }
+        }
+    }
+}

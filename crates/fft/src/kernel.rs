@@ -6,9 +6,13 @@
 //! [`FftPlan::transform`] transforms one sequence. FT's grid passes go
 //! through [`FftPlan::transform_lanes`] instead, which runs [`LANES`]
 //! sequences side by side in split-complex scratch so each butterfly is
-//! plain `[f64; LANES]` arithmetic the compiler vectorises with baseline
-//! instructions; every element gets the same operations in the same order
-//! as in `transform`, so both give the same bits.
+//! plain `[f64; LANES]` arithmetic the compiler vectorises; every element
+//! gets the same operations in the same order as in `transform`, so both
+//! give the same bits. Its body is compiled twice, for the baseline target
+//! (SSE2 on x86-64, two lanes per instruction) and with AVX2 enabled (all
+//! four lanes in one ymm instruction), and the copy is picked from CPUID at
+//! run time. Rust never contracts a multiply and an add into an FMA, so the
+//! two copies give the same bits too.
 
 /// A complex number as `[re, im]` (bit-compatible with the PGAS element
 /// `[f64; 2]`).
@@ -95,7 +99,9 @@ pub enum Direction {
 /// elements are one 64-byte cache line of a strided row, and at n = 256
 /// four lanes of scratch plus the lines they gather (32 KiB) fit a 48 KiB
 /// first-level data cache where eight (64 KiB) do not; of 2, 4 and 8, four
-/// measured fastest (EXPERIMENTS.md "Four transforms per sweep").
+/// measured fastest (EXPERIMENTS.md "Four transforms per sweep"), and under
+/// AVX2 eight did not beat four (EXPERIMENTS.md "FT's lane FFT at full
+/// vector width").
 pub(crate) const LANES: usize = 4;
 
 /// One element of [`LANES`] independent sequences, split into real and
@@ -217,9 +223,27 @@ impl FftPlan {
     /// sequence, and scattered back with `post`'s conjugate-and-scale folded
     /// in. Every element sees the operations `transform` applies to it, in
     /// the same order, so the results are bit-identical to one `transform`
-    /// call per sequence. Lanes past the last sequence carry stale values
-    /// that are never scattered.
+    /// call per sequence. Runs the AVX2 copy of the body where CPUID reports
+    /// AVX2, the baseline copy elsewhere.
     pub(crate) fn transform_lanes(
+        &self,
+        data: &mut [Complex],
+        count: usize,
+        js: usize,
+        ks: usize,
+        dir: Direction,
+        scratch: &mut [Lanes],
+    ) {
+        let copy = avx2_lanes().unwrap_or(transform_lanes_plain);
+        copy(self, data, count, js, ks, dir, scratch)
+    }
+
+    /// The body of both copies [`FftPlan::transform_lanes`] picks from.
+    /// The butterflies and the radix-2 stage are `#[inline(always)]` too, so
+    /// the AVX2 copy calls no baseline-compiled helper. The gather and
+    /// scatter loops always span all [`LANES`], which lets them unroll.
+    #[inline(always)]
+    fn lanes(
         &self,
         data: &mut [Complex],
         count: usize,
@@ -236,22 +260,21 @@ impl FftPlan {
         let s = 1.0 / n as f64;
         let scratch = &mut scratch[..n];
         for j0 in (0..count).step_by(LANES) {
-            let width = LANES.min(count - j0);
-            let base = j0 * js;
+            // A short last batch repeats its last sequence in the spare
+            // lanes, which compute and store that sequence's own bits again.
+            let last = count - 1 - j0;
+            let at: [usize; LANES] = std::array::from_fn(|l| (j0 + l.min(last)) * js);
             for (k, &r) in self.bitrev.iter().enumerate() {
+                let c: [Complex; LANES] = std::array::from_fn(|l| data[at[l] + k * ks]);
                 let v = &mut scratch[r as usize];
-                for l in 0..width {
-                    let c = data[base + l * js + k * ks];
-                    let c = if inverse { c.conj() } else { c };
-                    v.re[l] = c.re;
-                    v.im[l] = c.im;
-                }
+                v.re = std::array::from_fn(|l| c[l].re);
+                v.im = std::array::from_fn(|l| if inverse { -c[l].im } else { c[l].im });
             }
             self.butterflies(scratch);
             for (k, v) in scratch.iter().enumerate() {
-                for l in 0..width {
+                for l in 0..LANES {
                     let c = Complex::new(v.re[l], v.im[l]);
-                    data[base + l * js + k * ks] = if inverse { c.conj().scale(s) } else { c };
+                    data[at[l] + k * ks] = if inverse { c.conj().scale(s) } else { c };
                 }
             }
         }
@@ -335,7 +358,7 @@ impl FftPlan {
     }
 
     /// One radix-2 butterfly stage of half-size `m`.
-    #[inline]
+    #[inline(always)]
     fn radix2_stage<T>(&self, data: &mut [T], m: usize, tw_base: usize)
     where
         T: Copy
@@ -383,6 +406,49 @@ impl FftPlan {
     pub fn flops(&self) -> f64 {
         5.0 * self.n as f64 * (self.n as f64).log2()
     }
+}
+
+/// A compiled copy of [`FftPlan::transform_lanes`]' body.
+type LaneCopy = fn(&FftPlan, &mut [Complex], usize, usize, usize, Direction, &mut [Lanes]);
+
+/// The copy for the baseline target, which every host runs.
+fn transform_lanes_plain(
+    plan: &FftPlan,
+    data: &mut [Complex],
+    count: usize,
+    js: usize,
+    ks: usize,
+    dir: Direction,
+    scratch: &mut [Lanes],
+) {
+    plan.lanes(data, count, js, ks, dir, scratch)
+}
+
+/// The AVX2 copy, where CPUID reports AVX2: one [`Lanes`] part per ymm
+/// register.
+fn avx2_lanes() -> Option<LaneCopy> {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        /// # Safety
+        /// The CPU must support AVX2.
+        #[target_feature(enable = "avx2")]
+        unsafe fn transform_lanes_avx2(
+            plan: &FftPlan,
+            data: &mut [Complex],
+            count: usize,
+            js: usize,
+            ks: usize,
+            dir: Direction,
+            scratch: &mut [Lanes],
+        ) {
+            plan.lanes(data, count, js, ks, dir, scratch)
+        }
+        // SAFETY: this CPU was just checked to support AVX2.
+        return Some(|p, d, c, js, ks, dir, s| unsafe {
+            transform_lanes_avx2(p, d, c, js, ks, dir, s)
+        });
+    }
+    None
 }
 
 /// Naive O(n²) DFT (test oracle).
@@ -530,7 +596,13 @@ mod tests {
         // Every length to 2048 (odd and even log2 n), one partial batch up to
         // two whole ones and a partial, rows (js = n, ks = 1) and strided
         // columns with a gap column that must stay untouched (js = 1,
-        // ks = count + 1), both directions.
+        // ks = count + 1), both directions; for every copy of the lane body
+        // this host can run (the plain copy always, the AVX2 copy where CPUID
+        // reports AVX2), since `transform_lanes` only reaches the one it picks.
+        let copies: Vec<LaneCopy> = [Some(transform_lanes_plain as LaneCopy), avx2_lanes()]
+            .into_iter()
+            .flatten()
+            .collect();
         let bits = |v: &[Complex]| {
             v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect::<Vec<_>>()
         };
@@ -553,10 +625,12 @@ mod tests {
                                 want[j * js + k * ks] = *v;
                             }
                         }
-                        let mut got = x;
-                        plan.transform_lanes(&mut got, count, js, ks, dir, &mut scratch);
                         let at = format!("n={n} count={count} js={js} ks={ks} {dir:?}");
-                        assert_eq!(bits(&got), bits(&want), "{at}");
+                        for (copy, lanes) in copies.iter().enumerate() {
+                            let mut got = x.clone();
+                            lanes(&plan, &mut got, count, js, ks, dir, &mut scratch);
+                            assert_eq!(bits(&got), bits(&want), "copy {copy} {at}");
+                        }
                     }
                 }
             }

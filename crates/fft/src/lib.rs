@@ -25,7 +25,7 @@ mod kernel;
 mod mpi_ft;
 mod upc_ft;
 
-pub use grid::{seq_checksums, FtClass, Grid};
+pub use grid::{fft3d, seq_checksums, FtClass, Grid};
 pub use kernel::{dft_reference, Complex, Direction, FftPlan};
 pub use mpi_ft::run_ft_mpi;
 pub use upc_ft::{run_ft_upc, ComputeMode, ExchangeKind, FtConfig, FtResult, SubthreadSpec};

@@ -3,8 +3,8 @@
 //! backend, or execution hierarchy.
 
 use hupc::fft::{
-    run_ft_mpi, run_ft_upc, seq_checksums, ComputeMode, ExchangeKind, FtClass, FtConfig,
-    SubthreadSpec,
+    fft3d, run_ft_mpi, run_ft_upc, seq_checksums, Complex, ComputeMode, Direction, ExchangeKind,
+    FftPlan, FtClass, FtConfig, SubthreadSpec,
 };
 use hupc::net::Conduit;
 use hupc::stream::{run_twisted_triad, TriadVariant, TwistedConfig};
@@ -57,6 +57,57 @@ fn ft_all_variants_agree_with_reference_and_each_other() {
                 "{name} iter {i}"
             );
         }
+    }
+}
+
+#[test]
+fn public_fft3d_is_one_transform_per_line() {
+    // `hupc::fft::fft3d` (the batched passes) against `FftPlan::transform`
+    // along x, then y, then z: the same bits, both directions.
+    let g = FtClass::Custom {
+        nx: 8,
+        ny: 4,
+        nz: 16,
+        iters: 1,
+    }
+    .grid();
+    let (nx, ny, nz) = (g.nx, g.ny, g.nz);
+    let u0: Vec<Complex> = (0..nz)
+        .flat_map(|z| (0..ny).flat_map(move |y| (0..nx).map(move |x| (x, y, z))))
+        .map(|(x, y, z)| g.initial(x, y, z))
+        .collect();
+    for dir in [Direction::Forward, Direction::Inverse] {
+        let mut want = u0.clone();
+        // (length, element stride, first element of every line)
+        let axes = [
+            (nx, 1, (0..ny * nz).map(|r| r * nx).collect::<Vec<_>>()),
+            (
+                ny,
+                nx,
+                (0..nz)
+                    .flat_map(|z| (0..nx).map(move |x| x + z * nx * ny))
+                    .collect(),
+            ),
+            (nz, nx * ny, (0..nx * ny).collect()),
+        ];
+        for (n, stride, starts) in axes {
+            let plan = FftPlan::new(n);
+            for s in starts {
+                let mut line: Vec<Complex> = (0..n).map(|k| want[s + k * stride]).collect();
+                plan.transform(&mut line, dir);
+                for (k, v) in line.into_iter().enumerate() {
+                    want[s + k * stride] = v;
+                }
+            }
+        }
+        let mut got = u0.clone();
+        fft3d(&mut got, &g, dir);
+        let bits = |v: &[Complex]| {
+            v.iter()
+                .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&got), bits(&want), "{dir:?}");
     }
 }
 
