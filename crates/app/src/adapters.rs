@@ -107,6 +107,12 @@ pub fn ft_config(env: &RunEnv, params: &Params) -> Result<FtConfig, AppError> {
             )));
         }
     }
+    // No iteration computes no checksum, so the oracle would compare none.
+    if iters == 0 {
+        return Err(AppError::Unsupported(
+            "ft: iters = 0 computes no checksum to verify".into(),
+        ));
+    }
     let p = env.threads;
     if ny % p != 0 || nz % p != 0 {
         return Err(AppError::Unsupported(format!(
@@ -349,6 +355,17 @@ mod tests {
         assert!(unsupported(RunEnv::small(4, 2), &["ny=2"]));
         assert!(unsupported(RunEnv::small(4, 2), &["nx=12"]));
         assert!(unsupported(RunEnv::small(4, 2), &["nz=0"]));
+    }
+
+    #[test]
+    fn ft_rejects_runs_without_checksums() {
+        let env = RunEnv::small(4, 2);
+        let params = Params::parse(&["iters=0"]).unwrap();
+        let got = FtWorkload.run(&env, &params);
+        assert!(matches!(got, Err(AppError::Unsupported(_))), "{got:?}");
+        // One iteration is one checksum, and it verifies.
+        let params = Params::parse(&["iters=1"]).unwrap();
+        assert!(FtWorkload.run(&env, &params).unwrap().passed);
     }
 
     #[test]

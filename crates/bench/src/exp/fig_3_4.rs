@@ -124,3 +124,45 @@ pub fn run(quick: bool) -> Vec<Table> {
     }
     vec![a, b]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The quick slice at its measured values, pinned exactly as printed
+    /// (the exchange runs in `ComputeMode::Model`, so only a model change
+    /// moves it), with the thesis' claims: the manual cast gains nothing
+    /// over the runtime's own shared-memory optimizations, and async puts
+    /// take longer under pthreads.
+    #[test]
+    #[ignore = "about 0.2 s in release; CI runs it with --release"]
+    fn quick_figure_pins_cast_matching_runtime_and_slow_async_pthreads() {
+        // (threads, PSHM, PSHM + cast, pthreads, pthr+PSHM, pthr+PSHM + cast)
+        let want_a = [
+            ["4", "0.0%", "0.0%", "0.0%", "0.0%", "0.0%"],
+            ["8", "13.6%", "13.6%", "13.6%", "13.6%", "13.6%"],
+            ["16", "17.4%", "17.4%", "0.2%", "17.4%", "17.4%"],
+        ];
+        // (config, base, then the variants as above)
+        let want_b = [
+            ["4(4*1)", "0.484", "0.484", "0.484", "0.484", "0.484", "0.484"],
+            ["8(4*2)", "0.279", "0.249", "0.246", "0.326", "0.326", "0.326"],
+            ["16(8*2)", "0.207", "0.178", "0.178", "0.212", "0.181", "0.178"],
+        ];
+        let tables = run(true);
+        assert_eq!(tables.len(), 2);
+        let (a, b) = (&tables[0].rows, &tables[1].rows);
+        assert_eq!(*a, want_a.map(|row| row.map(String::from).to_vec()));
+        assert_eq!(*b, want_b.map(|row| row.map(String::from).to_vec()));
+        // Panel (a): each +cast column equals its runtime-optimization
+        // column (PSHM, pthr+PSHM).
+        for row in a {
+            assert_eq!(row[2], row[1], "PSHM + cast vs PSHM: {row:?}");
+            assert_eq!(row[5], row[4], "pthr+PSHM + cast vs pthr+PSHM: {row:?}");
+        }
+        // Panel (b): at 8 threads the pthreads exchange is slower than the
+        // plain-process base.
+        let num = |row: &[String], col: usize| row[col].parse::<f64>().unwrap();
+        assert!(num(&b[1], 4) > num(&b[1], 1), "{:?}", b[1]);
+    }
+}

@@ -64,10 +64,11 @@ impl Layout {
         x + self.nx * (yl + self.nyp * zl)
     }
 
-    /// Index inside an *inverse* exchange slot: `(yl_of_sender, x, zl)`.
+    /// Index inside an *inverse* exchange slot: `(yl_of_sender, zl, x)`,
+    /// so each of a spatial plane's rows arrives whole.
     #[inline]
-    pub fn inv_slot_idx(&self, yl: usize, x: usize, zl: usize) -> usize {
-        zl + self.nzp * (x + self.nx * yl)
+    pub fn inv_slot_idx(&self, yl: usize, zl: usize, x: usize) -> usize {
+        x + self.nx * (zl + self.nzp * yl)
     }
 }
 
@@ -94,21 +95,40 @@ impl Charges {
 
 /// Real per-rank data (Execute mode).
 ///
-/// One grid buffer serves both layouts: it holds the spatial slab while the
-/// rank is in space and the frequency slice while it is in frequency. Only
-/// an exchange's unpack switches layouts, and every schedule unpacks after
-/// its last pack has read the old layout: the UPC exchanges after every
-/// put's `wait_sync` and the closing barrier (each pack runs inside its put
-/// call), the hierarchical one after its all-to-all, which needs the whole
-/// send staging packed first, and MPI after `alltoall`, whose blocks were
-/// packed into owned buffers before the call. So the overwritten layout is
-/// never read again, and a rank needs `grid` + `u0` (+ the exchange
-/// buffer) instead of a slab and a slice side by side.
+/// `u0` is the rank's only chunk-sized buffer. Through the forward 3-D FFT it
+/// holds the spatial slab: the x/y passes transform it in place and the
+/// forward exchange packs from it. The unpack then overwrites it with the
+/// frequency slice, which is safe because every schedule unpacks after its
+/// last pack has read the slab: the UPC exchanges after every put's
+/// `wait_sync` and the closing barrier (each pack runs inside its put call),
+/// the hierarchical one after its all-to-all, which needs the whole send
+/// staging packed first, and MPI after `alltoall`, whose blocks were packed
+/// into owned buffers before the call. After the z pass `u0` is the
+/// forward-transformed field, which every iteration only reads.
+///
+/// The inverse 3-D FFT never holds a grid. Each frequency plane is evolved
+/// from `u0` and z-transformed at its first pack and freed after its p-th
+/// (see [`FreqPlanes`]), and the receive side unpacks, x/y-transforms and
+/// probes one spatial plane at a time (see [`finish_inverse_with`]). So a
+/// rank holds `u0` (+ the exchange buffer) and a few planes instead of a
+/// second grid.
 pub(crate) struct Data {
-    /// Spatial slab (nzp × ny × nx) or frequency slice (nyp × nx × nz).
-    pub grid: Vec<Complex>,
-    /// Forward-transformed initial field (frequency layout).
-    pub u0: Vec<Complex>,
+    /// Spatial slab (nzp × ny × nx) until the forward exchange's unpack,
+    /// then the forward-transformed field (frequency layout, nyp × nx × nz).
+    u0: Vec<Complex>,
+    /// The inverse exchange's frequency planes.
+    freq: FreqPlanes,
+    /// One spatial plane (ny × nx) of the inverse unpack.
+    plane: Vec<Complex>,
+    /// This rank's checksum probes in [`Grid::checksum_coords`] order: the
+    /// local z-plane and the index inside it.
+    probes: Vec<(usize, usize)>,
+    /// The global grid, whose evolve table each step looks up.
+    g: Grid,
+    /// This rank, whose frequency rows are `me·nyp ..`.
+    me: usize,
+    /// `|kz|²` per z (the evolve table index's z part).
+    kz2: Vec<usize>,
     px: FftPlan,
     py: FftPlan,
     pz: FftPlan,
@@ -118,19 +138,52 @@ pub(crate) struct Data {
     lanes: Vec<Lanes>,
 }
 
+/// The inverse exchange's frequency planes: plane `yl` holds the nx pencils
+/// (z fastest) of `u0`'s frequency row `yl`, evolved to this step and
+/// inverse z-transformed. A plane is computed at its first pack and freed
+/// after its p-th (one per destination), its buffer kept for the next
+/// plane. So a plane-major pack order (every destination's block of one
+/// plane, then the next plane) holds one plane, and a destination-major
+/// order up to `nyp`, as many as the whole frequency slice.
+struct FreqPlanes {
+    /// This step's evolve factors, indexed by `|k̄|²` ([`Grid::evolve_table`]).
+    table: Vec<f64>,
+    /// Plane `yl` from its first pack to its p-th.
+    live: Vec<Option<Vec<Complex>>>,
+    /// Packs served by each live plane.
+    packs: Vec<usize>,
+    /// Buffers of freed planes.
+    spare: Vec<Vec<Complex>>,
+}
+
 pub(crate) fn init_data(g: &Grid, l: &Layout, me: usize) -> Data {
-    let mut grid = vec![Complex::ZERO; l.chunk];
+    let mut u0 = vec![Complex::ZERO; l.chunk];
     for zl in 0..l.nzp {
         let z = me * l.nzp + zl;
         for y in 0..l.ny {
             for x in 0..l.nx {
-                grid[l.s_idx(x, y, zl)] = g.initial(x, y, z);
+                u0[l.s_idx(x, y, zl)] = g.initial(x, y, z);
             }
         }
     }
+    let probes = g
+        .checksum_coords()
+        .filter(|&(_, _, z)| z / l.nzp == me)
+        .map(|(x, y, z)| (z % l.nzp, x + l.nx * y))
+        .collect();
     Data {
-        grid,
-        u0: vec![Complex::ZERO; l.chunk],
+        u0,
+        freq: FreqPlanes {
+            table: Vec::new(),
+            live: (0..l.nyp).map(|_| None).collect(),
+            packs: vec![0; l.nyp],
+            spare: Vec::new(),
+        },
+        plane: vec![Complex::ZERO; l.nx * l.ny],
+        probes,
+        g: *g,
+        me,
+        kz2: (0..l.nz).map(|z| wrapped_sq(z, l.nz)).collect(),
         px: FftPlan::new(l.nx),
         py: FftPlan::new(l.ny),
         pz: FftPlan::new(l.nz),
@@ -138,43 +191,49 @@ pub(crate) fn init_data(g: &Grid, l: &Layout, me: usize) -> Data {
     }
 }
 
-/// x+y FFT passes over every spatial plane.
-pub(crate) fn data_fft2d(d: &mut Data, l: &Layout, dir: Direction) {
-    for plane in d.grid.chunks_exact_mut(l.nx * l.ny) {
-        fft_plane(&d.px, &d.py, plane, dir, &mut d.lanes);
+/// Forward x+y FFT passes over every plane of the spatial slab.
+pub(crate) fn forward_fft2d(d: &mut Data, l: &Layout) {
+    for plane in d.u0.chunks_exact_mut(l.nx * l.ny) {
+        fft_plane(&d.px, &d.py, plane, Direction::Forward, &mut d.lanes);
     }
 }
 
-/// z FFT pass over every frequency pencil (contiguous, z fastest).
-pub(crate) fn data_fftz(d: &mut Data, l: &Layout, dir: Direction) {
-    d.pz.transform_lanes(&mut d.grid, l.chunk / l.nz, l.nz, 1, dir, &mut d.lanes);
+/// Forward z FFT pass over every frequency pencil (contiguous, z fastest).
+pub(crate) fn forward_fftz(d: &mut Data, l: &Layout) {
+    let pencils = l.chunk / l.nz;
+    d.pz.transform_lanes(&mut d.u0, pencils, l.nz, 1, Direction::Forward, &mut d.lanes);
 }
 
-/// Frequency-space evolution at step `t`: `grid = u0 · factor`, with the
-/// factors looked up in this step's [`Grid::evolve_table`].
-pub(crate) fn data_evolve(d: &mut Data, l: &Layout, me: usize, t: usize) {
-    let g = Grid {
-        nx: l.nx,
-        ny: l.ny,
-        nz: l.nz,
-    };
-    let table = g.evolve_table(t);
-    let kz2: Vec<usize> = (0..l.nz).map(|z| wrapped_sq(z, l.nz)).collect();
-    let pencils = d.grid.chunks_exact_mut(l.nz).zip(d.u0.chunks_exact(l.nz));
-    for (p, (out, u0)) in pencils.enumerate() {
-        // Pencil p is (yl, x) = (p / nx, p % nx), z fastest.
-        let kxy = wrapped_sq(p % l.nx, l.nx) + wrapped_sq(me * l.nyp + p / l.nx, l.ny);
-        for ((o, u), k) in out.iter_mut().zip(u0).zip(&kz2) {
-            *o = u.scale(table[kxy + k]);
+/// Start inverse step `t`: look up this step's evolve factors. Every plane
+/// of the previous step was freed by its last pack.
+pub(crate) fn begin_inverse(d: &mut Data, t: usize) {
+    debug_assert!(d.freq.live.iter().all(Option::is_none), "a plane outlived its packs");
+    d.freq.table = d.g.evolve_table(t);
+}
+
+/// Frequency plane `yl` of this step: `u0 · factor` over its nx pencils,
+/// then the inverse z pass.
+fn freq_plane(d: &mut Data, l: &Layout, yl: usize) -> Vec<Complex> {
+    let n = l.nx * l.nz;
+    let mut plane = d.freq.spare.pop().unwrap_or_else(|| vec![Complex::ZERO; n]);
+    let u0 = &d.u0[yl * n..(yl + 1) * n];
+    let ky2 = wrapped_sq(d.me * l.nyp + yl, l.ny);
+    let pencils = plane.chunks_exact_mut(l.nz).zip(u0.chunks_exact(l.nz));
+    for (x, (out, u0)) in pencils.enumerate() {
+        let kxy = wrapped_sq(x, l.nx) + ky2;
+        for ((o, u), k) in out.iter_mut().zip(u0).zip(&d.kz2) {
+            *o = u.scale(d.freq.table[kxy + k]);
         }
     }
+    d.pz.transform_lanes(&mut plane, l.nx, l.nz, 1, Direction::Inverse, &mut d.lanes);
+    plane
 }
 
 /// Pack the forward-exchange block of spatial plane `zl` for `dest`.
 pub(crate) fn pack_fwd_block(d: &Data, l: &Layout, zl: usize, dest: usize, words: &mut [u64]) {
     for yl in 0..l.nyp {
         for x in 0..l.nx {
-            let v = d.grid[l.s_idx(x, dest * l.nyp + yl, zl)];
+            let v = d.u0[l.s_idx(x, dest * l.nyp + yl, zl)];
             let bi = l.fwd_slot_idx(0, yl, x);
             words[bi * 2] = v.re.to_bits();
             words[bi * 2 + 1] = v.im.to_bits();
@@ -182,12 +241,31 @@ pub(crate) fn pack_fwd_block(d: &Data, l: &Layout, zl: usize, dest: usize, words
     }
 }
 
-/// Pack the inverse-exchange block of frequency plane `yl` for `dest`.
-pub(crate) fn pack_inv_block(d: &Data, l: &Layout, yl: usize, dest: usize, words: &mut [u64]) {
-    for x in 0..l.nx {
-        for zl in 0..l.nzp {
-            let v = d.grid[l.f_idx(yl, x, dest * l.nzp + zl)];
-            let bi = l.inv_slot_idx(0, x, zl);
+/// Pack the inverse-exchange block of frequency plane `yl` for `dest`,
+/// computing the plane at its first pack and freeing it after its p-th.
+pub(crate) fn pack_inv_block(d: &mut Data, l: &Layout, yl: usize, dest: usize, words: &mut [u64]) {
+    let plane = match d.freq.live[yl].take() {
+        Some(plane) => plane,
+        None => freq_plane(d, l, yl),
+    };
+    pack_inv_plane(&plane, l, dest, words);
+    d.freq.packs[yl] += 1;
+    if d.freq.packs[yl] == l.p {
+        d.freq.packs[yl] = 0;
+        d.freq.spare.push(plane);
+    } else {
+        d.freq.live[yl] = Some(plane);
+    }
+}
+
+/// `dest`'s block of a frequency plane (nx pencils of nz, z fastest): its
+/// `nzp` z-planes, each a row of nx, written row by row.
+fn pack_inv_plane(plane: &[Complex], l: &Layout, dest: usize, words: &mut [u64]) {
+    for zl in 0..l.nzp {
+        let z = dest * l.nzp + zl;
+        for x in 0..l.nx {
+            let v = plane[z + l.nz * x];
+            let bi = l.inv_slot_idx(0, zl, x);
             words[bi * 2] = v.re.to_bits();
             words[bi * 2 + 1] = v.im.to_bits();
         }
@@ -208,7 +286,7 @@ pub(crate) fn unpack_forward_with<'a>(
             for yl in 0..l.nyp {
                 for x in 0..l.nx {
                     let bi = l.fwd_slot_idx(zl, yl, x);
-                    d.grid[l.f_idx(yl, x, z)] =
+                    d.u0[l.f_idx(yl, x, z)] =
                         Complex::new(f64::from_bits(s[bi * 2]), f64::from_bits(s[bi * 2 + 1]));
                 }
             }
@@ -216,38 +294,42 @@ pub(crate) fn unpack_forward_with<'a>(
     }
 }
 
-/// Rearrange received inverse blocks into the spatial layout.
-pub(crate) fn unpack_inverse_with<'a>(
+/// Finish the inverse 3-D FFT from the received inverse blocks (one full
+/// slot per source, `slot(src)` its words), one spatial plane at a time:
+/// unpack the plane's rows, run the inverse x/y passes and record the
+/// checksum probes on it. Returns this rank's probe sum, added in
+/// [`Grid::checksum_coords`] order.
+pub(crate) fn finish_inverse_with<'a>(
     d: &mut Data,
     l: &Layout,
     mut slot: impl FnMut(usize) -> &'a [u64],
-) {
-    for src in 0..l.p {
-        let s = slot(src);
-        for yl in 0..l.nyp {
-            let y = src * l.nyp + yl;
-            for x in 0..l.nx {
-                for zl in 0..l.nzp {
-                    let bi = l.inv_slot_idx(yl, x, zl);
-                    d.grid[l.s_idx(x, y, zl)] =
-                        Complex::new(f64::from_bits(s[bi * 2]), f64::from_bits(s[bi * 2 + 1]));
-                }
+) -> (f64, f64) {
+    let mut probed = vec![Complex::ZERO; d.probes.len()];
+    for zl in 0..l.nzp {
+        for src in 0..l.p {
+            unpack_inv_rows(&mut d.plane, l, zl, src, slot(src));
+        }
+        fft_plane(&d.px, &d.py, &mut d.plane, Direction::Inverse, &mut d.lanes);
+        for (v, &(pz, i)) in probed.iter_mut().zip(&d.probes) {
+            if pz == zl {
+                *v = d.plane[i];
             }
         }
     }
+    probed.iter().fold((0.0, 0.0), |(re, im), v| (re + v.re, im + v.im))
 }
 
-/// Sum this rank's checksum probes from the spatial slab.
-pub(crate) fn checksum_local(d: &Data, l: &Layout, g: &Grid, me: usize) -> (f64, f64) {
-    let (mut re, mut im) = (0.0, 0.0);
-    for (x, y, z) in g.checksum_coords() {
-        if z / l.nzp == me {
-            let v = d.grid[l.s_idx(x, y, z % l.nzp)];
-            re += v.re;
-            im += v.im;
+/// Copy spatial plane `zl`'s rows held by source `src` (its `nyp` y-rows)
+/// out of that source's inverse slot `s` into `plane` (ny × nx).
+fn unpack_inv_rows(plane: &mut [Complex], l: &Layout, zl: usize, src: usize, s: &[u64]) {
+    for yl in 0..l.nyp {
+        let bi = l.inv_slot_idx(yl, zl, 0);
+        let row = &s[bi * 2..(bi + l.nx) * 2];
+        let y = src * l.nyp + yl;
+        for (v, w) in plane[l.nx * y..l.nx * (y + 1)].iter_mut().zip(row.chunks_exact(2)) {
+            *v = Complex::new(f64::from_bits(w[0]), f64::from_bits(w[1]));
         }
     }
-    (re, im)
 }
 
 #[cfg(test)]
@@ -305,12 +387,109 @@ mod tests {
                 for x in 0..l.nx {
                     for z in 0..l.nz {
                         let want = g.initial(x, me * l.nyp + yl, z);
-                        let got = ranks[me].grid[l.f_idx(yl, x, z)];
+                        let got = ranks[me].u0[l.f_idx(yl, x, z)];
                         assert_eq!(got, want, "rank {me} ({x},{yl},{z})");
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn inverse_pack_unpack_round_trip() {
+        // Every (src→dest) block of every frequency plane packed in the
+        // (yl, zl, x) slot layout, then every spatial plane unpacked row by
+        // row at the destination, must reproduce the frequency planes in
+        // spatial layout (without FFTs the values are just rearranged).
+        let g = FtClass::Custom { nx: 8, ny: 4, nz: 8, iters: 1 }.grid();
+        let p = 2;
+        let l = Layout::new(g, p);
+        let block = l.slot / l.nyp * 2;
+        // Frequency plane yl of rank src holds global row y = src·nyp + yl.
+        let freq = |src: usize, yl: usize| -> Vec<Complex> {
+            let y = src * l.nyp + yl;
+            (0..l.nx * l.nz).map(|i| g.initial(i / l.nz, y, i % l.nz)).collect()
+        };
+        let mut slots = vec![vec![vec![0u64; l.slot * 2]; p]; p];
+        for src in 0..p {
+            for yl in 0..l.nyp {
+                let plane = freq(src, yl);
+                for (dest, slot) in slots.iter_mut().enumerate() {
+                    let w = &mut slot[src][yl * block..(yl + 1) * block];
+                    pack_inv_plane(&plane, &l, dest, w);
+                }
+            }
+        }
+        for (me, slot) in slots.iter().enumerate() {
+            for zl in 0..l.nzp {
+                let mut plane = vec![Complex::ZERO; l.nx * l.ny];
+                for (src, s) in slot.iter().enumerate() {
+                    unpack_inv_rows(&mut plane, &l, zl, src, s);
+                }
+                let z = me * l.nzp + zl;
+                for y in 0..l.ny {
+                    for x in 0..l.nx {
+                        let want = g.initial(x, y, z);
+                        assert_eq!(plane[x + l.nx * y], want, "rank {me} ({x},{y},{zl})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Plane buffers a rank holds: live planes plus freed, kept buffers.
+    fn held(d: &Data) -> usize {
+        d.freq.live.iter().flatten().count() + d.freq.spare.len()
+    }
+
+    /// Pack every inverse block of two steps in `order` (a list of
+    /// `(yl, dest)`), checking after each pack that a plane is freed exactly
+    /// at its p-th pack and that at most `bound` planes are held. Returns
+    /// each step's packed blocks by `(yl, dest)`.
+    fn pack_in_order(order: &[(usize, usize)], bound: usize) -> Vec<Vec<Vec<u64>>> {
+        let g = FtClass::Custom { nx: 8, ny: 8, nz: 16, iters: 2 }.grid();
+        let l = Layout::new(g, 4);
+        assert_eq!(l.nyp, 2);
+        let block = l.slot / l.nyp * 2;
+        let mut d = init_data(&g, &l, 1);
+        let mut steps = Vec::new();
+        for t in 1..=2 {
+            begin_inverse(&mut d, t);
+            let mut packs = vec![0; l.nyp];
+            let mut blocks = vec![Vec::new(); l.nyp * l.p];
+            for &(yl, dest) in order {
+                let mut w = vec![0u64; block];
+                pack_inv_block(&mut d, &l, yl, dest, &mut w);
+                blocks[yl * l.p + dest] = w;
+                packs[yl] += 1;
+                let live = d.freq.live[yl].is_some();
+                assert_eq!(live, packs[yl] < l.p, "step {t}: plane {yl} after {} packs", packs[yl]);
+                assert!(held(&d) <= bound, "step {t}: {} planes held", held(&d));
+            }
+            assert!(d.freq.live.iter().all(Option::is_none), "step {t}");
+            steps.push(blocks);
+        }
+        steps
+    }
+
+    #[test]
+    fn plane_major_packs_hold_one_plane() {
+        let (nyp, p) = (2, 4);
+        let order: Vec<_> = (0..nyp).flat_map(|yl| (0..p).map(move |dest| (yl, dest))).collect();
+        pack_in_order(&order, 1);
+    }
+
+    #[test]
+    fn destination_major_packs_hold_at_most_nyp_planes() {
+        let (nyp, p) = (2, 4);
+        let dest_major: Vec<_> =
+            (0..p).flat_map(|dest| (0..nyp).map(move |yl| (yl, dest))).collect();
+        let plane_major: Vec<_> =
+            (0..nyp).flat_map(|yl| (0..p).map(move |dest| (yl, dest))).collect();
+        let blocks = pack_in_order(&dest_major, nyp);
+        // A reused buffer computes the same bits as a fresh one.
+        assert_eq!(blocks, pack_in_order(&plane_major, 1));
+        assert_ne!(blocks[0], blocks[1], "the field evolves between steps");
     }
 
     #[test]

@@ -8,11 +8,9 @@ use hupc_sim::{time, SimCell, Time};
 use hupc_upc::GasnetConfig;
 
 use crate::ftcore::{
-    checksum_local, data_evolve, data_fft2d, data_fftz, init_data, pack_fwd_block,
-    pack_inv_block, unpack_forward_with, unpack_inverse_with, Charges, Data, Layout, FFT_EFF,
-    PACK_BW,
+    begin_inverse, finish_inverse_with, forward_fft2d, forward_fftz, init_data, pack_fwd_block,
+    pack_inv_block, unpack_forward_with, Charges, Data, Layout, FFT_EFF, PACK_BW,
 };
-use crate::kernel::Direction;
 use crate::upc_ft::{ComputeMode, FtConfig, FtResult};
 
 /// Run the FT benchmark on the MPI substrate. `cfg.exchange`, `cfg.backend`
@@ -59,53 +57,42 @@ pub fn run_ft_mpi(cfg: FtConfig) -> FtResult {
         mpi.barrier();
         let t0 = mpi.now();
 
-        // Forward 3-D FFT.
+        // Forward 3-D FFT, all in u0.
         fft2d += timed(&mpi, |m| {
             if let Some(d) = data.as_mut() {
-                data_fft2d(d, &l, Direction::Forward);
+                forward_fft2d(d, &l);
             }
             charge_flops(m, l.nzp as f64 * charges.plane2d);
         });
         transpose += timed(&mpi, |m| charge_sweep(m, l.chunk as f64 * 32.0)); // pack
-        comm += timed(&mpi, |m| exchange(m, &l, data.as_mut(), true, mode));
+        comm += timed(&mpi, |m| {
+            exchange(m, &l, data.as_mut(), true, mode);
+        });
         transpose += timed(&mpi, |m| charge_sweep(m, l.chunk as f64 * 32.0)); // unpack
         fft1d += timed(&mpi, |m| {
             if let Some(d) = data.as_mut() {
-                data_fftz(d, &l, Direction::Forward);
+                forward_fftz(d, &l);
             }
             charge_flops(m, l.nyp as f64 * charges.planez);
         });
-        if let Some(d) = data.as_mut() {
-            d.u0.copy_from_slice(&d.grid);
-        }
 
+        // The inverse phases are charged in phase order, but the evolve and
+        // the z pass run per frequency plane inside the exchange's packs,
+        // and the x/y passes per spatial plane inside its unpack.
         for t in 1..=iters {
             evolve_t += timed(&mpi, |m| {
                 if let Some(d) = data.as_mut() {
-                    data_evolve(d, &l, me, t);
+                    begin_inverse(d, t);
                 }
                 charge_sweep(m, l.chunk as f64 * 32.0);
             });
-            fft1d += timed(&mpi, |m| {
-                if let Some(d) = data.as_mut() {
-                    data_fftz(d, &l, Direction::Inverse);
-                }
-                charge_flops(m, l.nyp as f64 * charges.planez);
-            });
+            fft1d += timed(&mpi, |m| charge_flops(m, l.nyp as f64 * charges.planez));
             transpose += timed(&mpi, |m| charge_sweep(m, l.chunk as f64 * 32.0)); // pack
-            comm += timed(&mpi, |m| exchange(m, &l, data.as_mut(), false, mode));
+            let mut sums = (0.0, 0.0);
+            comm += timed(&mpi, |m| sums = exchange(m, &l, data.as_mut(), false, mode));
             transpose += timed(&mpi, |m| charge_sweep(m, l.chunk as f64 * 32.0)); // unpack
-            fft2d += timed(&mpi, |m| {
-                if let Some(d) = data.as_mut() {
-                    data_fft2d(d, &l, Direction::Inverse);
-                }
-                charge_flops(m, l.nzp as f64 * charges.plane2d);
-            });
-            let (re, im) = data
-                .as_ref()
-                .map(|d| checksum_local(d, &l, &g, me))
-                .unwrap_or((0.0, 0.0));
-            checksums.push((mpi.allreduce_sum_f64(re), mpi.allreduce_sum_f64(im)));
+            fft2d += timed(&mpi, |m| charge_flops(m, l.nzp as f64 * charges.plane2d));
+            checksums.push((mpi.allreduce_sum_f64(sums.0), mpi.allreduce_sum_f64(sums.1)));
         }
         let total = mpi.now() - t0;
 
@@ -179,35 +166,42 @@ fn reduce_max(mpi: &Mpi<'_>, v: Time) -> Time {
     }
 }
 
-/// The all-to-all: pack per-destination slots, collective exchange, unpack.
-fn exchange(mpi: &Mpi<'_>, l: &Layout, data: Option<&mut Data>, forward: bool, mode: ComputeMode) {
+/// The all-to-all: pack per-destination slots plane-major, collective
+/// exchange, unpack. The inverse unpack also runs the inverse x/y passes and
+/// returns this rank's checksum probe sum.
+fn exchange(
+    mpi: &Mpi<'_>,
+    l: &Layout,
+    data: Option<&mut Data>,
+    forward: bool,
+    mode: ComputeMode,
+) -> (f64, f64) {
     let p = l.p;
     match (mode, data) {
         (ComputeMode::Model, _) | (_, None) => {
             mpi.alltoall_sized(l.slot * 16);
+            (0.0, 0.0)
         }
         (ComputeMode::Execute, Some(d)) => {
             let planes = if forward { l.nzp } else { l.nyp };
             let block_words = l.slot / planes * 2;
-            let blocks: Vec<Vec<u64>> = (0..p)
-                .map(|dest| {
-                    let mut slot = vec![0u64; l.slot * 2];
-                    for pl in 0..planes {
-                        let w = &mut slot[pl * block_words..(pl + 1) * block_words];
-                        if forward {
-                            pack_fwd_block(d, l, pl, dest, w);
-                        } else {
-                            pack_inv_block(d, l, pl, dest, w);
-                        }
+            let mut blocks = vec![vec![0u64; l.slot * 2]; p];
+            for pl in 0..planes {
+                for (dest, slot) in blocks.iter_mut().enumerate() {
+                    let w = &mut slot[pl * block_words..(pl + 1) * block_words];
+                    if forward {
+                        pack_fwd_block(d, l, pl, dest, w);
+                    } else {
+                        pack_inv_block(d, l, pl, dest, w);
                     }
-                    slot
-                })
-                .collect();
+                }
+            }
             let received = mpi.alltoall(&blocks);
             if forward {
                 unpack_forward_with(d, l, |src| &received[src][..]);
+                (0.0, 0.0)
             } else {
-                unpack_inverse_with(d, l, |src| &received[src][..]);
+                finish_inverse_with(d, l, |src| &received[src][..])
             }
         }
     }

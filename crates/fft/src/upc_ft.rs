@@ -11,12 +11,10 @@ use hupc_upc::{
 };
 
 use crate::ftcore::{
-    checksum_local, data_evolve, data_fft2d, data_fftz, init_data, pack_fwd_block,
-    pack_inv_block, unpack_forward_with, unpack_inverse_with, Charges, Data, Layout, FFT_EFF,
-    PACK_BW,
+    begin_inverse, finish_inverse_with, forward_fft2d, forward_fftz, init_data, pack_fwd_block,
+    pack_inv_block, unpack_forward_with, Charges, Data, Layout, FFT_EFF, PACK_BW,
 };
 use crate::grid::FtClass;
-use crate::kernel::Direction;
 
 /// Exchange schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -223,25 +221,21 @@ pub fn run_ft_upc(cfg: FtConfig) -> FtResult {
         upc.barrier();
         let t0 = upc.now();
 
-        // Forward 3-D FFT: 2-D local passes, exchange, z pass.
-        run_fft2d(&upc, &l, &charges, pool.as_ref(), data.as_mut(), Direction::Forward, &mut ph);
+        // Forward 3-D FFT: 2-D local passes, exchange, z pass, all in u0.
+        run_fft2d(&upc, &l, &charges, pool.as_ref(), data.as_mut(), &mut ph);
         run_exchange(&upc, &cfg2, &l, recv.as_ref(), send.as_ref(), data.as_mut(), true, pool.as_ref(), &mut ph);
         run_unpack(&upc, &l, recv.as_ref(), data.as_mut(), true, pool.as_ref(), &mut ph);
-        run_fftz(&upc, &l, &charges, pool.as_ref(), data.as_mut(), Direction::Forward, &mut ph);
-        if let Some(d) = data.as_mut() {
-            d.u0.copy_from_slice(&d.grid);
-        }
+        run_fftz(&upc, &l, &charges, pool.as_ref(), data.as_mut(), &mut ph);
 
+        // The inverse phases are charged in phase order, but the evolve and
+        // the z pass run per frequency plane inside the exchange's packs,
+        // and the x/y passes per spatial plane inside the unpack.
         for t in 1..=iters {
-            run_evolve(&upc, &l, pool.as_ref(), data.as_mut(), me, t, &mut ph);
-            run_fftz(&upc, &l, &charges, pool.as_ref(), data.as_mut(), Direction::Inverse, &mut ph);
+            run_evolve(&upc, &l, pool.as_ref(), data.as_mut(), t, &mut ph);
+            run_fftz(&upc, &l, &charges, pool.as_ref(), None, &mut ph);
             run_exchange(&upc, &cfg2, &l, recv.as_ref(), send.as_ref(), data.as_mut(), false, pool.as_ref(), &mut ph);
-            run_unpack(&upc, &l, recv.as_ref(), data.as_mut(), false, pool.as_ref(), &mut ph);
-            run_fft2d(&upc, &l, &charges, pool.as_ref(), data.as_mut(), Direction::Inverse, &mut ph);
-            let (re, im) = data
-                .as_ref()
-                .map(|d| checksum_local(d, &l, &g, me))
-                .unwrap_or((0.0, 0.0));
+            let (re, im) = run_unpack(&upc, &l, recv.as_ref(), data.as_mut(), false, pool.as_ref(), &mut ph);
+            run_fft2d(&upc, &l, &charges, pool.as_ref(), None, &mut ph);
             let re = upc.allreduce_sum_f64(re);
             let im = upc.allreduce_sum_f64(im);
             checksums.push((re, im));
@@ -313,13 +307,14 @@ fn charge_sweep(upc: &Upc<'_>, pool: Option<&SubPool>, bytes: f64) {
     }
 }
 
+/// Charge the x+y passes over `nzp` planes, running the forward ones on
+/// `data` when given.
 fn run_fft2d(
     upc: &Upc<'_>,
     l: &Layout,
     charges: &Charges,
     pool: Option<&SubPool>,
     data: Option<&mut Data>,
-    dir: Direction,
     ph: &mut Phases,
 ) {
     let t0 = upc.now();
@@ -330,7 +325,7 @@ fn run_fft2d(
         l.nzp as u64,
     );
     if let Some(d) = data {
-        data_fft2d(d, l, dir);
+        forward_fft2d(d, l);
     }
     charge_planes(upc, pool, l.nzp, charges.plane2d);
     let dt = upc.now() - t0;
@@ -343,13 +338,14 @@ fn run_fft2d(
     ph.fft2d += dt;
 }
 
+/// Charge the z pass over `nyp` row-planes, running the forward one on
+/// `data` when given.
 fn run_fftz(
     upc: &Upc<'_>,
     l: &Layout,
     charges: &Charges,
     pool: Option<&SubPool>,
     data: Option<&mut Data>,
-    dir: Direction,
     ph: &mut Phases,
 ) {
     let t0 = upc.now();
@@ -360,7 +356,7 @@ fn run_fftz(
         l.nyp as u64,
     );
     if let Some(d) = data {
-        data_fftz(d, l, dir);
+        forward_fftz(d, l);
     }
     charge_planes(upc, pool, l.nyp, charges.planez);
     let dt = upc.now() - t0;
@@ -373,12 +369,13 @@ fn run_fftz(
     ph.fft1d += dt;
 }
 
+/// Charge step `t`'s evolve sweep and look up its factors; the exchange's
+/// packs apply them plane by plane.
 fn run_evolve(
     upc: &Upc<'_>,
     l: &Layout,
     pool: Option<&SubPool>,
     data: Option<&mut Data>,
-    me: usize,
     t: usize,
     ph: &mut Phases,
 ) {
@@ -390,7 +387,7 @@ fn run_evolve(
         t as u64,
     );
     if let Some(d) = data {
-        data_evolve(d, l, me, t);
+        begin_inverse(d, t);
     }
     charge_sweep(upc, pool, l.chunk as f64 * 32.0);
     let dt = upc.now() - t0;
@@ -408,7 +405,7 @@ fn run_exchange(
     l: &Layout,
     recv: Option<&SharedArray<[f64; 2]>>,
     send: Option<&SharedArray<[f64; 2]>>,
-    data: Option<&mut Data>,
+    mut data: Option<&mut Data>,
     forward: bool,
     pool: Option<&SubPool>,
     ph: &mut Phases,
@@ -424,8 +421,6 @@ fn run_exchange(
         hupc_trace::span::FT_EXCHANGE,
         forward as u64,
     );
-    let data = data.map(|d| &*d);
-
     let mut handles: Vec<Handle> = Vec::new();
     match cfg.exchange {
         ExchangeKind::Overlap => {
@@ -433,8 +428,9 @@ fn run_exchange(
                 charge_sweep(upc, pool, sub_elems as f64 * p as f64 * 32.0);
                 for step in 0..p {
                     let dest = (me + step) % p;
+                    let d = data.as_deref_mut();
                     if let Some(h) =
-                        put_block(upc, cfg, l, recv, data, forward, pl, dest, sub_elems, false)
+                        put_block(upc, cfg, l, recv, d, forward, pl, dest, sub_elems, false)
                     {
                         handles.push(h);
                     }
@@ -447,8 +443,9 @@ fn run_exchange(
             for step in 0..p {
                 let dest = (me + step) % p;
                 for pl in 0..planes {
+                    let d = data.as_deref_mut();
                     if let Some(h) =
-                        put_block(upc, cfg, l, recv, data, forward, pl, dest, sub_elems, blocking)
+                        put_block(upc, cfg, l, recv, d, forward, pl, dest, sub_elems, blocking)
                     {
                         handles.push(h);
                     }
@@ -461,10 +458,11 @@ fn run_exchange(
             let block_words = sub_elems * 2;
             if let (Some(d), Some(s), Some(r)) = (data, send, recv) {
                 // Pack every per-destination slot into the local staging,
-                // then hand the whole transpose to the collective layer.
+                // plane-major, then hand the whole transpose to the
+                // collective layer.
                 s.with_local_words(upc, |w| {
-                    for dest in 0..p {
-                        for pl in 0..planes {
+                    for pl in 0..planes {
+                        for dest in 0..p {
                             let o = dest * slot_words + pl * block_words;
                             let blk = &mut w[o..o + block_words];
                             if forward {
@@ -529,7 +527,7 @@ fn put_block(
     cfg: &FtConfig,
     l: &Layout,
     recv: Option<&SharedArray<[f64; 2]>>,
-    data: Option<&Data>,
+    data: Option<&mut Data>,
     forward: bool,
     pl: usize,
     dest: usize,
@@ -583,7 +581,10 @@ fn put_block(
     }
 }
 
-/// Unpack the received slots into the target layout.
+/// Unpack the received slots, charged as one sweep. The forward unpack
+/// rearranges them into `u0`'s frequency layout. The inverse one also runs
+/// the inverse x/y passes, which the `run_fft2d` after it charges, and
+/// returns this rank's checksum probe sum.
 fn run_unpack(
     upc: &Upc<'_>,
     l: &Layout,
@@ -592,19 +593,22 @@ fn run_unpack(
     forward: bool,
     pool: Option<&SubPool>,
     ph: &mut Phases,
-) {
+) -> (f64, f64) {
     let t0 = upc.now();
+    let mut sums = (0.0, 0.0);
     if let (Some(r), Some(d)) = (recv, data) {
         r.with_local_words(upc, |w| {
+            let slot = |src: usize| &w[src * l.slot * 2..(src + 1) * l.slot * 2];
             if forward {
-                unpack_forward_with(d, l, |src| &w[src * l.slot * 2..(src + 1) * l.slot * 2]);
+                unpack_forward_with(d, l, slot);
             } else {
-                unpack_inverse_with(d, l, |src| &w[src * l.slot * 2..(src + 1) * l.slot * 2]);
+                sums = finish_inverse_with(d, l, slot);
             }
         });
     }
     charge_sweep(upc, pool, l.chunk as f64 * 32.0);
     ph.transpose += upc.now() - t0;
+    sums
 }
 
 #[cfg(test)]

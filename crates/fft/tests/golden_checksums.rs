@@ -64,3 +64,17 @@ fn upc_hierarchical_checksums_are_pinned() {
 fn mpi_checksums_are_pinned() {
     assert_bits("mpi", &run_ft_mpi(cfg()).checksums, &DISTRIBUTED);
 }
+
+#[test]
+fn upc_split_phase_blocking_checksums_are_pinned() {
+    let mut c = cfg();
+    c.exchange = ExchangeKind::SplitPhaseBlocking;
+    assert_bits("split-phase (blocking)", &run_ft_upc(c).checksums, &DISTRIBUTED);
+}
+
+#[test]
+fn upc_overlap_checksums_are_pinned() {
+    let mut c = cfg();
+    c.exchange = ExchangeKind::Overlap;
+    assert_bits("overlap", &run_ft_upc(c).checksums, &DISTRIBUTED);
+}
