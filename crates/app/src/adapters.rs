@@ -194,6 +194,11 @@ pub fn gups_config(env: &RunEnv, params: &Params) -> Result<GupsConfig, AppError
     let seed = r.u64_or("seed", 0xD00D)?;
     r.finish()?;
     env.check_layout()?;
+    // With no updates the oracle has nothing to compare: `direct` fails
+    // `0 < 1 % of 0`, the aggregated routings pass on zero table words.
+    if updates == 0 {
+        return Err(AppError::Unsupported("gups: updates must be at least 1".into()));
+    }
     let mut cfg = GupsConfig::small(env.threads, env.nodes_used, routing);
     cfg.machine = env.machine.clone();
     cfg.conduit = env.conduit.clone();
@@ -275,7 +280,7 @@ pub fn stream_config(env: &RunEnv, params: &Params) -> Result<TwistedConfig, App
         ..env.clone()
     }
     .check_layout()?;
-    if env.threads % 2 != 0 {
+    if !env.threads.is_multiple_of(2) {
         return Err(AppError::Unsupported(
             "stream: twisting pairs threads odd/even (threads must be even)".into(),
         ));
@@ -382,6 +387,22 @@ mod tests {
         // The smallest run that writes `a` still verifies.
         let params = Params::parse(&["elems=1", "iters=1"]).unwrap();
         assert!(StreamWorkload.run(&env, &params).unwrap().passed);
+    }
+
+    #[test]
+    fn gups_rejects_empty_runs() {
+        let env = RunEnv::small(2, 1);
+        for routing in ["direct", "perthread", "hier"] {
+            let params = Params::parse(&[&format!("routing={routing}"), "updates=0"]).unwrap();
+            let got = GupsWorkload.run(&env, &params);
+            assert!(
+                matches!(got, Err(AppError::Unsupported(_))),
+                "{routing}: {got:?}"
+            );
+            // The smallest run that updates the table still verifies.
+            let params = Params::parse(&[&format!("routing={routing}"), "updates=1"]).unwrap();
+            assert!(GupsWorkload.run(&env, &params).unwrap().passed, "{routing}");
+        }
     }
 
     #[test]

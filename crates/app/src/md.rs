@@ -44,12 +44,12 @@ fn grid3(p: usize) -> (usize, usize, usize) {
     let mut best = (p, 1, 1);
     let mut best_surface = usize::MAX;
     for px in 1..=p {
-        if p % px != 0 {
+        if !p.is_multiple_of(px) {
             continue;
         }
         let q = p / px;
         for py in 1..=q {
-            if q % py != 0 {
+            if !q.is_multiple_of(py) {
                 continue;
             }
             let pz = q / py;

@@ -86,7 +86,7 @@ fn corpus_entries_replay() {
     let mut checked = 0;
     for entry in std::fs::read_dir(&dir).expect("corpus dir must exist") {
         let path = entry.unwrap().path();
-        if !path.extension().is_some_and(|x| x == ARTIFACT_EXT) {
+        if path.extension().is_none_or(|x| x != ARTIFACT_EXT) {
             continue;
         }
         let art = Artifact::parse(&std::fs::read_to_string(&path).unwrap())

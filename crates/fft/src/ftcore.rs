@@ -31,8 +31,8 @@ pub(crate) struct Layout {
 
 impl Layout {
     pub fn new(g: Grid, p: usize) -> Layout {
-        assert!(g.nz % p == 0, "threads ({p}) must divide nz ({})", g.nz);
-        assert!(g.ny % p == 0, "threads ({p}) must divide ny ({})", g.ny);
+        assert!(g.nz.is_multiple_of(p), "threads ({p}) must divide nz ({})", g.nz);
+        assert!(g.ny.is_multiple_of(p), "threads ({p}) must divide ny ({})", g.ny);
         let chunk = g.total() / p;
         Layout {
             nx: g.nx,

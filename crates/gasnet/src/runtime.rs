@@ -186,7 +186,7 @@ impl Gasnet {
             std::collections::HashMap::new();
         let mut conns = Vec::with_capacity(cfg.n_threads);
         for t in 0..cfg.n_threads {
-            let node = placement.thread_node(&machine, t);
+            let node = placement.thread_node(t);
             let local = t % per_node;
             let proc = cfg.backend.proc_of(local);
             let conn = *proc_conns.entry((node.0, proc)).or_insert_with(|| {
@@ -291,7 +291,7 @@ impl Gasnet {
 
     /// Node of a UPC thread.
     pub fn thread_node(&self, t: usize) -> NodeId {
-        self.placement.thread_node(&self.machine, t)
+        self.placement.thread_node(t)
     }
 
     /// Bound PU of a UPC thread.

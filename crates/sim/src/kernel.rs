@@ -717,7 +717,7 @@ impl Kernel {
     /// event. (An existing event at the same time holds a smaller sequence
     /// number and must run first, so ties disqualify.)
     pub(crate) fn bypass_eligible(&self, t: Time) -> bool {
-        self.fast_path && self.earliest_pending().map_or(true, |p| t < p)
+        self.fast_path && self.earliest_pending().is_none_or(|p| t < p)
     }
 
     /// Process an actor's own wake inline: consume the sequence number the
@@ -730,7 +730,7 @@ impl Kernel {
         // is pending at an earlier-or-equal (time, sequence) would silently
         // reorder the schedule — fail loudly instead.
         debug_assert!(
-            self.earliest_pending().map_or(true, |p| t < p),
+            self.earliest_pending().is_none_or(|p| t < p),
             "fast path taken at t={t} while an earlier event is pending"
         );
         debug_assert_eq!(

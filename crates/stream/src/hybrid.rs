@@ -119,7 +119,7 @@ pub fn run_hybrid_triad(cfg: HybridConfig) -> TriadResult {
     let u = cfg.layout.upc_threads();
     let subs = cfg.layout.subs();
     let n_per = cfg.elems_total / u;
-    assert!(n_per > 0 && cfg.elems_total % u == 0);
+    assert!(n_per > 0 && cfg.elems_total.is_multiple_of(u));
     let job = UpcJob::new(UpcConfig {
         gasnet: GasnetConfig {
             machine: cfg.machine.clone(),

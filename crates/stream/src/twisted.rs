@@ -97,7 +97,7 @@ const SCALAR: f64 = 3.0;
 
 /// Run the twisted triad and report bandwidth + verification.
 pub fn run_twisted_triad(cfg: TwistedConfig) -> TriadResult {
-    assert!(cfg.threads % 2 == 0, "twisting pairs threads odd/even");
+    assert!(cfg.threads.is_multiple_of(2), "twisting pairs threads odd/even");
     let n_per = cfg.elems_per_thread;
     // PackedCores (the `standard` bind) keeps odd/even pairs on one socket,
     // as the thesis' bound runs do.

@@ -29,6 +29,9 @@ pub struct Placement {
     nodes_used: usize,
     policy: BindPolicy,
     assignment: Vec<PuId>,
+    /// Node of each thread's PU, looked up once here: the runtime asks for
+    /// it on every access-path probe, lock and get.
+    nodes: Vec<NodeId>,
     masks: Vec<AffinityMask>,
 }
 
@@ -61,7 +64,6 @@ impl Placement {
             spec.pus_per_node()
         );
 
-        let total_pus = spec.pus_total();
         let mut assignment = Vec::with_capacity(n_threads);
         let mut masks = Vec::with_capacity(n_threads);
         for node in 0..nodes_used {
@@ -72,15 +74,16 @@ impl Placement {
                     BindPolicy::Unbound => machine.node_mask(NodeId(node)),
                     _ => machine.socket_mask(machine.pu_socket(pu)),
                 };
-                let _ = total_pus;
                 masks.push(mask);
             }
         }
+        let nodes = assignment.iter().map(|&pu| machine.pu_node(pu)).collect();
         Placement {
             n_threads,
             nodes_used,
             policy,
             assignment,
+            nodes,
             masks,
         }
     }
@@ -117,8 +120,8 @@ impl Placement {
     }
 
     /// Node of thread `t`.
-    pub fn thread_node(&self, machine: &Machine, t: usize) -> NodeId {
-        machine.pu_node(self.assignment[t])
+    pub fn thread_node(&self, t: usize) -> NodeId {
+        self.nodes[t]
     }
 
     /// Socket of thread `t`.
@@ -132,9 +135,9 @@ impl Placement {
     }
 
     /// All threads placed on `node`, in rank order.
-    pub fn node_threads(&self, machine: &Machine, node: NodeId) -> Vec<usize> {
+    pub fn node_threads(&self, node: NodeId) -> Vec<usize> {
         (0..self.n_threads)
-            .filter(|&t| self.thread_node(machine, t) == node)
+            .filter(|&t| self.thread_node(t) == node)
             .collect()
     }
 
@@ -269,12 +272,35 @@ mod tests {
         let p = Placement::build(&m, 32, 4, BindPolicy::PackedCores);
         assert_eq!(p.threads_per_node(), 8);
         for t in 0..8 {
-            assert_eq!(p.thread_node(&m, t), NodeId(0));
+            assert_eq!(p.thread_node(t), NodeId(0));
         }
         for t in 8..16 {
-            assert_eq!(p.thread_node(&m, t), NodeId(1));
+            assert_eq!(p.thread_node(t), NodeId(1));
         }
-        assert_eq!(p.node_threads(&m, NodeId(2)), vec![16, 17, 18, 19, 20, 21, 22, 23]);
+        assert_eq!(p.node_threads(NodeId(2)), vec![16, 17, 18, 19, 20, 21, 22, 23]);
+    }
+
+    #[test]
+    fn node_table_matches_pu_node_on_every_preset_and_policy() {
+        let policies = [BindPolicy::PackedCores, BindPolicy::RoundRobinSockets, BindPolicy::Unbound];
+        for spec in [MachineSpec::lehman(), MachineSpec::pyramid(), MachineSpec::small_test(4)] {
+            let m = Machine::new(spec.clone());
+            for policy in policies {
+                for nodes_used in [1, 2, 3, spec.nodes] {
+                    for per_node in 1..=spec.pus_per_node() {
+                        let p = Placement::build(&m, nodes_used * per_node, nodes_used, policy);
+                        for t in 0..p.n_threads() {
+                            assert_eq!(
+                                p.thread_node(t),
+                                m.pu_node(p.thread_pu(t)),
+                                "{} {policy:?} {nodes_used}x{per_node} thread {t}",
+                                spec.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -100,9 +100,11 @@ pub fn sha1_child(parent: &Digest, child: u32) -> Digest {
 // independent and identically structured, so one vector instruction serves
 // all eight. The kernel is plain Rust, a loop over the eight lanes whose
 // body is one child's rounds, which the compiler's loop vectoriser widens
-// across siblings. The same body is compiled twice, for the baseline target
-// (SSE2 on x86-64, four lanes per instruction) and with AVX2 enabled (eight
-// per ymm instruction), and the copy is picked from CPUID at run time.
+// across siblings. The same body is compiled three times: for the baseline
+// target (SSE2 on x86-64, four lanes per instruction), with AVX2 enabled
+// (eight per ymm instruction), and with AVX-512F+VL enabled (still eight
+// per ymm instruction, with single-instruction rotates and three-input
+// logic). The widest copy CPUID allows is picked at run time.
 // Bit-identical to `sha1_child` (pinned by tests + a proptest).
 
 const K: [u32; 4] = [0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xCA62C1D6];
@@ -236,8 +238,8 @@ impl ChildHasher {
     /// `i0 + lane`. Each lane is [`state`](Self::state), so this is
     /// bit-identical to `child`; the compiler turns the lane loop into one
     /// vector instruction per round step, and the word-major result into
-    /// whole-vector stores. The body of both copies [`sha1_children`] picks
-    /// from.
+    /// whole-vector stores. The body of all three copies [`sha1_children`]
+    /// picks from.
     #[inline(always)]
     fn child8(&self, i0: u32) -> [Lanes; 5] {
         let mut h = [[0u32; LANES]; 5];
@@ -275,15 +277,40 @@ fn avx2_kernel() -> Option<LaneKernel> {
     None
 }
 
+/// The AVX-512 copy, where CPUID reports AVX-512F and AVX-512VL. Eight
+/// `u32` lanes fill one ymm register, so the copy uses no zmm register
+/// (and no AVX-512 frequency licence); VL gives it the AVX-512
+/// instructions on ymm: `vprold` for every rotate and `vpternlogd` for
+/// the three-input round functions.
+fn avx512_kernel() -> Option<LaneKernel> {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512vl") {
+        /// # Safety
+        /// The CPU must support AVX-512F and AVX-512VL.
+        #[target_feature(enable = "avx512f,avx512vl")]
+        unsafe fn child8_avx512(h: &ChildHasher, i0: u32) -> [Lanes; 5] {
+            h.child8(i0)
+        }
+        // SAFETY: this CPU was just checked to support AVX-512F and VL.
+        return Some(|h, i0| unsafe { child8_avx512(h, i0) });
+    }
+    None
+}
+
+/// The widest copy this CPU runs: AVX-512F+VL, else AVX2, else plain.
+fn lane_kernel() -> LaneKernel {
+    avx512_kernel().or_else(avx2_kernel).unwrap_or(child8_plain)
+}
+
 /// Derive children `lo..hi` of `parent` in one batch, calling
 /// `emit(index, digest)` for each. Equivalent to `sha1_child` per index but
 /// amortizes the message template and round-0..4 prefix across the batch and
 /// runs every group of up to eight siblings through the lane kernel
-/// [`ChildHasher::child8`], the AVX2 copy where the CPU has it; a short last
-/// group emits only its first `hi - i` lanes.
+/// [`ChildHasher::child8`], the widest copy the CPU runs; a short last group
+/// emits only its first `hi - i` lanes.
 pub fn sha1_children(parent: &Digest, children: std::ops::Range<u32>, mut emit: impl FnMut(u32, Digest)) {
     let h = ChildHasher::new(parent);
-    let kernel = avx2_kernel().unwrap_or(child8_plain);
+    let kernel = lane_kernel();
     let mut i = children.start;
     while i < children.end {
         let n = (children.end - i).min(LANES as u32);
@@ -379,12 +406,13 @@ mod tests {
     }
 
     /// Every copy of the lane kernel this host can run (the plain copy
-    /// always, the AVX2 copy where CPUID reports AVX2) against scalar
-    /// `sha1_child`, lane by lane. The dispatching proptest
-    /// `sha1_children_match_scalar` only reaches the copy the host picks.
+    /// always, the AVX2 copy where CPUID reports AVX2, the AVX-512 copy
+    /// where it reports AVX-512F and VL) against scalar `sha1_child`, lane
+    /// by lane. The dispatching proptest `sha1_children_match_scalar` only
+    /// reaches the copy the host picks.
     #[test]
     fn every_lane_copy_matches_sha1_child() {
-        let copies: Vec<LaneKernel> = [Some(child8_plain as LaneKernel), avx2_kernel()]
+        let copies: Vec<LaneKernel> = [Some(child8_plain as LaneKernel), avx2_kernel(), avx512_kernel()]
             .into_iter()
             .flatten()
             .collect();
