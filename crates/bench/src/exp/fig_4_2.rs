@@ -141,3 +141,54 @@ fn human(bytes: usize) -> String {
         format!("{bytes}B")
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The quick slice at its measured values, pinned exactly as printed.
+    /// The orderings are the thesis' claims: process links each get their
+    /// own connection and approach the adapter's ceiling, pthread links
+    /// share one connection, so their bandwidth stays near one link and
+    /// their latency serializes.
+    #[test]
+    #[ignore = "about 0.9 s in release; CI runs it with --release"]
+    fn quick_figure_pins_process_links_scaling_and_pthread_serialization() {
+        // (size, 1 link, 2/4/8 proc, 2/4/8 pthr)
+        let want_lat = [
+            ["8B", "4.5", "4.5", "4.5", "4.5", "4.5", "4.7", "5.6"],
+            ["64B", "4.5", "4.5", "4.6", "4.6", "4.6", "4.8", "5.9"],
+            ["512B", "5.2", "5.2", "5.2", "5.3", "5.3", "5.5", "8.0"],
+            ["4k", "10.2", "10.4", "10.8", "13.4", "10.7", "13.7", "25.2"],
+            ["32k", "50.8", "52.4", "55.5", "99.4", "53.5", "86.2", "162.5"],
+            ["128k", "189.8", "196.1", "217.6", "394.0", "200.5", "335.1", "633.3"],
+        ];
+        let want_bw = [
+            ["4k", "776", "1444", "1880", "2182", "956", "1081", "1157"],
+            ["16k", "1052", "1802", "2129", "2341", "1223", "1331", "1393"],
+            ["64k", "1155", "1909", "2202", "2384", "1315", "1413", "1468"],
+            ["256k", "1184", "1938", "2221", "2396", "1340", "1435", "1488"],
+            ["2M", "1193", "1947", "2226", "2399", "1348", "1442", "1493"],
+        ];
+        let tables = run(true);
+        assert_eq!(tables.len(), 2);
+        let (lat, bw) = (&tables[0].rows, &tables[1].rows);
+        assert_eq!(*lat, want_lat.map(|row| row.map(String::from).to_vec()));
+        assert_eq!(*bw, want_bw.map(|row| row.map(String::from).to_vec()));
+        let num = |row: &[String], col: usize| row[col].parse::<f64>().unwrap();
+        // Columns: 1 = one link, 4 = 8 process links, 7 = 8 pthread links.
+        for row in bw {
+            let (one, proc8, pthr8) = (num(row, 1), num(row, 4), num(row, 7));
+            assert!(proc8 >= 2.0 * one, "{}: 8 proc {proc8} vs 1 link {one}", row[0]);
+            // Below 64k, per-message costs still leave pthread links room
+            // to overlap (1.3-1.5x); bandwidth-bound messages do not.
+            if ["64k", "256k", "2M"].contains(&row[0].as_str()) {
+                assert!(pthr8 < 1.3 * one, "{}: 8 pthr {pthr8} vs 1 link {one}", row[0]);
+            }
+        }
+        let at32k = &lat[4];
+        assert_eq!(at32k[0], "32k");
+        let (proc8, pthr8) = (num(at32k, 4), num(at32k, 7));
+        assert!(pthr8 > proc8, "32k, 8 links: pthread {pthr8} vs process {proc8} us");
+    }
+}

@@ -57,6 +57,12 @@ impl Default for Overheads {
     }
 }
 
+/// NIC slow-down per unit of progress oversubscription (§4.3.3.3
+/// "swamping"): a node whose polling processes outnumber its cores by a
+/// fraction `x` of its cores has its NIC service times stretched by
+/// `1 + 0.5·x`. Sets the 128-thread rows of Figs 4.5 and 4.6.
+const NIC_SWAMP_PER_OVERSUB: f64 = 0.5;
+
 /// Everything needed to bring up a runtime instance.
 #[derive(Clone, Debug)]
 pub struct GasnetConfig {
@@ -173,7 +179,7 @@ impl Gasnet {
             let procs = cfg.backend.procs_per_node(per_node);
             let cores = machine.spec().cores_per_node();
             let oversub = procs.saturating_sub(cores) as f64 / cores as f64;
-            fabric.set_nic_factor(1.0 + 0.5 * oversub);
+            fabric.set_nic_factor(1.0 + NIC_SWAMP_PER_OVERSUB * oversub);
         }
         let mem = MemoryModel::build(&mut k, &machine);
         let mut cpu = CpuModel::build(&mut k, &machine);

@@ -1171,6 +1171,50 @@ mod tests {
     }
 
     #[test]
+    fn wait_on_a_stale_completion_returns_at_once() {
+        let mut sim = Simulation::new();
+        let comp = sim.kernel().new_completion();
+        sim.kernel().complete_at(time::us(5), comp);
+        sim.spawn("waiter", move |ctx| {
+            ctx.advance(time::us(10));
+            // `comp` fired at 5 us; its slot now holds a pending completion.
+            let next = ctx.with_kernel(|k| k.new_completion());
+            assert_eq!(next.slot(), comp.slot());
+            assert!(ctx.test(comp) && !ctx.test(next));
+            ctx.wait(comp);
+            assert!(ctx.wait_timeout(comp, 1).is_ok());
+            assert_eq!(ctx.now(), time::us(10));
+            ctx.with_kernel(|k| {
+                let now = k.now();
+                k.complete_at(now, next);
+            });
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn join_after_the_exit_slot_is_reused_returns_at_once() {
+        let mut sim = Simulation::new();
+        sim.spawn("parent", |ctx| {
+            let child = ctx.spawn("child", |ctx| ctx.advance(time::us(1)));
+            let exit = child.exit_completion();
+            ctx.advance(time::us(5));
+            // The child finished at 1 us; take its exit slot for a new
+            // completion, still pending when the parent joins.
+            let next = ctx.with_kernel(|k| k.new_completion());
+            assert_eq!(next.slot(), exit.slot());
+            ctx.join(child);
+            assert_eq!(ctx.now(), time::us(5));
+            assert!(!ctx.test(next));
+            ctx.with_kernel(|k| {
+                let now = k.now();
+                k.complete_at(now, next);
+            });
+        });
+        sim.run();
+    }
+
+    #[test]
     fn mutex_is_fifo_fair() {
         let order = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Simulation::new();

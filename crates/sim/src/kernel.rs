@@ -22,11 +22,47 @@ pub struct ResourceId(pub(crate) usize);
 
 /// Handle to a one-shot completion (an async operation's "done" flag).
 ///
+/// One word: the allocation serial (dense from 0, in creation order) in the
+/// high 40 bits and the kernel slot it occupies in the low 24. A slot is
+/// recycled once its completion fires, so an id whose serial no longer
+/// matches its slot's belongs to a completion that has fired. Traces,
+/// schedule policies and reports show only the serial.
+///
 /// `#[must_use]`: a dropped completion is a lost-completion bug — nobody can
 /// ever wait on or poll the operation it represents.
 #[must_use = "dropping a CompletionId loses the only way to observe the operation"]
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct CompletionId(pub(crate) usize);
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CompletionId(pub(crate) u64);
+
+/// Bits of a [`CompletionId`] that hold the slot.
+const SLOT_BITS: u32 = 24;
+/// Completions that may be live (created, not yet fired) at once.
+const MAX_LIVE_COMPLETIONS: usize = 1 << SLOT_BITS;
+/// Completions one kernel may create over its whole run.
+const MAX_COMPLETION_SERIALS: u64 = 1 << (u64::BITS - SLOT_BITS);
+
+impl CompletionId {
+    fn new(serial: u64, slot: usize) -> Self {
+        CompletionId(serial << SLOT_BITS | slot as u64)
+    }
+
+    /// Creation order within the run: 0 for the kernel's first completion.
+    pub(crate) fn serial(self) -> u64 {
+        self.0 >> SLOT_BITS
+    }
+
+    pub(crate) fn slot(self) -> usize {
+        (self.0 & (MAX_LIVE_COMPLETIONS as u64 - 1)) as usize
+    }
+}
+
+/// Prints the serial, as traces and reports do; the slot is an internal
+/// detail.
+impl std::fmt::Debug for CompletionId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("CompletionId").field(&self.serial()).finish()
+    }
+}
 
 /// Handle to a condition variable (standalone; the engine's serialization
 /// makes the usual lost-wakeup race impossible).
@@ -75,7 +111,8 @@ pub struct ReadyEvent {
 pub enum ReadyEventKind {
     /// An actor resumes.
     Wake { actor: usize },
-    /// A completion fires (waking its registered waiters).
+    /// A completion fires (waking its registered waiters); `completion` is
+    /// its serial: 0 for the run's first completion, dense in creation order.
     Complete { completion: usize },
     /// A timed-wait deadline (may be stale by the time it is processed).
     Timeout { actor: usize },
@@ -200,7 +237,7 @@ impl RecentOp {
                 BlockKind::Start => "start".into(),
                 BlockKind::Advance => "advance".into(),
                 BlockKind::Resource(r) => format!("resource#{}", r.0),
-                BlockKind::Completion(c) => format!("completion#{}", c.0),
+                BlockKind::Completion(c) => format!("completion#{}", c.serial()),
                 BlockKind::Cond(c) => format!("cond#{}", c.0),
                 BlockKind::Barrier(b) => format!("barrier#{}", b.0),
                 BlockKind::Mutex(m) => format!("mutex#{}", m.0),
@@ -264,11 +301,18 @@ struct ResourceState {
     busy_total: Time,
 }
 
-#[derive(Debug, Default)]
-struct CompletionState {
-    done: bool,
+/// One slot of the completion table. A slot holds one live completion at a
+/// time; when it fires, the slot goes back on the free list (keeping its
+/// waiter buffer) for the next [`Kernel::new_completion`].
+#[derive(Debug)]
+struct CompletionSlot {
+    /// Serial of the live completion in this slot, or [`FREE_SLOT`].
+    serial: u64,
     waiters: Vec<ActorId>,
 }
+
+/// `CompletionSlot::serial` of a vacant slot: no id carries it.
+const FREE_SLOT: u64 = u64::MAX;
 
 #[derive(Debug, Default)]
 struct CondState {
@@ -304,7 +348,7 @@ pub struct TraceEvent {
 pub enum TraceKind {
     /// An actor resumed (scheduler wake or inline bypass).
     Wake(usize),
-    /// A completion fired.
+    /// A completion fired (its serial).
     Complete(usize),
     /// A timed-wait deadline event was processed (live or stale).
     Timeout(usize),
@@ -328,7 +372,13 @@ pub struct Kernel {
     seq: u64,
     events_processed: u64,
     resources: Vec<ResourceState>,
-    completions: Vec<CompletionState>,
+    /// Completion table: live completions, plus fired slots awaiting reuse.
+    /// Its length is the most completions ever live at once.
+    completions: Vec<CompletionSlot>,
+    /// Vacant slots of `completions`, most recently freed last.
+    free_completions: Vec<usize>,
+    /// Completions created so far: the next [`CompletionId::serial`].
+    completion_serials: u64,
     conds: Vec<CondState>,
     barriers: Vec<BarrierState>,
     mutexes: Vec<MutexState>,
@@ -374,6 +424,8 @@ impl Kernel {
             events_processed: 0,
             resources: Vec::new(),
             completions: Vec::new(),
+            free_completions: Vec::new(),
+            completion_serials: 0,
             conds: Vec::new(),
             barriers: Vec::new(),
             mutexes: Vec::new(),
@@ -444,7 +496,7 @@ impl Kernel {
         match e.kind {
             EventKind::Wake(a) => self.temit(e.time, a, hupc_trace::EventKind::Wake, e.seq, 0),
             EventKind::Complete(c) => {
-                self.temit(e.time, usize::MAX, hupc_trace::EventKind::Complete, c.0 as u64, e.seq)
+                self.temit(e.time, usize::MAX, hupc_trace::EventKind::Complete, c.serial(), e.seq)
             }
             EventKind::Timeout(a, epoch) => {
                 let live = self.timeout_is_live(a, epoch);
@@ -516,7 +568,7 @@ impl Kernel {
         if let Some(log) = &mut self.event_log {
             let kind = match kind {
                 EventKind::Wake(a) => TraceKind::Wake(a),
-                EventKind::Complete(c) => TraceKind::Complete(c.0),
+                EventKind::Complete(c) => TraceKind::Complete(c.serial() as usize),
                 EventKind::Timeout(a, _) => TraceKind::Timeout(a),
             };
             log.push(TraceEvent { time, seq, kind });
@@ -675,7 +727,7 @@ impl Kernel {
                     kind: match e.kind {
                         EventKind::Wake(a) => ReadyEventKind::Wake { actor: a },
                         EventKind::Complete(c) => {
-                            ReadyEventKind::Complete { completion: c.0 }
+                            ReadyEventKind::Complete { completion: c.serial() as usize }
                         }
                         EventKind::Timeout(a, _) => ReadyEventKind::Timeout { actor: a },
                     },
@@ -803,7 +855,10 @@ impl Kernel {
     pub(crate) fn cancel_wait(&mut self, actor: ActorId) {
         match self.actors[actor].blocked_on {
             BlockKind::Completion(c) => {
-                self.completions[c.0].waiters.retain(|&w| w != actor);
+                // A live timeout means the completion has not fired, so the
+                // slot is still `c`'s.
+                debug_assert!(!self.is_complete(c));
+                self.completions[c.slot()].waiters.retain(|&w| w != actor);
             }
             BlockKind::Cond(c) => {
                 self.conds[c.0].waiters.retain(|&w| w != actor);
@@ -874,10 +929,30 @@ impl Kernel {
 
     // ----- completions ----------------------------------------------------
 
-    /// Create a fresh not-yet-done completion.
+    /// Create a fresh not-yet-done completion, in a slot a fired one freed
+    /// when there is one.
     pub fn new_completion(&mut self) -> CompletionId {
-        self.completions.push(CompletionState::default());
-        CompletionId(self.completions.len() - 1)
+        let serial = self.completion_serials;
+        assert!(
+            serial < MAX_COMPLETION_SERIALS,
+            "completion serials exhausted: a run may create at most 2^40 completions"
+        );
+        self.completion_serials += 1;
+        let slot = match self.free_completions.pop() {
+            Some(slot) => {
+                self.completions[slot].serial = serial;
+                slot
+            }
+            None => {
+                assert!(
+                    self.completions.len() < MAX_LIVE_COMPLETIONS,
+                    "completion table full: at most {MAX_LIVE_COMPLETIONS} completions may be live at once"
+                );
+                self.completions.push(CompletionSlot { serial, waiters: Vec::new() });
+                self.completions.len() - 1
+            }
+        };
+        CompletionId::new(serial, slot)
     }
 
     /// Install `meta` under the next actor id.
@@ -896,28 +971,39 @@ impl Kernel {
         self.push_event(time, EventKind::Complete(comp));
     }
 
-    /// Whether `comp` has fired.
+    /// Whether `comp` has fired: its slot no longer holds its serial.
     pub fn is_complete(&self, comp: CompletionId) -> bool {
-        self.completions[comp.0].done
+        self.completions[comp.slot()].serial != comp.serial()
     }
 
-    /// Mark done immediately and wake waiters at the current time.
+    /// Mark done immediately, wake waiters at the current time and free the
+    /// slot. Firing an already-fired completion is a no-op.
     pub(crate) fn fire_completion(&mut self, comp: CompletionId) {
-        let c = &mut self.completions[comp.0];
-        if c.done {
+        let slot = comp.slot();
+        if self.completions[slot].serial != comp.serial() {
             return;
         }
-        c.done = true;
-        let waiters = std::mem::take(&mut c.waiters);
         let now = self.now;
-        for w in waiters {
+        // By index: the buffer stays in the slot for its next occupant.
+        for i in 0..self.completions[slot].waiters.len() {
+            let w = self.completions[slot].waiters[i];
             self.wake_at(now, w);
         }
+        let c = &mut self.completions[slot];
+        c.waiters.clear();
+        c.serial = FREE_SLOT;
+        self.free_completions.push(slot);
     }
 
     pub(crate) fn add_completion_waiter(&mut self, comp: CompletionId, actor: ActorId) {
-        debug_assert!(!self.completions[comp.0].done);
-        self.completions[comp.0].waiters.push(actor);
+        debug_assert!(!self.is_complete(comp));
+        self.completions[comp.slot()].waiters.push(actor);
+    }
+
+    /// Slots in the completion table: the most completions live at once.
+    #[cfg(test)]
+    pub(crate) fn completion_slots(&self) -> usize {
+        self.completions.len()
     }
 
     // ----- condition variables --------------------------------------------
@@ -1074,7 +1160,7 @@ impl Kernel {
                         id: r.0,
                         name: self.resources[r.0].name.clone(),
                     },
-                    BlockKind::Completion(c) => WaitTarget::Completion { id: c.0 },
+                    BlockKind::Completion(c) => WaitTarget::Completion { id: c.serial() as usize },
                     BlockKind::Cond(c) => WaitTarget::Cond {
                         id: c.0,
                         waiters: self.conds[c.0].waiters.len(),
@@ -1336,11 +1422,11 @@ mod tests {
     fn ids_and_seqs_are_dense_in_allocation_order() {
         let mut k = Kernel::new();
         let c = completions(&mut k, 2);
-        assert_eq!(c, [CompletionId(0), CompletionId(1)]);
+        assert_eq!([c[0].serial(), c[1].serial()], [0, 1]);
         let a = k.alloc_actor(meta("a", c[1]));
         let b = k.alloc_actor(meta("b", c[0]));
         assert_eq!((a, b), (0, 1));
-        assert_eq!(k.new_completion(), CompletionId(2));
+        assert_eq!(k.new_completion().serial(), 2);
         assert_eq!(k.registered_actors(), k.actors.len());
         k.push_event(4, EventKind::Complete(c[0])); // seq 0
         k.push_event(3, EventKind::Wake(b)); // seq 1
@@ -1491,6 +1577,251 @@ mod tests {
         assert_eq!(rendered(&ring), ["bypass@1ns", "bypass@2ns", "bypass@3ns", "bypass@9ns"]);
     }
 
+    /// An actor record for tests that is running (free to park).
+    fn running(k: &mut Kernel, name: &str) -> ActorId {
+        let exit = k.new_completion();
+        let a = k.alloc_actor(meta(name, exit));
+        k.actors[a].status = ActorStatus::Running;
+        a
+    }
+
+    /// Park `a` on `c` the way `Ctx::wait` does.
+    fn park_on(k: &mut Kernel, a: ActorId, c: CompletionId) {
+        k.add_completion_waiter(c, a);
+        k.mark_blocked(a, BlockKind::Completion(c));
+    }
+
+    /// Pop and dispatch every pending event; returns the actors woken.
+    fn drain(k: &mut Kernel) -> Vec<ActorId> {
+        std::iter::from_fn(|| k.pop_event().map(|e| k.dispatch(e)))
+            .flatten()
+            .collect()
+    }
+
+    #[test]
+    fn completion_ids_and_events_stay_one_word_and_forty_bytes() {
+        assert_eq!(std::mem::size_of::<CompletionId>(), 8);
+        assert_eq!(std::mem::size_of::<Event>(), 40);
+        let id = CompletionId::new(MAX_COMPLETION_SERIALS - 1, MAX_LIVE_COMPLETIONS - 1);
+        assert_eq!((id.serial(), id.slot()), (MAX_COMPLETION_SERIALS - 1, MAX_LIVE_COMPLETIONS - 1));
+        assert_eq!(format!("{:?}", CompletionId::new(7, 3)), "CompletionId(7)");
+    }
+
+    #[test]
+    fn stale_id_reads_complete_after_its_slot_is_reused() {
+        let mut k = Kernel::new();
+        let c = k.new_completion();
+        k.complete_at(3, c);
+        assert!(!k.is_complete(c), "pending until its event fires");
+        drain(&mut k);
+        let d = k.new_completion();
+        assert_eq!(d.slot(), c.slot(), "the fired slot is reused");
+        assert_eq!((c.serial(), d.serial()), (0, 1));
+        assert!(k.is_complete(c), "a stale id reads complete");
+        assert!(!k.is_complete(d), "the slot's new occupant is pending");
+        assert_eq!(k.completion_slots(), 1);
+    }
+
+    #[test]
+    fn second_complete_at_for_a_fired_id_spares_the_new_occupant() {
+        let mut k = Kernel::new();
+        let a = running(&mut k, "a");
+        let c = k.new_completion();
+        k.complete_at(5, c);
+        k.complete_at(7, c); // a duplicate: must stay a no-op
+        let e = k.pop_event().unwrap();
+        assert_eq!((e.time, e.kind), (5, EventKind::Complete(c)));
+        assert_eq!(k.dispatch(e), None);
+        let d = k.new_completion();
+        assert_eq!(d.slot(), c.slot());
+        park_on(&mut k, a, d);
+        let e = k.pop_event().unwrap();
+        assert_eq!((e.time, e.kind), (7, EventKind::Complete(c)));
+        k.dispatch(e);
+        assert!(!k.is_complete(d), "the stale fire reached the new occupant");
+        assert_eq!(k.actors[a].status, ActorStatus::Blocked);
+        assert_eq!(k.completions[d.slot()].waiters, [a], "the waiter stays parked");
+        assert!(k.pop_event().is_none(), "nobody was woken");
+        k.complete_at(9, d);
+        assert_eq!(drain(&mut k), [a]);
+        assert_eq!(k.now(), 9);
+    }
+
+    #[test]
+    fn fire_and_reuse_cycles_keep_the_table_at_the_live_count() {
+        let mut k = Kernel::new();
+        let mut held = k.new_completion();
+        // The actor's exit is the first completion of the cycle; nothing
+        // joins it here.
+        let a = k.alloc_actor(meta("a", held));
+        k.actors[a].status = ActorStatus::Running;
+        for i in 0..1_000_000u64 {
+            let next = k.new_completion();
+            if i % 2 == 0 {
+                park_on(&mut k, a, held);
+            }
+            let now = k.now();
+            k.complete_at(now + 1, held);
+            // Dispatching the wake leaves `a` running again.
+            assert_eq!(drain(&mut k).len(), usize::from(i % 2 == 0));
+            assert!(k.is_complete(held));
+            held = next;
+        }
+        assert_eq!(held.serial(), 1_000_000);
+        assert!(k.completion_slots() <= 2, "{} slots", k.completion_slots());
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    enum ModelEvent {
+        Wake(ActorId),
+        Complete(u64),
+        Timeout(ActorId, u64),
+    }
+
+    impl ModelEvent {
+        fn of(e: &Event) -> Self {
+            match e.kind {
+                EventKind::Wake(a) => ModelEvent::Wake(a),
+                EventKind::Complete(c) => ModelEvent::Complete(c.serial()),
+                EventKind::Timeout(a, epoch) => ModelEvent::Timeout(a, epoch),
+            }
+        }
+    }
+
+    /// The completion table before slots were recycled: one entry per
+    /// completion ever created, indexed by serial, never freed, with a
+    /// `done` flag — plus just enough of a queue and of actor state to
+    /// replay waits, timeouts and wakes.
+    #[derive(Default)]
+    struct DenseModel {
+        now: Time,
+        seq: u64,
+        queue: BinaryHeap<Reverse<(Time, u64, ModelEvent)>>,
+        done: Vec<bool>,
+        waiters: Vec<Vec<ActorId>>,
+        /// Per actor: the serial it is parked on, and its wake epoch.
+        parked: Vec<Option<u64>>,
+        epoch: Vec<u64>,
+        live: usize,
+        live_high_water: usize,
+    }
+
+    impl DenseModel {
+        fn new_completion(&mut self) -> u64 {
+            self.done.push(false);
+            self.waiters.push(Vec::new());
+            self.live += 1;
+            self.live_high_water = self.live_high_water.max(self.live);
+            self.done.len() as u64 - 1
+        }
+
+        fn push(&mut self, time: Time, e: ModelEvent) {
+            self.queue.push(Reverse((time, self.seq, e)));
+            self.seq += 1;
+        }
+
+        fn wake(&mut self, a: ActorId) {
+            self.epoch[a] += 1;
+            self.parked[a] = None;
+            self.push(self.now, ModelEvent::Wake(a));
+        }
+
+        fn pop(&mut self) -> Option<(Time, u64, ModelEvent)> {
+            let Reverse((time, seq, e)) = self.queue.pop()?;
+            self.now = time;
+            match e {
+                ModelEvent::Complete(s) if !self.done[s as usize] => {
+                    self.done[s as usize] = true;
+                    self.live -= 1;
+                    for w in std::mem::take(&mut self.waiters[s as usize]) {
+                        self.wake(w);
+                    }
+                }
+                ModelEvent::Timeout(a, epoch) if self.epoch[a] == epoch => {
+                    if let Some(s) = self.parked[a] {
+                        self.waiters[s as usize].retain(|&w| w != a);
+                        self.wake(a);
+                    }
+                }
+                _ => {}
+            }
+            Some((time, seq, e))
+        }
+    }
+
+    /// Drive `k` and the dense model through one script; every answer and
+    /// every popped `(time, seq, event)` must agree.
+    fn check_against_dense_model(script: &[u32]) {
+        const ACTORS: usize = 3;
+        let mut k = Kernel::new();
+        let mut model = DenseModel::default();
+        let mut ids = Vec::new();
+        for i in 0..ACTORS {
+            let exit = k.new_completion();
+            assert_eq!(exit.serial(), model.new_completion());
+            ids.push(exit);
+            let a = k.alloc_actor(meta(&format!("a{i}"), exit));
+            k.actors[a].status = ActorStatus::Running;
+            model.parked.push(None);
+            model.epoch.push(0);
+        }
+        // Running = not parked and no wake pending.
+        let mut running = [true; ACTORS];
+        fn pop_both(k: &mut Kernel, model: &mut DenseModel, running: &mut [bool]) -> bool {
+            let got = k.pop_event();
+            let want = model.pop();
+            assert_eq!(got.map(|e| (e.time, e.seq, ModelEvent::of(&e))), want);
+            if let Some(a) = got.and_then(|e| k.dispatch(e)) {
+                running[a] = true;
+            }
+            got.is_some()
+        }
+        for &word in script {
+            let (op, pick, dt) = (word % 6, (word >> 3) as usize, Time::from(word >> 20 & 3));
+            match op {
+                0 => {
+                    let c = k.new_completion();
+                    assert_eq!(c.serial(), model.new_completion());
+                    ids.push(c);
+                }
+                1 => {
+                    let c = ids[pick % ids.len()];
+                    let at = k.now() + dt;
+                    k.complete_at(at, c);
+                    model.push(at, ModelEvent::Complete(c.serial()));
+                }
+                2 => {
+                    pop_both(&mut k, &mut model, &mut running);
+                }
+                3 => {
+                    let c = ids[pick % ids.len()];
+                    assert_eq!(k.is_complete(c), model.done[c.serial() as usize], "{c:?}");
+                }
+                _ => {
+                    let a = pick % ACTORS;
+                    let c = ids[(pick / ACTORS) % ids.len()];
+                    if !running[a] || k.is_complete(c) {
+                        continue;
+                    }
+                    park_on(&mut k, a, c);
+                    running[a] = false;
+                    model.waiters[c.serial() as usize].push(a);
+                    model.parked[a] = Some(c.serial());
+                    if op == 5 {
+                        let at = k.now() + dt;
+                        k.schedule_timeout(a, at);
+                        model.push(at, ModelEvent::Timeout(a, model.epoch[a]));
+                    }
+                }
+            }
+        }
+        while pop_both(&mut k, &mut model, &mut running) {}
+        for &c in &ids {
+            assert_eq!(k.is_complete(c), model.done[c.serial() as usize], "{c:?}");
+        }
+        assert_eq!(k.completion_slots(), model.live_high_water);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
@@ -1508,6 +1839,16 @@ mod tests {
                 let want: Vec<String> = model.iter().map(RecentOp::render).collect();
                 proptest::prop_assert_eq!(rendered(&ring), want);
             }
+        }
+
+        /// Random creates, `complete_at`s (duplicates and stale ids
+        /// included), pops, polls, waits and timed waits answer and pop
+        /// exactly as the dense, never-freed table did.
+        #[test]
+        fn recycled_completions_match_the_dense_model(
+            script in proptest::collection::vec(proptest::any::<u32>(), 0..200),
+        ) {
+            check_against_dense_model(&script);
         }
 
         /// Over random near / far pushes interleaved with pops,
