@@ -71,3 +71,35 @@ fn overlap_table(quick: bool) -> Table {
 pub fn run(quick: bool) -> Vec<Table> {
     vec![granularity_table(quick), overlap_table(quick)]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The quick slices at their measured values, pinned exactly as printed
+    /// (virtual time only: UTS and FT in `ComputeMode::Model`). The claims:
+    /// a coarser steal granularity (16 against 4) wins on both networks,
+    /// and at 16 threads the overlap exchange cuts communication time by
+    /// at least 1.5×.
+    #[test]
+    #[ignore = "about 2 s in release; CI runs it with --release"]
+    fn quick_tables_pin_granularity_win_and_overlap_gain() {
+        let tables = run(true);
+        assert_eq!(tables.len(), 2);
+        let (gran, overlap) = (&tables[0].rows, &tables[1].rows);
+        // (granularity, IB Mnodes/s, Ethernet Mnodes/s)
+        let want = [["4", "71.0", "25.3"], ["16", "132.9", "34.7"]];
+        assert_eq!(*gran, want.map(|row| row.map(String::from).to_vec()));
+        // (threads, split-phase s, overlap s, overlap gain)
+        let want = [["16", "0.130", "0.072", "1.81x"]];
+        assert_eq!(*overlap, want.map(|row| row.map(String::from).to_vec()));
+        let num =
+            |row: &[String], col: usize| row[col].trim_end_matches('x').parse::<f64>().unwrap();
+        for col in [1, 2] {
+            let (at4, at16) = (num(&gran[0], col), num(&gran[1], col));
+            assert!(at16 > at4, "granularity 4 -> 16, column {col}: {at4} -> {at16}");
+        }
+        let gain = num(&overlap[0], 3);
+        assert!(gain >= 1.5, "overlap gain {gain}x");
+    }
+}

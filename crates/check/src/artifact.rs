@@ -16,13 +16,13 @@
 //! log_hash: 0x9c33a1b2c4d5e6f7
 //! ```
 //!
-//! `decisions` is the minimal forced prefix (comma-separated choices; `-`
-//! for the empty prefix). `log_hash` fingerprints the decision log of the
-//! replay; replay fails loudly if either the violation kind or the log
-//! fingerprint drifts — a corpus entry that stops reproducing *must* be
-//! regenerated consciously, never silently skipped.
-
-use hupc_sim::Kernel;
+//! `fast_path` is always `on`: the scheduler bypass has no off switch, so
+//! the writer emits the line for format stability and the parser rejects
+//! `off`. `decisions` is the minimal forced prefix (comma-separated
+//! choices; `-` for the empty prefix). `log_hash` fingerprints the
+//! decision log of the replay; replay fails loudly if either the violation
+//! kind or the log fingerprint drifts — a corpus entry that stops
+//! reproducing *must* be regenerated consciously, never silently skipped.
 
 use crate::explore::ScheduleFailure;
 use crate::policy::{log_hash, PolicyHandle};
@@ -37,7 +37,6 @@ pub struct Artifact {
     pub scenario: String,
     pub fault: usize,
     pub fault_label: String,
-    pub fast_path: bool,
     pub prefix: Vec<u32>,
     pub kind: ViolationKind,
     pub detail: String,
@@ -46,12 +45,11 @@ pub struct Artifact {
 
 impl Artifact {
     /// Build an artifact from an explorer failure (must be replay-verified).
-    pub fn from_failure(f: &ScheduleFailure, fast_path: bool) -> Artifact {
+    pub fn from_failure(f: &ScheduleFailure) -> Artifact {
         Artifact {
             scenario: f.scenario.clone(),
             fault: f.fault,
             fault_label: f.fault_label.clone(),
-            fast_path,
             prefix: f.minimal.clone(),
             kind: f.violation.kind,
             detail: f.violation.detail.clone(),
@@ -74,7 +72,7 @@ impl Artifact {
              version: {}\n\
              scenario: {}\n\
              fault: {} {}\n\
-             fast_path: {}\n\
+             fast_path: on\n\
              decisions: {}\n\
              violation: {}\n\
              detail: {}\n\
@@ -83,7 +81,6 @@ impl Artifact {
             self.scenario,
             self.fault,
             self.fault_label,
-            if self.fast_path { "on" } else { "off" },
             decisions,
             self.kind.as_str(),
             escape(&self.detail),
@@ -95,7 +92,6 @@ impl Artifact {
         let mut scenario = None;
         let mut fault = None;
         let mut fault_label = String::new();
-        let mut fast_path = None;
         let mut prefix = None;
         let mut kind = None;
         let mut detail = String::new();
@@ -127,12 +123,11 @@ impl Artifact {
                     fault = Some(idx);
                     fault_label = it.next().unwrap_or("").to_string();
                 }
+                "fast_path" if value == "on" => {}
                 "fast_path" => {
-                    fast_path = Some(match value {
-                        "on" => true,
-                        "off" => false,
-                        _ => return Err(format!("bad fast_path {value:?}")),
-                    })
+                    return Err(format!(
+                        "unsupported line {line:?}: the scheduler bypass cannot be turned off"
+                    ))
                 }
                 "decisions" => {
                     let p = if value == "-" {
@@ -167,7 +162,6 @@ impl Artifact {
             scenario: scenario.ok_or("missing scenario")?,
             fault: fault.ok_or("missing fault")?,
             fault_label,
-            fast_path: fast_path.ok_or("missing fast_path")?,
             prefix: prefix.ok_or("missing decisions")?,
             kind: kind.ok_or("missing violation")?,
             detail,
@@ -187,13 +181,6 @@ impl Artifact {
     /// same violation kind *and* the same decision-log fingerprint. Returns
     /// the fresh violation on success.
     pub fn replay(&self) -> Result<Violation, String> {
-        self.replay_prepared(&|_| {})
-    }
-
-    /// [`Artifact::replay`] with an extra pre-run kernel step, applied after
-    /// the recorded `fast_path` setting (the cross-backend corpus test
-    /// selects the actor backend here).
-    pub fn replay_prepared(&self, prepare: &dyn Fn(&mut Kernel)) -> Result<Violation, String> {
         let s = find_scenario(&self.scenario)
             .ok_or_else(|| format!("unknown scenario {:?}", self.scenario))?;
         if self.fault >= s.fault_labels().len() {
@@ -203,10 +190,7 @@ impl Artifact {
             ));
         }
         let policy = PolicyHandle::prefix(&self.prefix);
-        let out = s.run(&policy, self.fault, &|k| {
-            k.set_fast_path(self.fast_path);
-            prepare(k);
-        });
+        let out = s.run(&policy, self.fault);
         let got_hash = log_hash(&out.decisions);
         let v = out.violation.ok_or_else(|| {
             format!(
@@ -270,7 +254,6 @@ mod tests {
             scenario: "missed_notify".into(),
             fault: 0,
             fault_label: "none".into(),
-            fast_path: true,
             prefix: vec![1],
             kind: ViolationKind::Deadlock,
             detail: "deadlock at t=10ns:\n  waiter stuck".into(),
@@ -309,5 +292,16 @@ mod tests {
         let mut a = sample();
         a.scenario = "no_such_scenario".into();
         assert!(a.replay().is_err());
+    }
+
+    /// The writer always records `fast_path: on`; an artifact asking for the
+    /// bypass off names the offending line instead of replaying a schedule
+    /// the kernel can no longer run.
+    #[test]
+    fn parse_rejects_fast_path_off() {
+        let text = sample().serialize();
+        assert!(text.contains("\nfast_path: on\n"), "{text}");
+        let err = Artifact::parse(&text.replace("fast_path: on", "fast_path: off")).unwrap_err();
+        assert!(err.contains("fast_path: off"), "{err}");
     }
 }

@@ -18,7 +18,7 @@ use std::collections::{HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 use crate::policy::{log_hash, prefix_hash, PolicyHandle};
-use crate::scenario::{fast_path, Outcome, Scenario, Violation};
+use crate::scenario::{Outcome, Scenario, Violation};
 use crate::shrink::shrink;
 use crate::rng::SplitMix64;
 
@@ -29,9 +29,6 @@ pub struct ExploreConfig {
     pub budget: usize,
     /// Seed for the random-sampling stage.
     pub seed: u64,
-    /// Run with the scheduler-bypass fast path enabled (the default; the
-    /// policy seam only sees ties, which never bypass).
-    pub fast_path: bool,
     /// Extra runs the shrinker may spend per failure.
     pub shrink_budget: usize,
     /// Optional wall-clock cap across this scenario's exploration.
@@ -45,7 +42,6 @@ impl Default for ExploreConfig {
         ExploreConfig {
             budget: 200,
             seed: 0xC0FFEE,
-            fast_path: true,
             shrink_budget: 400,
             max_wall: None,
             stop_on_violation: true,
@@ -110,7 +106,7 @@ pub fn explore(s: &dyn Scenario, cfg: &ExploreConfig) -> ExploreReport {
         // One schedule: force `prefix`, record what actually happened.
         let run_prefix = |prefix: &[u32], report: &mut ExploreReport| -> Outcome {
             let policy = PolicyHandle::prefix(prefix);
-            let out = s.run(&policy, fault, &fast_path(cfg.fast_path));
+            let out = s.run(&policy, fault);
             report.runs += 1;
             report.max_decisions = report.max_decisions.max(out.decisions.len());
             out
@@ -186,7 +182,7 @@ pub fn explore(s: &dyn Scenario, cfg: &ExploreConfig) -> ExploreReport {
                 break;
             }
             let policy = PolicyHandle::random(rng.next_u64());
-            let out = s.run(&policy, fault, &fast_path(cfg.fast_path));
+            let out = s.run(&policy, fault);
             report.runs += 1;
             sampled += 1;
             report.max_decisions = report.max_decisions.max(out.decisions.len());
@@ -219,7 +215,7 @@ fn handle_failure(
     let minimal = {
         let mut fails = |p: &[u32]| -> bool {
             let policy = PolicyHandle::prefix(p);
-            let out = s.run(&policy, fault, &fast_path(cfg.fast_path));
+            let out = s.run(&policy, fault);
             spent += 1;
             out.violation.as_ref().is_some_and(|v| v.kind == kind)
         };
@@ -232,7 +228,7 @@ fn handle_failure(
     // deterministic.
     let replay = |p: &[u32]| {
         let policy = PolicyHandle::prefix(p);
-        let out = s.run(&policy, fault, &fast_path(cfg.fast_path));
+        let out = s.run(&policy, fault);
         let h = log_hash(&out.decisions);
         (out, h)
     };

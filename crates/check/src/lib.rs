@@ -32,6 +32,6 @@ pub use artifact::{Artifact, ARTIFACT_EXT, ARTIFACT_VERSION};
 pub use explore::{explore, ExploreConfig, ExploreReport, ScheduleFailure};
 pub use policy::{log_hash, prefix_hash, Decision, PolicyHandle};
 pub use scenario::{
-    all_scenarios, fast_path, find_scenario, Outcome, Scenario, Violation, ViolationKind,
+    all_scenarios, find_scenario, Outcome, Scenario, Violation, ViolationKind,
 };
 pub use shrink::shrink;

@@ -4,7 +4,7 @@
 //! ```text
 //! hupc-check list
 //! hupc-check explore [--scenario NAME]... [--budget N] [--seed S]
-//!                    [--min-distinct N] [--max-seconds S] [--fast-path on|off]
+//!                    [--min-distinct N] [--max-seconds S]
 //!                    [--shrink-budget N] [--keep-going] [--out DIR]
 //! hupc-check mutation [--budget N] [--out DIR]
 //! hupc-check replay FILE...
@@ -73,7 +73,6 @@ fn usage() {
          \x20 --seed S           random-stage seed (default 0xC0FFEE)\n\
          \x20 --min-distinct N   fail unless >= N distinct schedules per scenario\n\
          \x20 --max-seconds S    wall-clock cap per scenario\n\
-         \x20 --fast-path on|off scheduler-bypass fast path (default on)\n\
          \x20 --shrink-budget N  extra runs for shrinking a failure (default 400)\n\
          \x20 --keep-going       continue a scenario after its first failure\n\
          \x20 --out DIR          write failure artifacts here (default check_failures)"
@@ -128,13 +127,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     .parse()
                     .map_err(|_| "bad --max-seconds".to_string())?;
                 o.cfg.max_wall = Some(Duration::from_secs(s));
-            }
-            "--fast-path" => {
-                o.cfg.fast_path = match val("--fast-path")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    _ => return Err("--fast-path wants on|off".into()),
-                }
             }
             "--keep-going" => o.cfg.stop_on_violation = false,
             "--out" => o.out = PathBuf::from(val("--out")?),
@@ -229,7 +221,7 @@ fn cmd_explore(args: &[String]) -> bool {
                 f.minimal,
                 if f.replay_ok { "deterministic" } else { "UNSTABLE" }
             );
-            let art = Artifact::from_failure(f, o.cfg.fast_path);
+            let art = Artifact::from_failure(f);
             match write_artifact(&o.out, &art) {
                 Ok(p) => eprintln!("  artifact: {}", p.display()),
                 Err(e) => eprintln!("  could not write artifact: {e}"),
@@ -276,7 +268,7 @@ fn cmd_mutation(args: &[String]) -> bool {
                     report.runs,
                     f.found.len()
                 );
-                let art = Artifact::from_failure(f, o.cfg.fast_path);
+                let art = Artifact::from_failure(f);
                 if args.iter().any(|a| a == "--out") {
                     match write_artifact(&o.out, &art) {
                         Ok(p) => println!("  artifact: {}", p.display()),

@@ -61,8 +61,8 @@ impl PolicyHandle {
         }
     }
 
-    /// Install a forwarder for this handle into a kernel. Call from a
-    /// scenario's `prepare` hook, before the simulation runs.
+    /// Install a forwarder for this handle into a kernel. Call before the
+    /// simulation runs.
     pub fn install(&self, k: &mut Kernel) {
         k.set_schedule_policy(Some(Box::new(Forwarder {
             core: Arc::clone(&self.core),

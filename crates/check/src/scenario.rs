@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 
 use hupc_coll::{CollAlgo, CollDomain, CollPlan};
 use hupc_gasnet::FaultPlan;
-use hupc_sim::{time, Kernel, SimCell, SimError, Simulation, Time};
+use hupc_sim::{time, SimCell, SimError, Simulation, Time};
 use hupc_upc::{UpcConfig, UpcJob};
 use hupc_uts::{sequential_traverse, run_uts_prepared, StealStrategy, UtsConfig};
 
@@ -66,7 +66,7 @@ pub struct Violation {
 pub struct Outcome {
     /// Fingerprint of the application-visible end state (plus virtual end
     /// time). Two runs that agree here finished in the same state — used by
-    /// the fast-path-agreement tests. Zero when the run failed.
+    /// the determinism tests. Zero when the run failed.
     pub end_state: u64,
     /// Virtual time when the simulation finished (or failed).
     pub end_time: Time,
@@ -96,17 +96,10 @@ pub trait Scenario: Send + Sync {
         vec!["none"]
     }
 
-    /// Run one schedule: install `policy` into the kernel, apply `prepare`
-    /// to it (the pre-run seam for per-run kernel settings — see
-    /// [`fast_path`]), run under fault plan `fault` (an index into
-    /// [`Scenario::fault_labels`]), and judge the oracle.
-    fn run(&self, policy: &PolicyHandle, fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome;
-}
-
-/// The usual `prepare` step for [`Scenario::run`]: choose the fast path and
-/// leave every other kernel setting at its default.
-pub fn fast_path(on: bool) -> impl Fn(&mut Kernel) {
-    move |k| k.set_fast_path(on)
+    /// Run one schedule: install `policy` into the kernel, run under fault
+    /// plan `fault` (an index into [`Scenario::fault_labels`]), and judge
+    /// the oracle.
+    fn run(&self, policy: &PolicyHandle, fault: usize) -> Outcome;
 }
 
 /// All registered scenarios, mutations last.
@@ -227,7 +220,7 @@ impl Scenario for ServeKv {
         vec!["none", "loss10", "loss10_straggler"]
     }
 
-    fn run(&self, policy: &PolicyHandle, fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome {
+    fn run(&self, policy: &PolicyHandle, fault: usize) -> Outcome {
         let mut cfg = hupc_serve::ServeConfig::small(0x5E21);
         cfg.upc = UpcConfig::test_default(4, 2);
         cfg.traffic.requests_per_frontend = 24;
@@ -237,10 +230,7 @@ impl Scenario for ServeKv {
             _ => Some(FaultPlan::new(37).loss(0.10).straggler(1, 3.0)),
         };
         let viol: ViolCell = Arc::new(Mutex::new(None));
-        let result = hupc_serve::run_serve_prepared(cfg.clone(), |k| {
-            policy.install(k);
-            prepare(k);
-        });
+        let result = hupc_serve::run_serve_prepared(cfg.clone(), |k| policy.install(k));
         match result {
             Ok(r) => {
                 if let Err(msg) = hupc_serve::verify_linearizable_lite(&r, cfg.traffic.batch_len)
@@ -310,13 +300,9 @@ impl Scenario for LostUpdate {
         true
     }
 
-    fn run(&self, policy: &PolicyHandle, _fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome {
+    fn run(&self, policy: &PolicyHandle, _fault: usize) -> Outcome {
         let mut sim = Simulation::new();
-        {
-            let mut k = sim.kernel();
-            policy.install(&mut k);
-            prepare(&mut k);
-        }
+        policy.install(&mut sim.kernel());
         let counter: Arc<SimCell<u64>> = Arc::new(SimCell::new(0));
 
         // Actor A: window [0, 10ns).
@@ -376,12 +362,11 @@ impl Scenario for MissedNotify {
         true
     }
 
-    fn run(&self, policy: &PolicyHandle, _fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome {
+    fn run(&self, policy: &PolicyHandle, _fault: usize) -> Outcome {
         let mut sim = Simulation::new();
         let cond = {
             let mut k = sim.kernel();
             policy.install(&mut k);
-            prepare(&mut k);
             k.new_cond()
         };
         sim.spawn("waiter", move |ctx| {
@@ -437,14 +422,11 @@ impl Scenario for UtsSteal {
         vec!["none", "loss20"]
     }
 
-    fn run(&self, policy: &PolicyHandle, fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome {
+    fn run(&self, policy: &PolicyHandle, fault: usize) -> Outcome {
         let cfg = Self::config(fault);
         let (want_total, _, want_leaves) = sequential_traverse(&cfg.tree);
         let p = policy.clone();
-        let result = run_uts_prepared(cfg, move |k| {
-            p.install(k);
-            prepare(k);
-        });
+        let result = run_uts_prepared(cfg, move |k| p.install(k));
         match result {
             Ok(r) => {
                 let violation = if r.total_nodes != want_total || r.leaves != want_leaves {
@@ -500,15 +482,11 @@ impl Scenario for SplitBarrier {
         "split-phase barrier: publications visible after wait, every round"
     }
 
-    fn run(&self, policy: &PolicyHandle, _fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome {
+    fn run(&self, policy: &PolicyHandle, _fault: usize) -> Outcome {
         const THREADS: usize = 6;
         const ROUNDS: u64 = 4;
         let job = UpcJob::new(UpcConfig::test_default(THREADS, 2));
-        {
-            let mut k = job.kernel();
-            policy.install(&mut k);
-            prepare(&mut k);
-        }
+        policy.install(&mut job.kernel());
         let slots: Arc<Vec<SimCell<u64>>> =
             Arc::new((0..THREADS).map(|_| SimCell::new(0)).collect());
         let viol: ViolCell = Arc::new(Mutex::new(None));
@@ -575,7 +553,7 @@ impl Scenario for Allreduce {
         }
     }
 
-    fn run(&self, policy: &PolicyHandle, _fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome {
+    fn run(&self, policy: &PolicyHandle, _fault: usize) -> Outcome {
         const THREADS: u64 = 8;
         const ROUNDS: u64 = 3;
         let mut cfg = UpcConfig::test_default(THREADS as usize, 2);
@@ -588,11 +566,7 @@ impl Scenario for Allreduce {
             CollAlgo::TwoLevel
         };
         CollDomain::for_job(&job, CollPlan::Force(algo)).install(&job);
-        {
-            let mut k = job.kernel();
-            policy.install(&mut k);
-            prepare(&mut k);
-        }
+        policy.install(&mut job.kernel());
         let viol: ViolCell = Arc::new(Mutex::new(None));
         let viol2 = Arc::clone(&viol);
         let result = job.run_result(move |upc| {
@@ -656,18 +630,14 @@ impl Scenario for RetryLoss {
         vec!["loss10"]
     }
 
-    fn run(&self, policy: &PolicyHandle, _fault: usize, prepare: &dyn Fn(&mut Kernel)) -> Outcome {
+    fn run(&self, policy: &PolicyHandle, _fault: usize) -> Outcome {
         const THREADS: usize = 4;
         const ROUNDS: u64 = 3;
         let mut cfg = UpcConfig::test_default(THREADS, 2);
         cfg.gasnet.fault = Some(FaultPlan::new(23).loss(0.10));
         let job = UpcJob::new(cfg);
         let off = job.runtime().alloc_words(THREADS);
-        {
-            let mut k = job.kernel();
-            policy.install(&mut k);
-            prepare(&mut k);
-        }
+        policy.install(&mut job.kernel());
         let viol: ViolCell = Arc::new(Mutex::new(None));
         let viol2 = Arc::clone(&viol);
         let result = job.run_result(move |upc| {
@@ -730,7 +700,7 @@ mod tests {
         for s in all_scenarios() {
             for fault in 0..s.fault_labels().len() {
                 let policy = PolicyHandle::prefix(&[]);
-                let out = s.run(&policy, fault, &fast_path(true));
+                let out = s.run(&policy, fault);
                 assert!(
                     out.violation.is_none(),
                     "{} (fault {}) violated its oracle on the default schedule: {:?}",
@@ -747,7 +717,7 @@ mod tests {
     fn lost_update_mutation_fires() {
         let s = LostUpdate;
         let policy = PolicyHandle::prefix(&[1]);
-        let out = s.run(&policy, 0, &fast_path(true));
+        let out = s.run(&policy, 0);
         let v = out.violation.expect("perturbed schedule must lose an update");
         assert_eq!(v.kind, ViolationKind::State);
     }
@@ -757,7 +727,7 @@ mod tests {
     fn missed_notify_mutation_fires() {
         let s = MissedNotify;
         let policy = PolicyHandle::prefix(&[1]);
-        let out = s.run(&policy, 0, &fast_path(true));
+        let out = s.run(&policy, 0);
         let v = out.violation.expect("perturbed schedule must deadlock");
         assert_eq!(v.kind, ViolationKind::Deadlock);
     }

@@ -1,27 +1,23 @@
-//! Schedule-perturbation determinism (property tests):
-//!
-//! 1. The same `SchedulePolicy` seed yields a byte-identical kernel event
-//!    log — a perturbed run is still a fully deterministic run.
-//! 2. The scheduler-bypass fast path is invisible to exploration: the same
-//!    policy seed with the fast path on and off produces the identical
-//!    event log, decision log, end state and end time.
+//! Schedule-perturbation determinism: the same `SchedulePolicy` seed yields
+//! a byte-identical kernel event log, decision log, end state and end time —
+//! a perturbed run is still a fully deterministic run, from the raw kernel
+//! up to the full UPC stack.
 
 use std::sync::Arc;
 
-use hupc_check::{fast_path, find_scenario, Decision, PolicyHandle};
+use hupc_check::{find_scenario, Decision, PolicyHandle};
 use hupc_sim::{time, SimCell, Simulation, TraceEvent};
 use proptest::prelude::*;
 
 /// A tie-rich raw-sim workload: four workers advance in lockstep (every
 /// wake ties) and fight over a mutex-protected counter. Returns the full
 /// kernel event log, the end time, the counter, and the decision log.
-fn tie_rich_run(seed: u64, fast_path: bool) -> (Vec<TraceEvent>, u64, u64, Vec<Decision>) {
+fn tie_rich_run(seed: u64) -> (Vec<TraceEvent>, u64, u64, Vec<Decision>) {
     let mut sim = Simulation::new();
     let policy = PolicyHandle::random(seed);
     let m = {
         let mut k = sim.kernel();
         policy.install(&mut k);
-        k.set_fast_path(fast_path);
         k.record_event_log(true);
         k.new_mutex()
     };
@@ -50,54 +46,36 @@ proptest! {
     /// Same seed, two fresh simulations: byte-identical event logs.
     #[test]
     fn same_seed_same_trace(seed in any::<u64>()) {
-        let a = tie_rich_run(seed, true);
-        let b = tie_rich_run(seed, true);
+        let a = tie_rich_run(seed);
+        let b = tie_rich_run(seed);
         prop_assert_eq!(&a.0, &b.0, "event logs diverged for seed {}", seed);
         prop_assert_eq!(a.1, b.1);
         prop_assert_eq!(a.3, b.3);
     }
 
-    /// Fast path on vs off under the same explored schedule: identical
-    /// event log (bypassed events are logged as the scheduler would have),
-    /// identical decisions, identical end state.
-    #[test]
-    fn fast_path_is_invisible_to_exploration(seed in any::<u64>()) {
-        let on = tie_rich_run(seed, true);
-        let off = tie_rich_run(seed, false);
-        prop_assert_eq!(&on.0, &off.0, "event logs diverged for seed {}", seed);
-        prop_assert_eq!(on.1, off.1, "end times diverged");
-        prop_assert_eq!(on.2, off.2, "counter diverged");
-        prop_assert_eq!(on.3, off.3, "decision logs diverged");
-    }
-
     /// The mutex keeps the counter exact on every explored schedule.
     #[test]
     fn mutex_counter_is_exact_under_perturbation(seed in any::<u64>()) {
-        let (_, _, counter, _) = tie_rich_run(seed, true);
+        let (_, _, counter, _) = tie_rich_run(seed);
         prop_assert_eq!(counter, 24);
     }
 }
 
-/// Full-stack fast-path agreement: explored runs of the UPC scenarios end
-/// in the same state with the bypass on and off.
+/// Full-stack determinism: two explored runs of a UPC scenario with the
+/// same policy seed pass its oracle and end in the same state, at the same
+/// time, through the same tie-break decisions.
 #[test]
-fn scenarios_agree_across_fast_path() {
+fn scenarios_are_deterministic_per_seed() {
     for name in ["split_barrier", "allreduce2", "retry_loss"] {
         let s = find_scenario(name).unwrap();
         for seed in [1u64, 7, 42] {
-            let run = |fast: bool| {
+            let run = || {
                 let p = PolicyHandle::random(seed);
-                let out = s.run(&p, 0, &fast_path(fast));
-                assert!(
-                    out.violation.is_none(),
-                    "{name} seed {seed} fast={fast}: {:?}",
-                    out.violation
-                );
+                let out = s.run(&p, 0);
+                assert!(out.violation.is_none(), "{name} seed {seed}: {:?}", out.violation);
                 (out.end_state, out.end_time, out.decisions)
             };
-            let on = run(true);
-            let off = run(false);
-            assert_eq!(on, off, "{name} seed {seed}: fast path changed the run");
+            assert_eq!(run(), run(), "{name} seed {seed}: the same seed changed the run");
         }
     }
 }

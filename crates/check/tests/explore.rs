@@ -4,8 +4,7 @@
 //! bounded exploration.
 
 use hupc_check::{
-    all_scenarios, explore, fast_path, find_scenario, Artifact, ExploreConfig, PolicyHandle,
-    ARTIFACT_EXT,
+    all_scenarios, explore, find_scenario, Artifact, ExploreConfig, PolicyHandle, ARTIFACT_EXT,
 };
 
 fn quick(budget: usize) -> ExploreConfig {
@@ -40,7 +39,7 @@ fn mutations_are_caught_shrunk_and_replayable() {
         assert!(f.replay_ok, "{}: minimal schedule replay was unstable", s.name());
 
         // The serialized artifact round-trips and reproduces.
-        let art = Artifact::from_failure(f, true);
+        let art = Artifact::from_failure(f);
         let reparsed = Artifact::parse(&art.serialize()).unwrap();
         assert_eq!(art, reparsed);
         let v = reparsed.replay().expect("artifact must reproduce");
@@ -49,7 +48,7 @@ fn mutations_are_caught_shrunk_and_replayable() {
         // Two independent replays of the minimal prefix are identical.
         let run = || {
             let p = PolicyHandle::prefix(&f.minimal);
-            let out = s.run(&p, f.fault, &fast_path(true));
+            let out = s.run(&p, f.fault);
             (out.violation.map(|v| v.kind), hupc_check::log_hash(&out.decisions))
         };
         assert_eq!(run(), run(), "{}: replay is not deterministic", s.name());
@@ -105,7 +104,7 @@ fn uts_perturbed_prefix_counts_exactly() {
     let s = find_scenario("uts_steal").unwrap();
     for prefix in [vec![1], vec![0, 2, 1], vec![3, 3, 3, 3]] {
         let p = PolicyHandle::prefix(&prefix);
-        let out = s.run(&p, 0, &fast_path(true));
+        let out = s.run(&p, 0);
         assert!(
             out.violation.is_none(),
             "prefix {prefix:?} broke the UTS count: {:?}",

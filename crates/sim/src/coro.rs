@@ -1,6 +1,6 @@
-//! Lightweight execution contexts for actors: stackful coroutines (the
-//! default) or dedicated OS threads (the portable fallback), behind one
-//! resume/yield interface.
+//! Lightweight execution contexts for actors: stackful coroutines where the
+//! target has the assembly context switch, dedicated OS threads elsewhere,
+//! behind one resume/yield interface.
 //!
 //! The engine guarantees that at most one party — the scheduler or a single
 //! actor — is logically running at any instant, so an actor does not need a
@@ -11,17 +11,17 @@
 //! microseconds to ~100ns and lets a simulation hold a million actors —
 //! memory, not kernel thread limits, becomes the bound.
 //!
-//! Two backends implement the same protocol:
+//! Two backends implement the same protocol; the platform picks one, no
+//! setting does:
 //!
 //! * [`SwitchCoro`] — a hand-rolled stackful coroutine: a malloc-backed
 //!   [`Stack`] plus an assembly context switch (`hupc_sim_ctx_swap`) that
 //!   saves the callee-saved registers, swaps stack pointers, and resumes the
-//!   peer. Available on Linux x86_64 / aarch64 ([`SWITCH_SUPPORTED`]).
+//!   peer. Used wherever [`SWITCH_SUPPORTED`] holds (Linux x86_64 / aarch64,
+//!   not under Miri).
 //! * [`ThreadCoro`] — one parked OS thread per actor, rendezvousing through
-//!   the spin-then-park [`Handoff`]. This is the pre-coroutine execution
-//!   model, kept fully working: it is portable, it keeps guard-page stack
-//!   protection, and running both backends over the same program is how the
-//!   equivalence tests pin that the switch is observably identical.
+//!   the spin-then-park [`Handoff`]. The only backend under Miri and on
+//!   targets without the switch; it keeps guard-page stack protection.
 //!
 //! The protocol, either way: the scheduler calls [`Coro::resume`] with a
 //! [`ResumeArg`]; the actor runs until it calls [`yield_parked`] (returning
@@ -47,20 +47,6 @@ pub(crate) const SWITCH_SUPPORTED: bool = cfg!(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ));
-
-/// Which execution-context implementation backs each actor of a simulation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ActorBackend {
-    /// Stackful coroutines resumed in-place by the scheduler (default where
-    /// supported): handoffs are a user-space register swap, stacks come from
-    /// the heap with a configurable size, and finished actors' stacks are
-    /// pooled for reuse.
-    Coroutine,
-    /// One OS thread per actor, parked on a spin-then-park handoff between
-    /// resumes — the portable fallback, and the reference implementation the
-    /// coroutine backend is equivalence-tested against.
-    OsThread,
-}
 
 /// What a resumed actor is being told to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -176,8 +162,8 @@ pub(crate) const MIN_STACK: usize = 16 * 1024;
 /// memory runs out, while malloc arenas stay within a handful of mappings
 /// and only fault in the pages a stack actually touches. The trade-off is
 /// that overflow protection is a checked canary (verified after every
-/// resume) instead of a hardware fault; the OS-thread backend retains real
-/// guard pages for code that wants them.
+/// resume) instead of a hardware fault; the OS-thread backend, used where
+/// the switch is unavailable, retains real guard pages.
 pub(crate) struct Stack {
     base: *mut u8,
     size: usize,
@@ -365,8 +351,8 @@ extern "C" {
 }
 
 // Stubs so the module typechecks on targets without the asm backend; the
-// engine never selects ActorBackend::Coroutine there (SWITCH_SUPPORTED is
-// false), so these are unreachable.
+// engine builds no `SwitchCoro` there (SWITCH_SUPPORTED is false), so these
+// are unreachable.
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
 unsafe fn hupc_sim_ctx_swap(_save: *mut *mut u8, _to: *mut u8, _arg: usize) -> usize {
     unreachable!("coroutine backend selected on an unsupported target")
@@ -825,6 +811,95 @@ mod tests {
             }),
         );
         assert_eq!(c.resume(ResumeArg::Run), Poll::Finished);
+    }
+
+    /// `hupc_sim_ctx_swap(save, to, arg)` called straight from an `asm!`
+    /// block that holds `regs` in r12–r15 across the call, so no compiler
+    /// frame sits between the sentinels and the switch to mask a register
+    /// the switch fails to restore. Returns the swap's result and what
+    /// r12–r15 held when it returned.
+    ///
+    /// # Safety
+    ///
+    /// The same as for any `hupc_sim_ctx_swap` call: `save` is writable
+    /// and `to` is the saved stack pointer of a suspended context whose
+    /// stack is alive.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+    unsafe fn swap_holding(
+        save: *mut *mut u8,
+        to: *mut u8,
+        arg: usize,
+        regs: [usize; 4],
+    ) -> (usize, [usize; 4]) {
+        let [mut r12, mut r13, mut r14, mut r15] = regs;
+        let out: usize;
+        // SAFETY: the caller upholds the swap's contract; the block names
+        // every register the call can change (r12–r15 and rax as outputs,
+        // the rest of the C caller-saved set through `clobber_abi`), and
+        // its stack is aligned for a call because it is not `nostack`.
+        core::arch::asm!(
+            "call {swap}",
+            swap = sym hupc_sim_ctx_swap,
+            in("rdi") save,
+            in("rsi") to,
+            in("rdx") arg,
+            lateout("rax") out,
+            inout("r12") r12,
+            inout("r13") r13,
+            inout("r14") r14,
+            inout("r15") r15,
+            clobber_abi("C"),
+        );
+        (out, [r12, r13, r14, r15])
+    }
+
+    /// Both sides of a switch get their own r12–r15 back: the scheduler
+    /// resumes with sentinels in them, the coroutine overwrites all four
+    /// and yields, and the scheduler must see its sentinels again — then the
+    /// same the other way round on the second resume.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn switch_preserves_callee_saved_registers() {
+        const SCHED: [usize; 4] = [0x1212_1212, 0x1313_1313, 0x1414_1414, 0x1515_1515];
+        const ACTOR: [usize; 4] = [0xA12, 0xA13, 0xA14, 0xA15];
+        let seen = Arc::new(std::sync::Mutex::new(None));
+        let seen2 = Arc::clone(&seen);
+        let mut c = SwitchCoro::new(
+            Stack::new(64 * 1024),
+            Box::new(move |_| {
+                let CurrentYield::Switch(cb) = CURRENT.with(Cell::get) else {
+                    unreachable!("a switch coroutine runs under its control block")
+                };
+                // SAFETY: as in `yield_parked`: the control block outlives
+                // this body, and the scheduler side is suspended in a swap.
+                let (_, back) = unsafe {
+                    swap_holding(
+                        (*cb).coro_sp.as_ptr(),
+                        (*cb).sched_sp.get(),
+                        Poll::Parked.encode(),
+                        ACTOR,
+                    )
+                };
+                *seen2.lock().unwrap() = Some(back);
+            }),
+        );
+        let resume = |c: &mut SwitchCoro| {
+            let prev = CURRENT.with(|x| x.replace(CurrentYield::Switch(&*c.cb)));
+            // SAFETY: as in `SwitchCoro::resume`.
+            let (out, back) = unsafe {
+                swap_holding(
+                    c.cb.sched_sp.as_ptr(),
+                    c.cb.coro_sp.get(),
+                    ResumeArg::Run.encode(),
+                    SCHED,
+                )
+            };
+            CURRENT.with(|x| x.set(prev));
+            (Poll::decode(out), back)
+        };
+        assert_eq!(resume(&mut c), (Poll::Parked, SCHED), "scheduler lost r12-r15");
+        assert_eq!(resume(&mut c), (Poll::Finished, SCHED), "scheduler lost r12-r15");
+        assert_eq!(*seen.lock().unwrap(), Some(ACTOR), "coroutine lost r12-r15");
     }
 
     #[test]

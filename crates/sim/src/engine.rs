@@ -1,13 +1,13 @@
 //! The scheduler (`Simulation`) and the actor-side API (`Ctx`).
 //!
-//! Actors are lightweight execution contexts (stackful coroutines by
-//! default, see [`crate::coro`]), resumed in place by the scheduler loop: a
-//! wake dispatch is a user-space context switch into the actor, and a
-//! blocking simcall is a switch back. There are no per-actor kernel threads
-//! on the default backend — an actor is a heap stack plus a saved register
-//! file — which is what makes million-actor simulations practical. The
-//! [`ActorBackend::OsThread`] fallback runs the same protocol over parked
-//! OS threads.
+//! Actors are lightweight execution contexts (stackful coroutines, see
+//! [`crate::coro`]), resumed in place by the scheduler loop: a wake dispatch
+//! is a user-space context switch into the actor, and a blocking simcall is
+//! a switch back. There are no per-actor kernel threads — an actor is a heap
+//! stack plus a saved register file — which is what makes million-actor
+//! simulations practical. Under Miri and on targets without the assembly
+//! switch, the same protocol runs over parked OS threads instead; the
+//! platform decides, not a setting.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,8 +21,6 @@ use crate::kernel::{
 };
 use crate::kernel_cell::{KernelCell, KernelGuard};
 use crate::time::Time;
-
-pub use crate::coro::ActorBackend;
 
 /// Default actor stack size: matches the 8 MiB the engine used to give each
 /// actor's OS thread. Coroutine stacks are lazily faulted, so the virtual
@@ -231,17 +229,6 @@ impl Simulation {
         self.shared.kernel.lock()
     }
 
-    /// Enable per-event tracing to stderr (debugging aid).
-    pub fn set_trace(&self, on: bool) {
-        self.kernel().trace = on;
-    }
-
-    /// Enable / disable the scheduler-bypass fast path (see
-    /// [`Kernel::set_fast_path`]). On by default.
-    pub fn set_fast_path(&self, on: bool) {
-        self.kernel().set_fast_path(on);
-    }
-
     /// Install a schedule-exploration tie-break policy (see
     /// [`crate::SchedulePolicy`]). Must be set before [`Simulation::run`].
     pub fn set_schedule_policy(&self, p: Option<Box<dyn crate::SchedulePolicy>>) {
@@ -254,12 +241,6 @@ impl Simulation {
     #[cfg(feature = "trace")]
     pub fn set_tracer(&self, t: Option<Arc<hupc_trace::Tracer>>) {
         self.kernel().set_tracer(t);
-    }
-
-    /// Select the execution backend for actors of this simulation (see
-    /// [`Kernel::set_actor_backend`]). Coroutines by default.
-    pub fn set_actor_backend(&self, b: ActorBackend) {
-        self.kernel().set_actor_backend(b);
     }
 
     /// Set the default stack size (bytes) for actors spawned afterwards.
@@ -444,7 +425,8 @@ impl Simulation {
     }
 
     /// Build the execution context for one actor: the body wrapped with
-    /// panic containment and finish bookkeeping, on the selected backend.
+    /// panic containment and finish bookkeeping, on a coroutine where the
+    /// target has the context switch and on an OS thread otherwise.
     fn make_context(
         &mut self,
         id: ActorId,
@@ -452,7 +434,6 @@ impl Simulation {
         stack_size: usize,
         body: ActorBody,
     ) -> Coro {
-        let backend = self.shared.kernel.lock().actor_backend();
         let shared = Arc::clone(&self.shared);
         let wrapper: Box<dyn FnOnce(ResumeArg) + Send> = Box::new(move |first: ResumeArg| {
             if first == ResumeArg::Shutdown {
@@ -504,14 +485,11 @@ impl Simulation {
             let exit = k.actors[id].exit;
             k.fire_completion(exit);
         });
-        match backend {
-            ActorBackend::Coroutine if coro::SWITCH_SUPPORTED => {
-                let stack = pooled_stack(&mut self.stack_pool, stack_size);
-                Coro::Switch(SwitchCoro::new(stack, wrapper))
-            }
-            // No asm switch on this target: fall back to threads silently so
-            // code that requests coroutines stays portable.
-            _ => Coro::Thread(ThreadCoro::new(name, stack_size, wrapper)),
+        if coro::SWITCH_SUPPORTED {
+            let stack = pooled_stack(&mut self.stack_pool, stack_size);
+            Coro::Switch(SwitchCoro::new(stack, wrapper))
+        } else {
+            Coro::Thread(ThreadCoro::new(name, stack_size, wrapper))
         }
     }
 }
@@ -1338,23 +1316,20 @@ mod tests {
     fn drop_after_partial_run_tears_down_suspended_actors() {
         // One actor panics at t=1; the other is left suspended at a barrier.
         // Dropping the simulation must unwind the suspended actor cleanly.
-        for backend in [ActorBackend::Coroutine, ActorBackend::OsThread] {
-            let mut sim = Simulation::new();
-            sim.set_actor_backend(backend);
-            let bar = sim.kernel().new_barrier(2);
-            sim.spawn("stuck", move |ctx| {
-                ctx.barrier_wait(bar);
-            });
-            sim.spawn("boom", |ctx| {
-                ctx.advance(1);
-                panic!("kaboom");
-            });
-            assert!(matches!(
-                sim.run_result().unwrap_err(),
-                SimError::ActorPanic { .. }
-            ));
-            drop(sim);
-        }
+        let mut sim = Simulation::new();
+        let bar = sim.kernel().new_barrier(2);
+        sim.spawn("stuck", move |ctx| {
+            ctx.barrier_wait(bar);
+        });
+        sim.spawn("boom", |ctx| {
+            ctx.advance(1);
+            panic!("kaboom");
+        });
+        assert!(matches!(
+            sim.run_result().unwrap_err(),
+            SimError::ActorPanic { .. }
+        ));
+        drop(sim);
     }
 
     #[test]
@@ -1390,50 +1365,17 @@ mod tests {
     }
 
     #[test]
-    fn backends_produce_identical_event_logs_and_stats() {
-        // The same program — barriers, a contended resource, a mutex,
-        // dynamic spawn — must produce byte-identical event logs and stats
-        // on the coroutine and OS-thread backends.
-        fn run_once(backend: ActorBackend) -> (Vec<crate::kernel::TraceEvent>, SimulationStats) {
-            let mut sim = Simulation::new();
-            sim.set_actor_backend(backend);
-            sim.kernel().record_event_log(true);
-            let res = sim.kernel().new_resource("r");
-            let bar = sim.kernel().new_barrier(2);
-            let m = sim.kernel().new_mutex();
-            for id in 0..2u64 {
-                sim.spawn(format!("a{id}"), move |ctx| {
-                    for i in 0..4u64 {
-                        ctx.advance(time::ns(3 + id * 7));
-                        ctx.acquire(res, time::ns(50 + i));
-                        ctx.mutex_lock(m);
-                        ctx.advance(time::ns(5));
-                        ctx.mutex_unlock(m);
-                        ctx.barrier_wait(bar);
-                    }
-                    if id == 0 {
-                        let child = ctx.spawn("kid", |c| c.advance(time::us(1)));
-                        ctx.join(child);
-                    }
-                });
-            }
-            let stats = sim.run();
-            let log = sim.kernel().take_event_log();
-            (log, stats)
-        }
-        let coro = run_once(ActorBackend::Coroutine);
-        let thread = run_once(ActorBackend::OsThread);
-        assert_eq!(coro, thread);
-
-        // The same at volume: 64 actors × 1 000 simcalls (an interpreter
-        // gets a slice of it), about a third of them full handoffs. On
-        // `OsThread` every one of those moves the owned (unlocked) kernel
-        // between host threads, ordered by nothing but the handoff token.
+    fn event_log_and_stats_are_reproducible_at_volume() {
+        // 64 actors × 1 000 simcalls (an interpreter gets a slice of it),
+        // about a third of them full handoffs: two runs of the same program
+        // produce byte-identical event logs and stats. Under Miri every
+        // actor is an OS thread, so each handoff moves the owned (unlocked)
+        // kernel between host threads, ordered by nothing but the handoff
+        // token.
         const ACTORS: u64 = if cfg!(miri) { 8 } else { 64 };
         const ROUNDS: u64 = if cfg!(miri) { 50 } else { 250 };
-        fn run_many(backend: ActorBackend) -> (Vec<crate::kernel::TraceEvent>, SimulationStats) {
+        fn run_many() -> (Vec<crate::kernel::TraceEvent>, SimulationStats) {
             let mut sim = Simulation::new();
-            sim.set_actor_backend(backend);
             sim.set_stack_size(64 * 1024);
             sim.kernel().record_event_log(true);
             let res = sim.kernel().new_resource("r");
@@ -1455,9 +1397,9 @@ mod tests {
             let log = sim.kernel().take_event_log();
             (log, stats)
         }
-        let coro = run_many(ActorBackend::Coroutine);
-        assert!(coro.1.handoffs > ACTORS * ROUNDS / 2, "{:?}", coro.1);
-        assert_eq!(coro, run_many(ActorBackend::OsThread));
+        let first = run_many();
+        assert!(first.1.handoffs > ACTORS * ROUNDS / 2, "{:?}", first.1);
+        assert_eq!(first, run_many());
     }
 
     #[test]
@@ -1648,24 +1590,21 @@ mod tests {
         // the closure already holds. Behind a std mutex that self-deadlocked;
         // the owned kernel's `held` flag makes it a panic naming the
         // re-entry, reported like any other actor panic.
-        for backend in [ActorBackend::Coroutine, ActorBackend::OsThread] {
-            let mut sim = Simulation::new();
-            sim.set_actor_backend(backend);
-            sim.spawn("ok", |ctx| ctx.advance(5));
-            sim.spawn("nester", |ctx| {
-                ctx.advance(1);
-                ctx.with_kernel(|_k| ctx.now());
-            });
-            match sim.run_result().unwrap_err() {
-                SimError::ActorPanic { actor, name, message } => {
-                    assert_eq!((actor, name.as_str()), (1, "nester"), "{backend:?}");
-                    assert!(message.contains("nested kernel access"), "{message}");
-                }
-                other => panic!("expected ActorPanic on {backend:?}, got {other}"),
+        let mut sim = Simulation::new();
+        sim.spawn("ok", |ctx| ctx.advance(5));
+        sim.spawn("nester", |ctx| {
+            ctx.advance(1);
+            ctx.with_kernel(|_k| ctx.now());
+        });
+        match sim.run_result().unwrap_err() {
+            SimError::ActorPanic { actor, name, message } => {
+                assert_eq!((actor, name.as_str()), (1, "nester"));
+                assert!(message.contains("nested kernel access"), "{message}");
             }
-            // The unwind released the kernel: the owner can still read it.
-            assert_eq!(sim.kernel().now(), 1);
+            other => panic!("expected ActorPanic, got {other}"),
         }
+        // The unwind released the kernel: the owner can still read it.
+        assert_eq!(sim.kernel().now(), 1);
     }
 
     #[test]
@@ -1780,49 +1719,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_stats_off_means_zero_hits() {
-        let mut sim = Simulation::new();
-        sim.set_fast_path(false);
-        sim.spawn("solo", |ctx| {
-            for _ in 0..100 {
-                ctx.advance(time::ns(10));
-            }
-        });
-        let stats = sim.run();
-        assert_eq!(stats.fast_path_hits, 0);
-        assert_eq!(stats.handoffs, 101);
-        assert_eq!(stats.events, 101);
-    }
-
-    #[test]
-    fn fast_path_on_off_traces_are_identical() {
-        // Two interleaved actors + a resource + a barrier: the same program
-        // must produce the same full event trace either way.
-        fn run_once(fast: bool) -> (Vec<crate::kernel::TraceEvent>, Time, u64) {
-            let mut sim = Simulation::new();
-            sim.set_fast_path(fast);
-            sim.kernel().record_event_log(true);
-            let res = sim.kernel().new_resource("r");
-            let bar = sim.kernel().new_barrier(2);
-            for id in 0..2u64 {
-                sim.spawn(format!("a{id}"), move |ctx| {
-                    for i in 0..5u64 {
-                        ctx.advance(time::ns(3 + id * 7));
-                        ctx.acquire(res, time::ns(50 + i));
-                        ctx.barrier_wait(bar);
-                    }
-                });
-            }
-            let stats = sim.run();
-            let log = sim.kernel().take_event_log();
-            (log, stats.end_time, stats.events)
-        }
-        let slow = run_once(false);
-        let fast = run_once(true);
-        assert_eq!(slow, fast);
-    }
-
-    #[test]
     fn lazy_advance_coalesces_until_flush() {
         let mut sim = Simulation::new();
         sim.spawn("lazy", |ctx| {
@@ -1912,49 +1808,28 @@ mod tests {
         sim.set_stack_size(64 * 1024);
     }
 
-    /// The kernel setting is what picks the execution context — there is no
-    /// other selector: coroutine actors run on the scheduler's own thread
-    /// (where the target has the context switch), OS-thread actors each on
-    /// a thread of their own.
+    /// The platform is what picks the execution context — there is no
+    /// selector: where the target has the context switch, actors run on the
+    /// scheduler's own thread; elsewhere each runs on a thread of its own.
     #[test]
-    fn actor_backend_setting_selects_the_execution_context() {
-        let run = |backend: Option<ActorBackend>| {
-            let mut sim = Simulation::new();
-            if let Some(b) = backend {
-                sim.kernel().set_actor_backend(b);
-            }
-            let seen = Arc::new(Mutex::new(Vec::new()));
-            for a in 0..3 {
-                let seen = Arc::clone(&seen);
-                sim.spawn(format!("a{a}"), move |ctx| {
-                    ctx.advance(1);
-                    seen.lock().unwrap().push(std::thread::current().id());
-                });
-            }
-            sim.run();
-            let threads = seen.lock().unwrap().clone();
-            threads
-        };
-        let me = std::thread::current().id();
-        let os = run(Some(ActorBackend::OsThread));
-        assert!(os.iter().all(|&t| t != me) && os[0] != os[1] && os[1] != os[2]);
-        if coro::SWITCH_SUPPORTED {
-            for backend in [None, Some(ActorBackend::Coroutine)] {
-                assert!(run(backend).iter().all(|&t| t == me), "{backend:?}");
-            }
-        }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "set_actor_backend after first dispatch")]
-    fn set_actor_backend_after_dispatch_is_rejected() {
+    fn platform_selects_the_execution_context() {
         let mut sim = Simulation::new();
-        // Mid-run, from a running actor: actors spawned from here on would
-        // get thread contexts next to this one's coroutine.
-        sim.spawn("a", |ctx| {
-            ctx.with_kernel(|k| k.set_actor_backend(ActorBackend::OsThread));
-        });
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        for a in 0..3 {
+            let seen = Arc::clone(&seen);
+            sim.spawn(format!("a{a}"), move |ctx| {
+                ctx.advance(1);
+                seen.lock().unwrap().push(std::thread::current().id());
+            });
+        }
         sim.run();
+        let threads = seen.lock().unwrap().clone();
+        let me = std::thread::current().id();
+        if coro::SWITCH_SUPPORTED {
+            assert!(threads.iter().all(|&t| t == me), "{threads:?}");
+        } else {
+            assert!(threads.iter().all(|&t| t != me), "{threads:?}");
+            assert!(threads[0] != threads[1] && threads[1] != threads[2], "{threads:?}");
+        }
     }
 }

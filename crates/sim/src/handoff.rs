@@ -1,14 +1,13 @@
 //! One-token rendezvous used by the OS-thread actor backend.
 //!
 //! The engine guarantees that at most one party (the scheduler or a single
-//! actor) is logically running at a time. On the [`crate::ActorBackend::OsThread`]
-//! backend each actor lives on its own parked thread, and a `Handoff` is the
-//! parking spot a party waits on until the other side passes it the token.
-//! (The default coroutine backend needs none of this — a handoff there is a
-//! user-space context switch.)
+//! actor) is logically running at a time. Under Miri and on targets without
+//! the assembly context switch, each actor lives on its own parked thread,
+//! and a `Handoff` is the parking spot a party waits on until the other side
+//! passes it the token. (The coroutine backend, used everywhere else, needs
+//! none of this — a handoff there is a user-space context switch.)
 //!
-//! On that thread backend — and only there; this is no longer the primary
-//! handoff path of the engine — the wait is **spin-then-park**: the token
+//! On that thread backend the wait is **spin-then-park**: the token
 //! lives in an atomic, and a waiter first spins on it for a short bounded
 //! burst — when the peer is about to pass the token (the common case in a
 //! tight simcall exchange) this resolves the handoff entirely in user

@@ -10,7 +10,6 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::coro::ActorBackend;
 use crate::time::Time;
 
 /// Identifies an actor within one simulation.
@@ -384,11 +383,6 @@ pub struct Kernel {
     mutexes: Vec<MutexState>,
     pub(crate) actors: Vec<ActorMeta>,
     pub(crate) live_actors: usize,
-    pub(crate) trace: bool,
-    /// Scheduler-bypass fast path enabled for this kernel (on by default).
-    fast_path: bool,
-    /// Execution backend for this simulation's actors.
-    actor_backend: ActorBackend,
     /// Simcalls resolved inline without a scheduler handoff.
     pub(crate) fast_path_hits: u64,
     /// Scheduler → actor dispatches that went through a full handoff (a
@@ -431,9 +425,6 @@ impl Kernel {
             mutexes: Vec::new(),
             actors: Vec::new(),
             live_actors: 0,
-            trace: false,
-            fast_path: true,
-            actor_backend: ActorBackend::Coroutine,
             fast_path_hits: 0,
             handoffs: 0,
             heap_ops: 0,
@@ -505,51 +496,11 @@ impl Kernel {
         }
     }
 
-    /// Enable / disable the scheduler-bypass fast path for this kernel.
-    ///
-    /// With the fast path **on** (the default), a simcall whose resulting
-    /// wake is provably the next event to run — strictly earlier than every
-    /// pending event — is processed inline by the calling actor, which keeps
-    /// running without a scheduler handoff. Virtual-time behavior is
-    /// bit-identical either way (same event times, sequence numbers and
-    /// order); only host wall-clock and the `fast_path_hits` / `handoffs`
-    /// counters differ.
-    pub fn set_fast_path(&mut self, on: bool) {
-        self.fast_path = on;
-    }
-
-    /// Whether the scheduler-bypass fast path is enabled.
-    pub fn fast_path(&self) -> bool {
-        self.fast_path
-    }
-
     /// Whether the run has dispatched its first actor. From then on
     /// execution contexts exist, so the settings that shape them (stack
-    /// size, actor backend) are fixed.
+    /// size) are fixed.
     pub(crate) fn dispatched(&self) -> bool {
         self.handoffs > 0
-    }
-
-    /// Select the execution backend for this simulation's actors:
-    /// coroutines (the default; the engine falls back to threads by itself
-    /// on targets without the context switch) or one parked OS thread per
-    /// actor, the portable reference the equivalence tests compare against.
-    /// Virtual-time behavior is bit-identical either way — only host speed,
-    /// memory footprint and actor-count headroom differ. Contexts are built
-    /// at first dispatch, so a mid-run call would mix both kinds in one
-    /// simulation; like `Simulation::set_stack_size`, that trips a
-    /// `debug_assert!`.
-    pub fn set_actor_backend(&mut self, b: ActorBackend) {
-        debug_assert!(
-            !self.dispatched(),
-            "set_actor_backend after first dispatch: started actors keep their context"
-        );
-        self.actor_backend = b;
-    }
-
-    /// The backend this simulation's actors run on.
-    pub(crate) fn actor_backend(&self) -> ActorBackend {
-        self.actor_backend
     }
 
     /// Start recording every processed event (including bypassed ones) into
@@ -627,13 +578,6 @@ impl Kernel {
         #[cfg(feature = "trace")]
         self.trace_dispatch(&event);
         self.set_now(event.time);
-        if self.trace {
-            eprintln!(
-                "[sim t={}] {:?}",
-                crate::time::format(event.time),
-                event.kind
-            );
-        }
         match event.kind {
             EventKind::Complete(c) => {
                 self.fire_completion(c);
@@ -769,7 +713,7 @@ impl Kernel {
     /// event. (An existing event at the same time holds a smaller sequence
     /// number and must run first, so ties disqualify.)
     pub(crate) fn bypass_eligible(&self, t: Time) -> bool {
-        self.fast_path && self.earliest_pending().is_none_or(|p| t < p)
+        self.earliest_pending().is_none_or(|p| t < p)
     }
 
     /// Process an actor's own wake inline: consume the sequence number the
@@ -793,12 +737,6 @@ impl Kernel {
         let seq = self.next_seq();
         self.actors[actor].wake_epoch += 1; // voids outstanding timeouts
         self.actors[actor].recent.note(RecentOp::Bypassed(t));
-        if self.trace {
-            eprintln!(
-                "[sim t={}] Wake({actor}) [bypass]",
-                crate::time::format(t)
-            );
-        }
         self.log_event(t, seq, EventKind::Wake(actor));
         #[cfg(feature = "trace")]
         self.temit(t, actor, hupc_trace::EventKind::FastPathBypass, seq, 0);
@@ -1444,8 +1382,6 @@ mod tests {
         assert!(k.bypass_eligible(9));
         assert!(!k.bypass_eligible(10), "tie must go to the queued event");
         assert!(!k.bypass_eligible(11));
-        k.set_fast_path(false);
-        assert!(!k.bypass_eligible(9), "disabled fast path is never eligible");
     }
 
     #[test]

@@ -31,10 +31,12 @@ pub(crate) struct KernelCell {
 // The parties that can reach `lock()` are the thread driving `Simulation`
 // (`Simulation` is `!Sync` and runs under `&mut self`) and the actors it
 // resumes (`Ctx` is `!Sync` and never leaves its actor). Exactly one of them
-// executes at a time and each handover is a happens-before edge: on the
-// coroutine backend scheduler and actors are the same OS thread; on
-// `ActorBackend::OsThread` the scheduler parks in `Handoff::wait` while the
-// actor runs, and the token is passed with Release / Acquire. A guard never
+// executes at a time and each handover is a happens-before edge. Where the
+// target has the assembly context switch (`coro::SWITCH_SUPPORTED`),
+// scheduler and actors are the same OS thread. Elsewhere, and under Miri,
+// each actor has an OS thread of its own: the scheduler parks in
+// `Handoff::wait` while the actor runs, and the token is passed with
+// Release / Acquire. A guard never
 // crosses a handover (it is `!Send`, and every simcall drops its guard before
 // it parks). What remains is same-party re-entry (a simcall from inside
 // `with_kernel`), which `held` turns into a panic.

@@ -11,8 +11,9 @@
 //!
 //! Every simulated execution stream (a UPC thread, a sub-thread, an MPI rank)
 //! is an **actor**: a stackful coroutine that runs user Rust code, resumed in
-//! place by the scheduler (see [`ActorBackend`]; a portable one-OS-thread-
-//! per-actor fallback implements the same protocol). Exactly one actor runs
+//! place by the scheduler. (Under Miri and on targets without the assembly
+//! context switch, a one-OS-thread-per-actor backend implements the same
+//! protocol; the platform picks it, no setting does.) Exactly one actor runs
 //! at any instant; an actor executes until it performs a *simcall*
 //! ([`Ctx::advance`], [`Ctx::acquire`], [`Ctx::wait`], [`Ctx::barrier_wait`],
 //! …), at which point control switches back to the central scheduler. The
@@ -37,10 +38,11 @@
 //! A simcall whose resulting wake is provably the next event to run and
 //! resumes the *same* actor (a plain advance, an uncontended resource
 //! charge) is processed inline under the kernel guard — the actor keeps
-//! running with no scheduler handoff at all. Virtual-time behavior is
-//! bit-identical with the fast path on or off (same events, times and
-//! sequence numbers); only host speed and the [`SimulationStats`] counters
-//! differ. See [`Kernel::set_fast_path`], [`Ctx::advance_lazy`] and
+//! running with no scheduler handoff at all. The bypass is always on: it
+//! consumes the sequence number the wake event would have used and logs the
+//! event the scheduler would have popped, so the `(time, seq)` order is the
+//! one a plain pop loop would produce; only host speed and the
+//! [`SimulationStats`] counters show it. See [`Ctx::advance_lazy`] and
 //! DESIGN.md §1 for the invariants.
 //!
 //! # Quick example
@@ -71,7 +73,7 @@ pub mod time;
 
 pub use cell::SimCell;
 pub use engine::{
-    ActorBackend, ActorRef, Ctx, SimError, SimResult, Simulation, SimulationStats, WaitTimedOut,
+    ActorRef, Ctx, SimError, SimResult, Simulation, SimulationStats, WaitTimedOut,
     DEFAULT_STACK_SIZE,
 };
 pub use kernel::{

@@ -17,7 +17,7 @@ use hupc::gups::{run_gups, GupsConfig, Routing};
 use hupc::fft::{run_ft_upc, FtConfig};
 use hupc::prelude::*;
 use hupc::trace::{to_chrome_trace, to_jsonl, Event, EventKind, TraceLevel, Tracer};
-use hupc::uts::{run_uts, run_uts_prepared, StealStrategy, UtsConfig};
+use hupc::uts::{run_uts, StealStrategy, UtsConfig};
 
 /// Small per-actor rings so the committed goldens stay a few hundred KB.
 /// Eviction is deterministic, so bounded traces are still byte-identical.
@@ -155,12 +155,10 @@ fn golden_trace_gups() {
     check_golden("gups_small.jsonl", &jsonl);
 }
 
-/// The coll golden's job: a hierarchical allreduce on 2 nodes. `prepare`
-/// is the pre-run kernel seam (`UpcJob::kernel`).
-fn golden_coll_allreduce(prepare: impl FnOnce(&mut hupc::sim::Kernel)) {
+/// The coll golden's job: a hierarchical allreduce on 2 nodes.
+fn golden_coll_allreduce() {
     let job = UpcJob::new(UpcConfig::test_default(8, 2));
     CollDomain::install_auto(&job);
-    prepare(&mut job.kernel());
     job.run(|upc| {
         let me = upc.mythread() as u64;
         let mut v: Vec<u64> = (0..24).map(|i| me + i).collect();
@@ -171,37 +169,13 @@ fn golden_coll_allreduce(prepare: impl FnOnce(&mut hupc::sim::Kernel)) {
     });
 }
 
-/// The thread→coroutine switch is invisible to the observability layer:
-/// the same workloads traced on the OS-thread backend — selected per run
-/// through the kernel seams — produce JSONL byte-identical to the committed
-/// goldens, which `golden_trace_uts` and `golden_trace_coll_allreduce`
-/// check on coroutines. Same `(t, seq)` total order, same payloads, same
-/// eviction.
-#[test]
-fn golden_traces_identical_across_backends() {
-    use hupc::sim::ActorBackend;
-    let _sims = serialise_simulations();
-    let uts = traced_jsonl(GOLDEN_RING_UTS, || {
-        let r = run_uts_prepared(golden_uts_config(), |k| {
-            k.set_actor_backend(ActorBackend::OsThread)
-        })
-        .expect("UTS run failed");
-        assert!(r.total_nodes > 0);
-    });
-    check_golden("uts_small.jsonl", &uts);
-    let coll = traced_jsonl(GOLDEN_RING, || {
-        golden_coll_allreduce(|k| k.set_actor_backend(ActorBackend::OsThread))
-    });
-    check_golden("coll_allreduce_small.jsonl", &coll);
-}
-
 #[test]
 fn golden_trace_coll_allreduce() {
     let _sims = serialise_simulations();
     // The golden pins the CollBegin/CollEnd taxonomy (op | algo | phase
     // payload packing) and the staged intra/inter phase structure of the
     // provider.
-    let jsonl = traced_jsonl(GOLDEN_RING, || golden_coll_allreduce(|_| {}));
+    let jsonl = traced_jsonl(GOLDEN_RING, golden_coll_allreduce);
     assert!(jsonl.contains("\"k\":\"coll_begin\""), "no coll events traced");
     assert!(jsonl.contains("\"k\":\"coll_end\""), "unbalanced coll events");
     check_golden("coll_allreduce_small.jsonl", &jsonl);
