@@ -1,22 +1,35 @@
 //! Registered segments: per-UPC-thread shared-memory regions holding real
 //! data, in 8-byte words.
+//!
+//! A segment is reserved address space, committed on touch, as GASNet's
+//! segments are. Its words live in a [`ZeroWords`] buffer, which on Linux
+//! x86_64 outside Miri is an anonymous mapping, so a job pays resident
+//! memory for the pages its threads write, not for the segment size it
+//! configured. [`Segment::ensure`] grows a segment with `mremap`: the
+//! mapping is extended or its page tables are moved, and no page is zeroed
+//! or copied until someone writes it. Elsewhere the words come from the
+//! allocator, zero-filled, and growth reallocates and zero-fills the tail.
+
+mod words;
 
 use hupc_sim::SimCell;
+use words::ZeroWords;
 
 /// Bytes per segment word.
 pub const WORD_BYTES: usize = 8;
 
 /// One thread's registered shared segment. Grows on demand (the model's
-/// analogue of the runtime-reserved GASNet segment).
+/// analogue of the runtime-reserved GASNet segment); see the module docs for
+/// what growth and untouched words cost.
 pub struct Segment {
-    data: SimCell<Vec<u64>>,
+    data: SimCell<ZeroWords>,
 }
 
 impl Segment {
     /// Create a segment with an initial size in words.
     pub fn new(words: usize) -> Self {
         Segment {
-            data: SimCell::new(vec![0u64; words]),
+            data: SimCell::new(ZeroWords::new(words)),
         }
     }
 
@@ -29,13 +42,9 @@ impl Segment {
         self.len() == 0
     }
 
-    /// Ensure the segment covers `words` words.
+    /// Ensure the segment covers `words` words; the new words read zero.
     pub fn ensure(&self, words: usize) {
-        self.data.with_mut(|d| {
-            if d.len() < words {
-                d.resize(words, 0);
-            }
-        });
+        self.data.with_mut(|d| d.grow(words));
     }
 
     /// Copy `dst.len()` words starting at `off` out of the segment.
@@ -84,13 +93,12 @@ impl Segment {
         self.data.with_mut(|d| f(&mut d[off..off + len]))
     }
 
-    /// Segment-to-segment copy (the memcpy fast paths). Handles the
-    /// same-segment case with a temporary.
+    /// Segment-to-segment copy (the memcpy fast paths). Within one segment
+    /// the ranges may overlap: the copy is a memmove.
     pub fn copy_between(src: &Segment, src_off: usize, dst: &Segment, dst_off: usize, len: usize) {
         if std::ptr::eq(src, dst) {
-            let mut tmp = vec![0u64; len];
-            src.read(src_off, &mut tmp);
-            dst.write(dst_off, &tmp);
+            dst.data
+                .with_mut(|d| d.copy_within(src_off..src_off + len, dst_off));
         } else {
             src.data.with(|s| {
                 dst.data.with_mut(|d| {
@@ -164,13 +172,71 @@ mod tests {
         assert_eq!(b.read_word(7), 7);
     }
 
+    /// Same-segment copies in both directions, overlapping or not, against
+    /// the read-then-write reference.
     #[test]
     fn copy_within_same_segment() {
-        let a = Segment::new(8);
-        a.write(0, &[1, 2, 3]);
-        Segment::copy_between(&a, 0, &a, 4, 3);
-        assert_eq!(a.read_word(4), 1);
-        assert_eq!(a.read_word(6), 3);
+        const N: usize = 64;
+        for (src_off, dst_off, len) in [
+            (0, 4, 3),
+            (0, 5, 20),
+            (5, 0, 20),
+            (10, 11, 40),
+            (11, 10, 40),
+        ] {
+            let seg = Segment::new(N);
+            let init: Vec<u64> = (0..N as u64).map(|i| i * 7 + 1).collect();
+            seg.write(0, &init);
+            Segment::copy_between(&seg, src_off, &seg, dst_off, len);
+            let mut want = init.clone();
+            let tmp = init[src_off..src_off + len].to_vec();
+            want[dst_off..dst_off + len].copy_from_slice(&tmp);
+            let mut got = vec![0; N];
+            seg.read(0, &mut got);
+            assert_eq!(got, want, "copy {src_off}->{dst_off} x{len}");
+        }
+    }
+
+    #[test]
+    fn fresh_segments_read_zero_everywhere() {
+        for words in [0, 1, 8, 4096, 1 << 16] {
+            let s = Segment::new(words);
+            assert_eq!(s.len(), words);
+            assert!(s.with_range(0, words, |r| r.iter().all(|&w| w == 0)));
+        }
+    }
+
+    /// `ensure` keeps what was written and zero-fills the tail, from empty
+    /// and from a non-empty buffer, small and large. `words::tests` covers
+    /// a mapping that has to move.
+    #[test]
+    fn ensure_keeps_contents_and_zero_fills_the_tail() {
+        for (from, to) in [(0, 3), (0, 1024), (3, 17), (5, 1537), (512, 32775)] {
+            let s = Segment::new(from);
+            let old: Vec<u64> = (1..=from as u64).collect();
+            s.write(0, &old);
+            s.ensure(to);
+            assert_eq!(s.len(), to);
+            assert!(s.with_range(0, from, |r| r == old));
+            assert!(s.with_range(from, to - from, |r| r.iter().all(|&w| w == 0)));
+        }
+    }
+
+    /// A thousand segments built, touched, grown and dropped twice over:
+    /// allocation and release stay paired (a leak or double free shows up
+    /// here, or under Miri).
+    #[test]
+    fn drop_and_regrow_a_thousand_segments() {
+        for round in 0..2u64 {
+            let segs: Vec<Segment> = (0..1000).map(|i| Segment::new(i % 7 * 300)).collect();
+            for (i, s) in segs.iter().enumerate() {
+                s.ensure(2000 + i % 3 * 1000);
+                s.write_word(i % 2000, round + i as u64);
+            }
+            for (i, s) in segs.iter().enumerate() {
+                assert_eq!(s.read_word(i % 2000), round + i as u64);
+            }
+        }
     }
 
     #[test]

@@ -1011,13 +1011,17 @@ impl Kernel {
         if self.barriers[bar.0].arrived.len() < parties {
             return false;
         }
-        let arrived = std::mem::take(&mut self.barriers[bar.0].arrived);
+        // Borrow the arrival list out and hand it back cleared, so every
+        // round reuses one allocation.
+        let mut arrived = std::mem::take(&mut self.barriers[bar.0].arrived);
         let t = self.now + release_cost;
-        for w in arrived {
+        for &w in &arrived {
             if w != actor {
                 self.wake_at(t, w);
             }
         }
+        arrived.clear();
+        self.barriers[bar.0].arrived = arrived;
         true
     }
 
