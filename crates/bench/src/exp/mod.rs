@@ -13,7 +13,6 @@ pub mod fig_4_5;
 pub mod fig_4_6;
 pub mod serve;
 pub mod table_3_1;
-#[cfg(feature = "trace")]
 pub mod trace;
 pub mod table_3_2;
 pub mod table_4_1;

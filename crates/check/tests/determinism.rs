@@ -1,24 +1,27 @@
 //! Schedule-perturbation determinism: the same `SchedulePolicy` seed yields
-//! a byte-identical kernel event log, decision log, end state and end time —
+//! a byte-identical kernel trace, decision log, end state and end time —
 //! a perturbed run is still a fully deterministic run, from the raw kernel
 //! up to the full UPC stack.
 
 use std::sync::Arc;
 
 use hupc_check::{find_scenario, Decision, PolicyHandle};
-use hupc_sim::{time, SimCell, Simulation, TraceEvent};
+use hupc_sim::trace::{Event, TraceLevel, Tracer};
+use hupc_sim::{time, SimCell, Simulation};
 use proptest::prelude::*;
 
 /// A tie-rich raw-sim workload: four workers advance in lockstep (every
 /// wake ties) and fight over a mutex-protected counter. Returns the full
-/// kernel event log, the end time, the counter, and the decision log.
-fn tie_rich_run(seed: u64) -> (Vec<TraceEvent>, u64, u64, Vec<Decision>) {
+/// kernel trace (a full-level tracer's merged events), the end time, the
+/// counter, and the decision log.
+fn tie_rich_run(seed: u64) -> (Vec<Event>, u64, u64, Vec<Decision>) {
     let mut sim = Simulation::new();
     let policy = PolicyHandle::random(seed);
+    let tracer = Arc::new(Tracer::new(TraceLevel::Full));
     let m = {
         let mut k = sim.kernel();
         policy.install(&mut k);
-        k.record_event_log(true);
+        k.set_tracer(Some(Arc::clone(&tracer)));
         k.new_mutex()
     };
     let counter = Arc::new(SimCell::new(0u64));
@@ -36,19 +39,18 @@ fn tie_rich_run(seed: u64) -> (Vec<TraceEvent>, u64, u64, Vec<Decision>) {
         });
     }
     let stats = sim.run_result().expect("workload cannot deadlock");
-    let log = sim.kernel().take_event_log();
-    (log, stats.end_time, counter.get(), policy.log())
+    (tracer.merge(), stats.end_time, counter.get(), policy.log())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Same seed, two fresh simulations: byte-identical event logs.
+    /// Same seed, two fresh simulations: byte-identical kernel traces.
     #[test]
     fn same_seed_same_trace(seed in any::<u64>()) {
         let a = tie_rich_run(seed);
         let b = tie_rich_run(seed);
-        prop_assert_eq!(&a.0, &b.0, "event logs diverged for seed {}", seed);
+        prop_assert_eq!(&a.0, &b.0, "kernel traces diverged for seed {}", seed);
         prop_assert_eq!(a.1, b.1);
         prop_assert_eq!(a.3, b.3);
     }

@@ -27,11 +27,11 @@ use crate::plan::{resolve, CollAlgo, CollOp, CollPlan};
 /// GATHER area for reduction slots.
 const HALF: usize = SCRATCH_WORDS / 2;
 
-/// Emit a structured trace event (compiles out without the `trace` feature).
+/// Emit a structured trace event; the payload (a span tag) is computed only
+/// when a tracer is attached.
 macro_rules! emit {
     ($upc:expr, $kind:ident, $a:expr, $b:expr) => {
-        #[cfg(feature = "trace")]
-        {
+        if $upc.ctx().tracing() {
             $upc.ctx()
                 .trace_emit(hupc_trace::EventKind::$kind, $a, $b);
         }
@@ -190,7 +190,6 @@ impl CollDomain {
         let node_leader = self.nodes.group_of(me).leader();
         let lrank = self.leaders.rank_of(me);
         let three = algo == CollAlgo::ThreeLevel;
-        #[cfg(feature = "trace")]
         let tag = |phase| hupc_trace::coll::phase_tag(hupc_trace::coll::BROADCAST, algo.trace_tag(), phase);
         emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_OP), words.len() as u64);
         let mut buf = vec![0u64; words.len().min(HALF)];
@@ -291,7 +290,6 @@ impl CollDomain {
         let lrank = self.leaders.rank_of(me);
         let k = self.arity;
         let three = algo == CollAlgo::ThreeLevel;
-        #[cfg(feature = "trace")]
         let tag = |phase| hupc_trace::coll::phase_tag(hupc_trace::coll::ALLREDUCE, algo.trace_tag(), phase);
         emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_OP), vals.len() as u64);
         // Chunk so every slot family fits its half of the scratch region:
@@ -473,7 +471,6 @@ impl CollDomain {
         let my_node = self.nodes.group_of(me).clone();
         let node_leader = my_node.leader();
         let g = self.nodes.group_index_of(me);
-        #[cfg(feature = "trace")]
         let tag = |phase| {
             hupc_trace::coll::phase_tag(
                 hupc_trace::coll::ALLGATHER,
@@ -575,7 +572,6 @@ impl CollDomain {
         let r = my_node.rank_of(me).expect("member of own node group");
         let g = self.nodes.group_index_of(me);
         let stage = self.staging.as_ref().expect("exchange staging").arr.word_offset();
-        #[cfg(feature = "trace")]
         let tag = |phase| {
             hupc_trace::coll::phase_tag(
                 hupc_trace::coll::ALL_EXCHANGE,
@@ -640,7 +636,6 @@ impl CollDomain {
 
     fn staged_barrier_hier(&self, upc: &Upc<'_>) {
         let me = upc.mythread();
-        #[cfg(feature = "trace")]
         let tag = |phase| {
             hupc_trace::coll::phase_tag(
                 hupc_trace::coll::BARRIER,

@@ -26,9 +26,8 @@
 //! `hupc-upc` reference path), two-level (node → core) otherwise, and
 //! three-level (node → socket → core) for large broadcast/reduce payloads
 //! on multi-socket nodes — with `CollPlan::Force` as the ablation override.
-//! With the `trace` feature, every operation and phase emits
-//! `CollBegin`/`CollEnd` events tagged with the algorithm (see
-//! `hupc_trace::coll`).
+//! Under a tracer, every operation and phase emits `CollBegin`/`CollEnd`
+//! events tagged with the algorithm (see `hupc_trace::coll`).
 
 mod domain;
 mod plan;

@@ -25,7 +25,6 @@ pub enum CollAlgo {
 
 impl CollAlgo {
     /// The `hupc-trace` algorithm tag for this decomposition.
-    #[cfg(feature = "trace")]
     pub fn trace_tag(self) -> u64 {
         match self {
             CollAlgo::Flat => hupc_trace::coll::ALGO_FLAT,

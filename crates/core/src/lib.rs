@@ -69,7 +69,6 @@ pub use hupc_upc as upc;
 pub use hupc_uts as uts;
 pub use hupc_gups as gups;
 pub use hupc_serve as serve;
-#[cfg(feature = "trace")]
 pub use hupc_trace as trace;
 
 /// The names almost every program needs.

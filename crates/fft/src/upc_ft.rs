@@ -318,7 +318,6 @@ fn run_fft2d(
     ph: &mut Phases,
 ) {
     let t0 = upc.now();
-    #[cfg(feature = "trace")]
     upc.ctx().trace_emit(
         hupc_trace::EventKind::SpanBegin,
         hupc_trace::span::FT_COMPUTE,
@@ -329,8 +328,7 @@ fn run_fft2d(
     }
     charge_planes(upc, pool, l.nzp, charges.plane2d);
     let dt = upc.now() - t0;
-    #[cfg(feature = "trace")]
-    {
+    if upc.ctx().tracing() {
         upc.ctx()
             .trace_emit(hupc_trace::EventKind::SpanEnd, hupc_trace::span::FT_COMPUTE, dt);
         upc.trace_observe("ft.compute_ns", dt);
@@ -349,7 +347,6 @@ fn run_fftz(
     ph: &mut Phases,
 ) {
     let t0 = upc.now();
-    #[cfg(feature = "trace")]
     upc.ctx().trace_emit(
         hupc_trace::EventKind::SpanBegin,
         hupc_trace::span::FT_COMPUTE,
@@ -360,8 +357,7 @@ fn run_fftz(
     }
     charge_planes(upc, pool, l.nyp, charges.planez);
     let dt = upc.now() - t0;
-    #[cfg(feature = "trace")]
-    {
+    if upc.ctx().tracing() {
         upc.ctx()
             .trace_emit(hupc_trace::EventKind::SpanEnd, hupc_trace::span::FT_COMPUTE, dt);
         upc.trace_observe("ft.compute_ns", dt);
@@ -380,7 +376,6 @@ fn run_evolve(
     ph: &mut Phases,
 ) {
     let t0 = upc.now();
-    #[cfg(feature = "trace")]
     upc.ctx().trace_emit(
         hupc_trace::EventKind::SpanBegin,
         hupc_trace::span::FT_EVOLVE,
@@ -391,7 +386,6 @@ fn run_evolve(
     }
     charge_sweep(upc, pool, l.chunk as f64 * 32.0);
     let dt = upc.now() - t0;
-    #[cfg(feature = "trace")]
     upc.ctx()
         .trace_emit(hupc_trace::EventKind::SpanEnd, hupc_trace::span::FT_EVOLVE, dt);
     ph.evolve += dt;
@@ -415,7 +409,6 @@ fn run_exchange(
     let planes = if forward { l.nzp } else { l.nyp };
     let sub_elems = l.slot / planes;
     let t0 = upc.now();
-    #[cfg(feature = "trace")]
     upc.ctx().trace_emit(
         hupc_trace::EventKind::SpanBegin,
         hupc_trace::span::FT_EXCHANGE,
@@ -511,8 +504,7 @@ fn run_exchange(
     }
     upc.barrier();
     let dt = upc.now() - t0;
-    #[cfg(feature = "trace")]
-    {
+    if upc.ctx().tracing() {
         upc.ctx()
             .trace_emit(hupc_trace::EventKind::SpanEnd, hupc_trace::span::FT_EXCHANGE, dt);
         upc.trace_observe("ft.exchange_ns", dt);

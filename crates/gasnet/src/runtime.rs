@@ -13,7 +13,6 @@ use crate::error::{CommError, RetryPolicy};
 use crate::segment::{Segment, WORD_BYTES};
 
 /// Stable payload code for an access path in trace events.
-#[cfg(feature = "trace")]
 fn path_code(p: AccessPath) -> u64 {
     match p {
         AccessPath::Local => 0,
@@ -396,7 +395,6 @@ impl Gasnet {
     // ----- one-sided communication --------------------------------------------
 
     /// Trace location of a UPC thread (node + thread).
-    #[cfg(feature = "trace")]
     fn tloc(&self, t: usize) -> hupc_trace::Loc {
         hupc_trace::Loc::new(self.thread_node(t).0 as u32, t as u32)
     }
@@ -406,7 +404,6 @@ impl Gasnet {
     fn await_retry(&self, ctx: &Ctx, local: Time, attempt: u32) {
         let now = ctx.now();
         let resume = local.max(now) + self.retry.backoff_after(attempt);
-        #[cfg(feature = "trace")]
         ctx.trace_emit(hupc_trace::EventKind::Backoff, resume - now, attempt as u64);
         // Lazy: the backoff coalesces with the next attempt's send overhead
         // into a single advance at the retransmission's kernel interaction.
@@ -451,8 +448,7 @@ impl Gasnet {
             match d {
                 Delivery::Delivered { local, remote } => return Ok((local, remote)),
                 Delivery::Dropped { local } => {
-                    #[cfg(feature = "trace")]
-                    {
+                    if ctx.tracing() {
                         ctx.trace_emit(hupc_trace::EventKind::Retry, attempt as u64, bytes as u64);
                         ctx.trace_count("gasnet.retries", self.tloc(me), 1);
                     }
@@ -482,8 +478,7 @@ impl Gasnet {
             match d {
                 Delivery::Delivered { local, remote } => return Ok((local, remote)),
                 Delivery::Dropped { local } => {
-                    #[cfg(feature = "trace")]
-                    {
+                    if ctx.tracing() {
                         ctx.trace_emit(hupc_trace::EventKind::Retry, attempt as u64, bytes as u64);
                         ctx.trace_count("gasnet.retries", self.tloc(me), 1);
                     }
@@ -792,8 +787,7 @@ impl Gasnet {
         bytes: usize,
     ) -> Result<Handle, CommError> {
         let path = self.path(me, dst);
-        #[cfg(feature = "trace")]
-        {
+        if ctx.tracing() {
             ctx.trace_emit(hupc_trace::EventKind::PutIssue, dst as u64, bytes as u64);
             ctx.trace_count("gasnet.puts", self.tloc(me), 1);
             ctx.trace_count("gasnet.put_bytes", self.tloc(me), bytes as u64);
@@ -805,7 +799,6 @@ impl Gasnet {
             }
             path => self.charge_local_copy(ctx, me, dst, bytes, path),
         };
-        #[cfg(feature = "trace")]
         ctx.trace_emit(hupc_trace::EventKind::PutCharge, bytes as u64, path_code(path));
         Ok(h)
     }
@@ -822,8 +815,7 @@ impl Gasnet {
         bytes: usize,
     ) -> Result<Handle, CommError> {
         let path = self.path(me, src);
-        #[cfg(feature = "trace")]
-        {
+        if ctx.tracing() {
             ctx.trace_emit(hupc_trace::EventKind::GetIssue, src as u64, bytes as u64);
             ctx.trace_count("gasnet.gets", self.tloc(me), 1);
             ctx.trace_count("gasnet.get_bytes", self.tloc(me), bytes as u64);
@@ -836,7 +828,6 @@ impl Gasnet {
             }
             path => self.charge_local_copy(ctx, me, src, bytes, path),
         };
-        #[cfg(feature = "trace")]
         ctx.trace_emit(hupc_trace::EventKind::GetCharge, bytes as u64, path_code(path));
         Ok(h)
     }
@@ -934,8 +925,7 @@ impl Gasnet {
     /// cannot be "partially" passed.
     pub fn try_barrier(&self, ctx: &Ctx, me: usize) -> Result<(), CommError> {
         self.quiesce(ctx, me);
-        #[cfg(feature = "trace")]
-        {
+        if ctx.tracing() {
             ctx.trace_emit(hupc_trace::EventKind::BarrierEnter, self.barrier_cost(), 0);
             ctx.trace_count("gasnet.barriers", self.tloc(me), 1);
         }
@@ -948,7 +938,6 @@ impl Gasnet {
                 .barrier_wait_timeout_cost(self.barrier_all, self.barrier_cost(), timeout)
                 .map_err(|_| CommError::BarrierTimeout { thread: me, timeout }),
         };
-        #[cfg(feature = "trace")]
         if r.is_ok() {
             ctx.trace_emit(hupc_trace::EventKind::BarrierExit, 0, 0);
         }
@@ -972,7 +961,6 @@ impl Gasnet {
             *n = true;
         });
         self.quiesce(ctx, me);
-        #[cfg(feature = "trace")]
         ctx.trace_emit(hupc_trace::EventKind::BarrierNotify, 0, 0);
         // Initiation cost; lazy — folded into the arrival interaction below.
         ctx.advance_lazy(self.overheads.barrier_stage);
@@ -1002,7 +990,6 @@ impl Gasnet {
         }
         self.split_notified[me].set(false);
         ctx.advance(self.barrier_cost()); // release propagation
-        #[cfg(feature = "trace")]
         ctx.trace_emit(hupc_trace::EventKind::BarrierWait, 0, 0);
     }
 

@@ -169,7 +169,6 @@ pub fn run_gups(cfg: GupsConfig) -> GupsResult {
         });
         upc.barrier();
         let t0 = upc.now();
-        #[cfg(feature = "trace")]
         upc.ctx().trace_emit(
             hupc_trace::EventKind::SpanBegin,
             hupc_trace::span::GUPS_EXCHANGE,
@@ -185,8 +184,7 @@ pub fn run_gups(cfg: GupsConfig) -> GupsResult {
                 hierarchical(&upc, &cfg2, &table, &inbox, slot_words, &groups, me)
             }
         };
-        #[cfg(feature = "trace")]
-        {
+        if upc.ctx().tracing() {
             upc.ctx().trace_emit(
                 hupc_trace::EventKind::SpanEnd,
                 hupc_trace::span::GUPS_EXCHANGE,
@@ -198,7 +196,6 @@ pub fn run_gups(cfg: GupsConfig) -> GupsResult {
         }
         upc.barrier();
         let dt = upc.now() - t0;
-        #[cfg(feature = "trace")]
         upc.ctx().trace_emit(
             hupc_trace::EventKind::SpanEnd,
             hupc_trace::span::GUPS_APPLY,

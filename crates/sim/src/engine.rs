@@ -216,7 +216,6 @@ impl Simulation {
         // Adopt the process-global tracer (if installed) so app-level
         // drivers that construct their own Simulation internally are traced
         // without plumbing a handle through every config struct.
-        #[cfg(feature = "trace")]
         if let Some(t) = hupc_trace::global_tracer() {
             sim.kernel().set_tracer(Some(t));
         }
@@ -238,7 +237,6 @@ impl Simulation {
     /// Attach a structured tracer (see `hupc-trace`), overriding any
     /// process-global one adopted at construction. Must be called before
     /// [`Simulation::run`]: actors capture the tracer when they start.
-    #[cfg(feature = "trace")]
     pub fn set_tracer(&self, t: Option<Arc<hupc_trace::Tracer>>) {
         self.kernel().set_tracer(t);
     }
@@ -440,7 +438,6 @@ impl Simulation {
                 // Torn down before ever running; skip the body entirely.
                 return;
             }
-            #[cfg(feature = "trace")]
             let tracer = shared.kernel.lock().tracer().cloned();
             let ctx = Ctx {
                 shared: Arc::clone(&shared),
@@ -450,7 +447,6 @@ impl Simulation {
                 // Captured at first dispatch, i.e. once the run has started,
                 // so a tracer attached any time before `run()` is seen by
                 // every actor.
-                #[cfg(feature = "trace")]
                 tracer,
             };
             let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
@@ -609,7 +605,6 @@ pub struct Ctx {
     /// scheduler's thread on the coroutine backend.
     tag: Cell<u64>,
     /// Tracer captured at actor start (cheap clone of the kernel's).
-    #[cfg(feature = "trace")]
     tracer: Option<Arc<hupc_trace::Tracer>>,
 }
 
@@ -939,24 +934,22 @@ impl Ctx {
     // ----- structured tracing (observationally free) ----------------------
 
     /// The tracer this actor captured at start, if any.
-    #[cfg(feature = "trace")]
     pub fn tracer(&self) -> Option<&Arc<hupc_trace::Tracer>> {
         self.tracer.as_ref()
     }
 
-    /// Whether full event recording is active (use to skip payload
-    /// computation at call sites; `trace_emit` re-checks anyway).
-    #[cfg(feature = "trace")]
+    /// Whether a tracer is attached, at any level. Instrumentation that
+    /// computes a payload (a trace location, a distance, a span tag) runs
+    /// under this predicate, so an untraced run pays one branch per site
+    /// and no argument work; `trace_emit` / `trace_count` still apply the
+    /// level.
     #[inline]
     pub fn tracing(&self) -> bool {
-        self.tracer
-            .as_ref()
-            .is_some_and(|t| t.enabled(hupc_trace::TraceLevel::Full))
+        self.tracer.is_some()
     }
 
     /// Emit a structured event stamped with this actor's current virtual
     /// time (including lazily deferred delay). Never advances time.
-    #[cfg(feature = "trace")]
     #[inline]
     pub fn trace_emit(&self, kind: hupc_trace::EventKind, a: u64, b: u64) {
         if let Some(t) = &self.tracer {
@@ -967,7 +960,6 @@ impl Ctx {
     }
 
     /// Bump a metrics counter (active at `Counters` level and above).
-    #[cfg(feature = "trace")]
     #[inline]
     pub fn trace_count(&self, name: &'static str, loc: hupc_trace::Loc, v: u64) {
         if let Some(t) = &self.tracer {
@@ -976,7 +968,6 @@ impl Ctx {
     }
 
     /// Record a metrics histogram observation (at `Counters` and above).
-    #[cfg(feature = "trace")]
     #[inline]
     pub fn trace_observe(&self, name: &'static str, loc: hupc_trace::Loc, v: u64) {
         if let Some(t) = &self.tracer {
@@ -1063,7 +1054,6 @@ mod tests {
         sim.run();
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn structured_tracer_records_kernel_events_without_perturbing_time() {
         use hupc_trace::{EventKind as K, TraceLevel, Tracer};
@@ -1368,16 +1358,17 @@ mod tests {
     fn event_log_and_stats_are_reproducible_at_volume() {
         // 64 actors × 1 000 simcalls (an interpreter gets a slice of it),
         // about a third of them full handoffs: two runs of the same program
-        // produce byte-identical event logs and stats. Under Miri every
+        // produce byte-identical kernel traces and stats. Under Miri every
         // actor is an OS thread, so each handoff moves the owned (unlocked)
         // kernel between host threads, ordered by nothing but the handoff
         // token.
         const ACTORS: u64 = if cfg!(miri) { 8 } else { 64 };
         const ROUNDS: u64 = if cfg!(miri) { 50 } else { 250 };
-        fn run_many() -> (Vec<crate::kernel::TraceEvent>, SimulationStats) {
+        fn run_many() -> (Vec<hupc_trace::Event>, SimulationStats) {
             let mut sim = Simulation::new();
             sim.set_stack_size(64 * 1024);
-            sim.kernel().record_event_log(true);
+            let tracer = Arc::new(hupc_trace::Tracer::new(hupc_trace::TraceLevel::Full));
+            sim.set_tracer(Some(Arc::clone(&tracer)));
             let res = sim.kernel().new_resource("r");
             let bar = sim.kernel().new_barrier(ACTORS as usize);
             for id in 0..ACTORS {
@@ -1394,8 +1385,8 @@ mod tests {
                 });
             }
             let stats = sim.run();
-            let log = sim.kernel().take_event_log();
-            (log, stats)
+            assert_eq!(tracer.events_dropped(), 0);
+            (tracer.merge(), stats)
         }
         let first = run_many();
         assert!(first.1.handoffs > ACTORS * ROUNDS / 2, "{:?}", first.1);

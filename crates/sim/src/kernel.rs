@@ -180,7 +180,6 @@ pub(crate) enum BlockKind {
 }
 
 /// Payload code for structured `Park` trace events.
-#[cfg(feature = "trace")]
 fn park_code(on: BlockKind) -> u64 {
     match on {
         BlockKind::Start => hupc_trace::park::START,
@@ -330,29 +329,6 @@ struct MutexState {
     queue: Vec<ActorId>,
 }
 
-/// One processed scheduler event, as recorded by the optional event log
-/// ([`Kernel::record_event_log`]). Bypassed events are logged exactly as the
-/// full scheduler path would have logged them — same time, same sequence
-/// number, same kind — which is what lets tests assert bit-identical traces
-/// with the fast path on and off.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    pub time: Time,
-    pub seq: u64,
-    pub kind: TraceKind,
-}
-
-/// Public mirror of the internal event kinds for trace logging.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    /// An actor resumed (scheduler wake or inline bypass).
-    Wake(usize),
-    /// A completion fired (its serial).
-    Complete(usize),
-    /// A timed-wait deadline event was processed (live or stale).
-    Timeout(usize),
-}
-
 /// Central simulation state. Obtain mutable access through
 /// [`crate::Simulation::kernel`] (before the run) or
 /// [`crate::Ctx::with_kernel`] (from inside an actor).
@@ -390,8 +366,6 @@ pub struct Kernel {
     pub(crate) handoffs: u64,
     /// Pushes + pops on the far (binary-heap) half of the event queue.
     pub(crate) heap_ops: u64,
-    /// Optional full event log for trace-equality tests.
-    event_log: Option<Vec<TraceEvent>>,
     /// Optional tie-break hook for schedule exploration (see
     /// [`SchedulePolicy`]). `None` (the default) keeps the plain
     /// sequence-order pop path with zero overhead.
@@ -404,7 +378,6 @@ pub struct Kernel {
     /// Structured virtual-time tracer (hupc-trace), if one is attached.
     /// Emitting never touches `now`, the queue, or any seq the simulation
     /// observes — tracing is observationally free by construction.
-    #[cfg(feature = "trace")]
     tracer: Option<std::sync::Arc<hupc_trace::Tracer>>,
 }
 
@@ -428,10 +401,8 @@ impl Kernel {
             fast_path_hits: 0,
             handoffs: 0,
             heap_ops: 0,
-            event_log: None,
             policy: None,
             panic_note: None,
-            #[cfg(feature = "trace")]
             tracer: None,
         }
     }
@@ -460,20 +431,17 @@ impl Kernel {
     /// Attach (or detach) a structured tracer. All kernel-level events
     /// (schedule / wake / fast-path bypass / park / complete / timeout) are
     /// emitted through it when its level is `Full`.
-    #[cfg(feature = "trace")]
     pub fn set_tracer(&mut self, t: Option<std::sync::Arc<hupc_trace::Tracer>>) {
         self.tracer = t;
     }
 
     /// The attached tracer, if any.
-    #[cfg(feature = "trace")]
     pub fn tracer(&self) -> Option<&std::sync::Arc<hupc_trace::Tracer>> {
         self.tracer.as_ref()
     }
 
     /// Emit a structured trace event at the kernel clock (single branch when
     /// no tracer is attached or its level is below `Full`).
-    #[cfg(feature = "trace")]
     #[inline]
     pub(crate) fn temit(&self, time: Time, actor: usize, kind: hupc_trace::EventKind, a: u64, b: u64) {
         if let Some(t) = &self.tracer {
@@ -482,7 +450,6 @@ impl Kernel {
     }
 
     /// Emit the structured counterpart of a dispatched scheduler event.
-    #[cfg(feature = "trace")]
     pub(crate) fn trace_dispatch(&self, e: &Event) {
         match e.kind {
             EventKind::Wake(a) => self.temit(e.time, a, hupc_trace::EventKind::Wake, e.seq, 0),
@@ -501,29 +468,6 @@ impl Kernel {
     /// size) are fixed.
     pub(crate) fn dispatched(&self) -> bool {
         self.handoffs > 0
-    }
-
-    /// Start recording every processed event (including bypassed ones) into
-    /// an in-memory log; retrieve it with [`Kernel::take_event_log`].
-    pub fn record_event_log(&mut self, on: bool) {
-        self.event_log = if on { Some(Vec::new()) } else { None };
-    }
-
-    /// Take the recorded event log (empty if recording was never enabled),
-    /// in dispatch — that is, `(time, seq)` — order.
-    pub fn take_event_log(&mut self) -> Vec<TraceEvent> {
-        self.event_log.take().unwrap_or_default()
-    }
-
-    pub(crate) fn log_event(&mut self, time: Time, seq: u64, kind: EventKind) {
-        if let Some(log) = &mut self.event_log {
-            let kind = match kind {
-                EventKind::Wake(a) => TraceKind::Wake(a),
-                EventKind::Complete(c) => TraceKind::Complete(c.serial() as usize),
-                EventKind::Timeout(a, _) => TraceKind::Timeout(a),
-            };
-            log.push(TraceEvent { time, seq, kind });
-        }
     }
 
     /// Current virtual time.
@@ -574,8 +518,6 @@ impl Kernel {
     /// here; a `Wake` returns the actor to resume.
     #[inline]
     pub(crate) fn dispatch(&mut self, event: Event) -> Option<ActorId> {
-        self.log_event(event.time, event.seq, event.kind);
-        #[cfg(feature = "trace")]
         self.trace_dispatch(&event);
         self.set_now(event.time);
         match event.kind {
@@ -737,8 +679,6 @@ impl Kernel {
         let seq = self.next_seq();
         self.actors[actor].wake_epoch += 1; // voids outstanding timeouts
         self.actors[actor].recent.note(RecentOp::Bypassed(t));
-        self.log_event(t, seq, EventKind::Wake(actor));
-        #[cfg(feature = "trace")]
         self.temit(t, actor, hupc_trace::EventKind::FastPathBypass, seq, 0);
         self.set_now(t);
         self.fast_path_hits += 1;
@@ -757,7 +697,6 @@ impl Kernel {
         self.actors[actor].wake_epoch += 1; // voids outstanding timeouts
         let now = self.now;
         self.actors[actor].recent.note(RecentOp::Scheduled(now, time));
-        #[cfg(feature = "trace")]
         self.temit(self.now, actor, hupc_trace::EventKind::Schedule, time, 0);
         self.push_event(time, EventKind::Wake(actor));
     }
@@ -768,7 +707,6 @@ impl Kernel {
         let now = self.now;
         self.actors[actor].blocked_since = now;
         self.actors[actor].recent.note(RecentOp::Parked(now, on));
-        #[cfg(feature = "trace")]
         self.temit(self.now, actor, hupc_trace::EventKind::Park, park_code(on), 0);
     }
 
@@ -1390,8 +1328,10 @@ mod tests {
 
     #[test]
     fn bypass_resume_accounts_like_a_popped_event() {
+        use hupc_trace::{Event, EventKind as K, TraceLevel, Tracer};
         let mut k = Kernel::new();
-        k.record_event_log(true);
+        let tracer = std::sync::Arc::new(Tracer::new(TraceLevel::Full));
+        k.set_tracer(Some(std::sync::Arc::clone(&tracer)));
         let exit = k.new_completion();
         k.actors.push(ActorMeta {
             name: "a".into(),
@@ -1408,10 +1348,11 @@ mod tests {
         assert_eq!(k.events_processed(), 1);
         assert_eq!(k.fast_path_hits, 1);
         assert_eq!(k.actors[0].wake_epoch, 4);
-        let log = k.take_event_log();
+        // Traced like a dispatched wake: at its time, carrying the kernel
+        // sequence number it consumed.
         assert_eq!(
-            log,
-            vec![TraceEvent { time: 42, seq: 0, kind: TraceKind::Wake(0) }]
+            tracer.merge(),
+            [Event { time: 42, seq: 0, actor: 0, kind: K::FastPathBypass, a: 0, b: 0 }]
         );
         // the consumed sequence number is gone: the next push gets seq 1
         let c = k.new_completion();

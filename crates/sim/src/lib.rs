@@ -78,14 +78,12 @@ pub use engine::{
 };
 pub use kernel::{
     BarrierId, CompletionId, CondId, Kernel, MutexId, ReadyEvent, ReadyEventKind, ResourceId,
-    SchedulePolicy, TraceEvent, TraceKind, WaitEdge, WaitGraph, WaitTarget,
+    SchedulePolicy, WaitEdge, WaitGraph, WaitTarget,
 };
 pub use kernel_cell::KernelGuard;
 pub use queue::SimQueue;
 pub use time::Time;
 
-/// Structured virtual-time event tracing (re-export of `hupc-trace`).
-/// Present only with the `trace` feature (on by default); see
+/// Structured virtual-time event tracing (re-export of `hupc-trace`); see
 /// [`Simulation::set_tracer`] and [`Ctx::trace_emit`].
-#[cfg(feature = "trace")]
 pub use hupc_trace as trace;

@@ -24,10 +24,13 @@
 //!
 //! # Cost model
 //!
-//! The level check is a single relaxed atomic load; with the tracer absent
-//! (the default) instrumented code branches on an `Option` and does nothing.
-//! Compile the `trace` feature out of the runtime crates
-//! (`--no-default-features`) and the instrumentation disappears entirely.
+//! Tracing has one off switch, at run time: attach no tracer (the default)
+//! or attach one at [`TraceLevel::Off`]. With no tracer attached an
+//! instrumented site costs one branch on an `Option`, and sites whose
+//! payload takes work to compute (a trace location, a distance, a span tag)
+//! sit behind that same branch (`hupc_sim::Ctx::tracing`), so an untraced
+//! run does no argument work. With a tracer attached the level check is a
+//! single relaxed atomic load.
 
 mod export;
 mod metrics;
@@ -445,10 +448,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 static GLOBAL: Mutex<Option<Arc<Tracer>>> = Mutex::new(None);
 static INSTALL_LOCK: Mutex<()> = Mutex::new(());
 
-/// Set (or clear) the process-global default tracer, returning the previous
-/// one. Prefer [`Tracer::install`], whose guard also serializes installs.
-pub fn set_global_tracer(t: Option<Arc<Tracer>>) -> Option<Arc<Tracer>> {
-    std::mem::replace(&mut lock(&GLOBAL), t)
+/// Set (or clear) the process-global default tracer. Its one public entry is
+/// [`Tracer::install`], whose guard also serializes installs.
+fn set_global_tracer(t: Option<Arc<Tracer>>) {
+    *lock(&GLOBAL) = t;
 }
 
 /// The process-global default tracer, if one is installed.

@@ -41,7 +41,6 @@ impl<'a> Upc<'a> {
     pub fn broadcast_words_flat(&self, root: usize, words: &mut [u64]) {
         let p = self.threads();
         let me = self.mythread();
-        #[cfg(feature = "trace")]
         self.ctx().trace_emit(
             hupc_trace::EventKind::CollBegin,
             hupc_trace::coll::BROADCAST,
@@ -79,7 +78,6 @@ impl<'a> Upc<'a> {
             self.barrier();
             self.gasnet().segment(me).read(scratch, chunk);
         }
-        #[cfg(feature = "trace")]
         self.ctx()
             .trace_emit(hupc_trace::EventKind::CollEnd, hupc_trace::coll::BROADCAST, 0);
     }
@@ -140,7 +138,6 @@ impl<'a> Upc<'a> {
     {
         let p = self.threads();
         let me = self.mythread();
-        #[cfg(feature = "trace")]
         self.ctx()
             .trace_emit(hupc_trace::EventKind::CollBegin, hupc_trace::coll::ALLREDUCE, 1);
         let gather = self.runtime().scratch_off + HALF;
@@ -168,7 +165,6 @@ impl<'a> Upc<'a> {
         }
         let result = acc.map(Into::into).unwrap_or(0);
         let r = self.broadcast_word(0, result);
-        #[cfg(feature = "trace")]
         self.ctx()
             .trace_emit(hupc_trace::EventKind::CollEnd, hupc_trace::coll::ALLREDUCE, 0);
         r
@@ -247,7 +243,6 @@ impl<'a> Upc<'a> {
         let me = self.mythread();
         let b = mine.len();
         assert_eq!(out.len(), p * b);
-        #[cfg(feature = "trace")]
         self.ctx().trace_emit(
             hupc_trace::EventKind::CollBegin,
             hupc_trace::coll::ALLGATHER,
@@ -282,7 +277,6 @@ impl<'a> Upc<'a> {
             // until every thread has taken its final read.
             self.barrier();
         }
-        #[cfg(feature = "trace")]
         self.ctx()
             .trace_emit(hupc_trace::EventKind::CollEnd, hupc_trace::coll::ALLGATHER, 0);
     }
@@ -347,7 +341,6 @@ impl<'a> Upc<'a> {
     ) {
         let p = self.threads();
         let me = self.mythread();
-        #[cfg(feature = "trace")]
         self.ctx().trace_emit(
             hupc_trace::EventKind::CollBegin,
             hupc_trace::coll::ALL_EXCHANGE,
@@ -372,7 +365,6 @@ impl<'a> Upc<'a> {
             self.wait_sync(h);
         }
         self.barrier();
-        #[cfg(feature = "trace")]
         self.ctx().trace_emit(
             hupc_trace::EventKind::CollEnd,
             hupc_trace::coll::ALL_EXCHANGE,

@@ -45,7 +45,6 @@ impl UpcLock {
     }
 
     /// Whether the lock's home partition is memory-reachable from `me`.
-    #[cfg(feature = "trace")]
     fn is_local_for(&self, upc: &Upc<'_>) -> bool {
         upc.gasnet().castable(upc.mythread(), self.home)
     }
@@ -54,8 +53,7 @@ impl UpcLock {
     pub fn lock(&self, upc: &Upc<'_>) {
         upc.ctx().advance(self.op_cost(upc));
         upc.ctx().mutex_lock(self.mutex);
-        #[cfg(feature = "trace")]
-        {
+        if upc.ctx().tracing() {
             upc.ctx().trace_emit(
                 hupc_trace::EventKind::LockAcquire,
                 self.home as u64,
@@ -69,8 +67,7 @@ impl UpcLock {
     pub fn try_lock(&self, upc: &Upc<'_>) -> bool {
         upc.ctx().advance(self.op_cost(upc));
         let got = upc.ctx().mutex_try_lock(self.mutex);
-        #[cfg(feature = "trace")]
-        if got {
+        if got && upc.ctx().tracing() {
             upc.ctx().trace_emit(
                 hupc_trace::EventKind::LockAcquire,
                 self.home as u64,
@@ -85,7 +82,6 @@ impl UpcLock {
     pub fn unlock(&self, upc: &Upc<'_>) {
         upc.ctx().advance(self.op_cost(upc));
         upc.ctx().mutex_unlock(self.mutex);
-        #[cfg(feature = "trace")]
         upc.ctx()
             .trace_emit(hupc_trace::EventKind::LockRelease, self.home as u64, 0);
     }

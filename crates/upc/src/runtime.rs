@@ -376,7 +376,6 @@ impl<'a> Upc<'a> {
     }
 
     /// This thread's trace location (node + thread).
-    #[cfg(feature = "trace")]
     pub fn trace_loc(&self) -> hupc_trace::Loc {
         hupc_trace::Loc::new(
             self.rt.gasnet().thread_node(self.me).0 as u32,
@@ -385,7 +384,6 @@ impl<'a> Upc<'a> {
     }
 
     /// Whether metrics collection is active (counters level or above).
-    #[cfg(feature = "trace")]
     #[inline]
     fn metrics_on(&self) -> bool {
         self.ctx
@@ -394,7 +392,6 @@ impl<'a> Upc<'a> {
     }
 
     /// Bump a metrics counter attributed to this thread's location.
-    #[cfg(feature = "trace")]
     #[inline]
     pub fn trace_count(&self, name: &'static str, v: u64) {
         if self.metrics_on() {
@@ -403,7 +400,6 @@ impl<'a> Upc<'a> {
     }
 
     /// Record a histogram observation attributed to this thread's location.
-    #[cfg(feature = "trace")]
     #[inline]
     pub fn trace_observe(&self, name: &'static str, v: u64) {
         if self.metrics_on() {

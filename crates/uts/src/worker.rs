@@ -419,14 +419,13 @@ fn try_victim(
 ) -> Option<Vec<Node>> {
     let me = upc.mythread();
     let local_victim = upc.gasnet().castable(me, victim);
-    // Group distance in node hops: 0 = same node, further apart = larger.
-    #[cfg(feature = "trace")]
-    let distance = {
+    // Group distance in node hops (0 = same node, further apart = larger),
+    // computed only for a traced run.
+    let distance = upc.ctx().tracing().then(|| {
         let g = upc.gasnet();
         (g.thread_node(me).0 as i64 - g.thread_node(victim).0 as i64).unsigned_abs()
-    };
-    #[cfg(feature = "trace")]
-    {
+    });
+    if let Some(distance) = distance {
         upc.ctx()
             .trace_emit(hupc_trace::EventKind::StealAttempt, victim as u64, distance);
         upc.trace_count("uts.steal_attempts", 1);
@@ -472,8 +471,7 @@ fn try_victim(
     } else {
         stats.remote_steals += 1;
     }
-    #[cfg(feature = "trace")]
-    {
+    if let Some(distance) = distance {
         upc.ctx()
             .trace_emit(hupc_trace::EventKind::StealSuccess, victim as u64, distance);
         upc.trace_count("uts.steals", 1);

@@ -240,9 +240,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Observational freedom under fault injection: for random `FaultPlan`
-    /// seeds, a run with no tracer, a run at `Counters`, and a run at `Full`
-    /// are bit-identical in end time, event counts, fast-path hits, and the
-    /// application's own results.
+    /// seeds, a run with no tracer, a run with a tracer attached at `Off`,
+    /// a run at `Counters`, and a run at `Full` are bit-identical in end
+    /// time, event counts, fast-path hits, and the application's own
+    /// results. An attached `Off` tracer takes the traced branch of every
+    /// instrumented site and still records nothing.
     #[test]
     fn tracing_is_observationally_free_under_faults(
         plan_seed in any::<u64>(),
@@ -261,15 +263,23 @@ proptest! {
             let guard = tracer.as_ref().map(|t| t.install());
             let r = run_uts(cfg);
             drop(guard);
-            if level == Some(TraceLevel::Full) {
-                let t = tracer.unwrap();
-                assert!(t.events_recorded() > 0, "Full tracer saw no events");
+            match (level, tracer) {
+                (Some(TraceLevel::Full), Some(t)) => {
+                    assert!(t.events_recorded() > 0, "Full tracer saw no events");
+                }
+                (Some(TraceLevel::Off), Some(t)) => {
+                    assert_eq!(t.events_recorded(), 0, "Off tracer recorded events");
+                    assert!(t.metrics().snapshot().entries.is_empty(), "Off tracer counted");
+                }
+                _ => {}
             }
             (r.seconds, r.total_nodes, r.local_steals, r.remote_steals, r.comm_failures)
         }
         let bare = uts_run(plan_seed, tree_seed, None);
+        let off = uts_run(plan_seed, tree_seed, Some(TraceLevel::Off));
         let counters = uts_run(plan_seed, tree_seed, Some(TraceLevel::Counters));
         let full = uts_run(plan_seed, tree_seed, Some(TraceLevel::Full));
+        prop_assert_eq!(bare, off);
         prop_assert_eq!(bare, counters);
         prop_assert_eq!(bare, full);
     }
