@@ -2,6 +2,10 @@
 //! math, and the flop/byte charge constants — shared by the UPC and MPI
 //! variants so their numerics are bit-identical.
 
+use std::sync::Arc;
+
+use hupc_sim::SimCell;
+
 use crate::grid::{fft_plane, wrapped_sq, Grid};
 use crate::kernel::{Complex, Direction, FftPlan, Lanes};
 
@@ -93,7 +97,69 @@ impl Charges {
     }
 }
 
-/// Real per-rank data (Execute mode).
+/// Real per-run data (Execute mode): what every rank reads but none owns,
+/// built once by `run_ft_upc` / `run_ft_mpi` and shared through an `Arc`.
+///
+/// At class A on 16 ranks this is one 1 MiB spatial plane, one 0.28 MiB
+/// evolve table and 16 KiB of lanes per run, where each rank used to hold
+/// its own copy (≈ 20 MiB in all).
+pub(crate) struct RunData {
+    /// The global grid, whose evolve table each step looks up.
+    g: Grid,
+    l: Layout,
+    /// `|kz|²` per z (the evolve table index's z part).
+    kz2: Vec<usize>,
+    px: FftPlan,
+    py: FftPlan,
+    pz: FftPlan,
+    /// The evolve factors of the step the ranks are in.
+    evolve: SimCell<Evolve>,
+    /// Host scratch of the passes that never yield (`forward_fft2d`,
+    /// `forward_fftz`, `freq_plane`'s z pass and `finish_inverse_with`):
+    /// actors run one at a time, so a borrow that ends before the pass
+    /// returns is never contended, and one held across a yield would panic
+    /// in `SimCell` rather than alias.
+    scratch: SimCell<Scratch>,
+}
+
+/// Step `t`'s evolve factors, indexed by `|k̄|²` ([`Grid::evolve_table`]).
+/// The first rank to begin step `t` computes them. Every rank packs all of
+/// step `t`'s planes before it leaves step `t`'s exchange (a barrier or an
+/// all-to-all), so no rank still needs step `t - 1`'s table by then.
+struct Evolve {
+    t: usize,
+    table: Vec<f64>,
+}
+
+struct Scratch {
+    /// One spatial plane (ny × nx) of the inverse unpack.
+    plane: Vec<Complex>,
+    /// `transform_lanes` scratch shared by the x, y and z passes:
+    /// `max(nx, ny, nz)` elements of `LANES` split-complex lanes (16 KiB at
+    /// class A).
+    lanes: Vec<Lanes>,
+}
+
+impl RunData {
+    pub fn new(g: Grid, l: Layout) -> RunData {
+        RunData {
+            g,
+            l,
+            kz2: (0..l.nz).map(|z| wrapped_sq(z, l.nz)).collect(),
+            px: FftPlan::new(l.nx),
+            py: FftPlan::new(l.ny),
+            pz: FftPlan::new(l.nz),
+            evolve: SimCell::new(Evolve { t: 0, table: Vec::new() }),
+            scratch: SimCell::new(Scratch {
+                plane: vec![Complex::ZERO; l.nx * l.ny],
+                lanes: vec![Lanes::default(); l.nx.max(l.ny).max(l.nz)],
+            }),
+        }
+    }
+}
+
+/// Real per-rank data (Execute mode): `u0`, the live frequency planes and
+/// the checksum probes. Everything else a rank reads is in its [`RunData`].
 ///
 /// `u0` is the rank's only chunk-sized buffer. Through the forward 3-D FFT it
 /// holds the spatial slab: the x/y passes transform it in place and the
@@ -109,33 +175,23 @@ impl Charges {
 /// The inverse 3-D FFT never holds a grid. Each frequency plane is evolved
 /// from `u0` and z-transformed at its first pack and freed after its p-th
 /// (see [`FreqPlanes`]), and the receive side unpacks, x/y-transforms and
-/// probes one spatial plane at a time (see [`finish_inverse_with`]). So a
-/// rank holds `u0` (+ the exchange buffer) and a few planes instead of a
-/// second grid.
+/// probes one spatial plane at a time in the run's scratch plane (see
+/// [`finish_inverse_with`]). So a rank holds `u0` (8 MiB at class A on 16
+/// ranks, + its share of the exchange buffer) and its live frequency planes
+/// (0.5 MiB each) instead of a second grid.
 pub(crate) struct Data {
+    /// The run this rank belongs to.
+    run: Arc<RunData>,
     /// Spatial slab (nzp × ny × nx) until the forward exchange's unpack,
     /// then the forward-transformed field (frequency layout, nyp × nx × nz).
     u0: Vec<Complex>,
     /// The inverse exchange's frequency planes.
     freq: FreqPlanes,
-    /// One spatial plane (ny × nx) of the inverse unpack.
-    plane: Vec<Complex>,
     /// This rank's checksum probes in [`Grid::checksum_coords`] order: the
     /// local z-plane and the index inside it.
     probes: Vec<(usize, usize)>,
-    /// The global grid, whose evolve table each step looks up.
-    g: Grid,
     /// This rank, whose frequency rows are `me·nyp ..`.
     me: usize,
-    /// `|kz|²` per z (the evolve table index's z part).
-    kz2: Vec<usize>,
-    px: FftPlan,
-    py: FftPlan,
-    pz: FftPlan,
-    /// `transform_lanes` scratch shared by the x, y and z passes:
-    /// `max(nx, ny, nz)` elements of `LANES` split-complex lanes (16 KiB at
-    /// class A).
-    lanes: Vec<Lanes>,
 }
 
 /// The inverse exchange's frequency planes: plane `yl` holds the nx pencils
@@ -144,10 +200,11 @@ pub(crate) struct Data {
 /// after its p-th (one per destination), its buffer kept for the next
 /// plane. So a plane-major pack order (every destination's block of one
 /// plane, then the next plane) holds one plane, and a destination-major
-/// order up to `nyp`, as many as the whole frequency slice.
+/// order up to `nyp`, as many as the whole frequency slice. The planes stay
+/// per rank: under overlap every rank holds one at once.
 struct FreqPlanes {
-    /// This step's evolve factors, indexed by `|k̄|²` ([`Grid::evolve_table`]).
-    table: Vec<f64>,
+    /// The step these planes are evolved to.
+    t: usize,
     /// Plane `yl` from its first pack to its p-th.
     live: Vec<Option<Vec<Complex>>>,
     /// Packs served by each live plane.
@@ -156,7 +213,8 @@ struct FreqPlanes {
     spare: Vec<Vec<Complex>>,
 }
 
-pub(crate) fn init_data(g: &Grid, l: &Layout, me: usize) -> Data {
+pub(crate) fn init_data(run: &Arc<RunData>, me: usize) -> Data {
+    let (g, l) = (&run.g, &run.l);
     let mut u0 = vec![Complex::ZERO; l.chunk];
     for zl in 0..l.nzp {
         let z = me * l.nzp + zl;
@@ -172,65 +230,82 @@ pub(crate) fn init_data(g: &Grid, l: &Layout, me: usize) -> Data {
         .map(|(x, y, z)| (z % l.nzp, x + l.nx * y))
         .collect();
     Data {
+        run: Arc::clone(run),
         u0,
         freq: FreqPlanes {
-            table: Vec::new(),
+            t: 0,
             live: (0..l.nyp).map(|_| None).collect(),
             packs: vec![0; l.nyp],
             spare: Vec::new(),
         },
-        plane: vec![Complex::ZERO; l.nx * l.ny],
         probes,
-        g: *g,
         me,
-        kz2: (0..l.nz).map(|z| wrapped_sq(z, l.nz)).collect(),
-        px: FftPlan::new(l.nx),
-        py: FftPlan::new(l.ny),
-        pz: FftPlan::new(l.nz),
-        lanes: vec![Lanes::default(); l.nx.max(l.ny).max(l.nz)],
     }
 }
 
 /// Forward x+y FFT passes over every plane of the spatial slab.
-pub(crate) fn forward_fft2d(d: &mut Data, l: &Layout) {
-    for plane in d.u0.chunks_exact_mut(l.nx * l.ny) {
-        fft_plane(&d.px, &d.py, plane, Direction::Forward, &mut d.lanes);
-    }
+pub(crate) fn forward_fft2d(d: &mut Data) {
+    let run = &*d.run;
+    run.scratch.with_mut(|s| {
+        for plane in d.u0.chunks_exact_mut(run.l.nx * run.l.ny) {
+            fft_plane(&run.px, &run.py, plane, Direction::Forward, &mut s.lanes);
+        }
+    });
 }
 
 /// Forward z FFT pass over every frequency pencil (contiguous, z fastest).
-pub(crate) fn forward_fftz(d: &mut Data, l: &Layout) {
+pub(crate) fn forward_fftz(d: &mut Data) {
+    let run = &*d.run;
+    let (l, u0) = (&run.l, &mut d.u0);
     let pencils = l.chunk / l.nz;
-    d.pz.transform_lanes(&mut d.u0, pencils, l.nz, 1, Direction::Forward, &mut d.lanes);
+    run.scratch.with_mut(|s| {
+        run.pz.transform_lanes(u0, pencils, l.nz, 1, Direction::Forward, &mut s.lanes)
+    });
 }
 
-/// Start inverse step `t`: look up this step's evolve factors. Every plane
-/// of the previous step was freed by its last pack.
+/// Start inverse step `t`: make this step's evolve factors the run's (the
+/// first rank here computes them). Every plane of the previous step was
+/// freed by its last pack.
 pub(crate) fn begin_inverse(d: &mut Data, t: usize) {
     debug_assert!(d.freq.live.iter().all(Option::is_none), "a plane outlived its packs");
-    d.freq.table = d.g.evolve_table(t);
+    d.freq.t = t;
+    let run = &*d.run;
+    run.evolve.with_mut(|e| {
+        if e.t != t {
+            e.table = run.g.evolve_table(t);
+            e.t = t;
+        }
+    });
 }
 
 /// Frequency plane `yl` of this step: `u0 · factor` over its nx pencils,
 /// then the inverse z pass.
-fn freq_plane(d: &mut Data, l: &Layout, yl: usize) -> Vec<Complex> {
+fn freq_plane(d: &mut Data, yl: usize) -> Vec<Complex> {
+    let run = &*d.run;
+    let l = &run.l;
     let n = l.nx * l.nz;
     let mut plane = d.freq.spare.pop().unwrap_or_else(|| vec![Complex::ZERO; n]);
     let u0 = &d.u0[yl * n..(yl + 1) * n];
     let ky2 = wrapped_sq(d.me * l.nyp + yl, l.ny);
-    let pencils = plane.chunks_exact_mut(l.nz).zip(u0.chunks_exact(l.nz));
-    for (x, (out, u0)) in pencils.enumerate() {
-        let kxy = wrapped_sq(x, l.nx) + ky2;
-        for ((o, u), k) in out.iter_mut().zip(u0).zip(&d.kz2) {
-            *o = u.scale(d.freq.table[kxy + k]);
+    run.evolve.with(|e| {
+        assert_eq!(e.t, d.freq.t, "a rank packed step {} under step {}'s table", d.freq.t, e.t);
+        let pencils = plane.chunks_exact_mut(l.nz).zip(u0.chunks_exact(l.nz));
+        for (x, (out, u0)) in pencils.enumerate() {
+            let kxy = wrapped_sq(x, l.nx) + ky2;
+            for ((o, u), k) in out.iter_mut().zip(u0).zip(&run.kz2) {
+                *o = u.scale(e.table[kxy + k]);
+            }
         }
-    }
-    d.pz.transform_lanes(&mut plane, l.nx, l.nz, 1, Direction::Inverse, &mut d.lanes);
+    });
+    run.scratch.with_mut(|s| {
+        run.pz.transform_lanes(&mut plane, l.nx, l.nz, 1, Direction::Inverse, &mut s.lanes)
+    });
     plane
 }
 
 /// Pack the forward-exchange block of spatial plane `zl` for `dest`.
-pub(crate) fn pack_fwd_block(d: &Data, l: &Layout, zl: usize, dest: usize, words: &mut [u64]) {
+pub(crate) fn pack_fwd_block(d: &Data, zl: usize, dest: usize, words: &mut [u64]) {
+    let l = &d.run.l;
     for yl in 0..l.nyp {
         for x in 0..l.nx {
             let v = d.u0[l.s_idx(x, dest * l.nyp + yl, zl)];
@@ -243,14 +318,14 @@ pub(crate) fn pack_fwd_block(d: &Data, l: &Layout, zl: usize, dest: usize, words
 
 /// Pack the inverse-exchange block of frequency plane `yl` for `dest`,
 /// computing the plane at its first pack and freeing it after its p-th.
-pub(crate) fn pack_inv_block(d: &mut Data, l: &Layout, yl: usize, dest: usize, words: &mut [u64]) {
+pub(crate) fn pack_inv_block(d: &mut Data, yl: usize, dest: usize, words: &mut [u64]) {
     let plane = match d.freq.live[yl].take() {
         Some(plane) => plane,
-        None => freq_plane(d, l, yl),
+        None => freq_plane(d, yl),
     };
-    pack_inv_plane(&plane, l, dest, words);
+    pack_inv_plane(&plane, &d.run.l, dest, words);
     d.freq.packs[yl] += 1;
-    if d.freq.packs[yl] == l.p {
+    if d.freq.packs[yl] == d.run.l.p {
         d.freq.packs[yl] = 0;
         d.freq.spare.push(plane);
     } else {
@@ -274,11 +349,8 @@ fn pack_inv_plane(plane: &[Complex], l: &Layout, dest: usize, words: &mut [u64])
 
 /// Rearrange received forward blocks (one full slot per source) into the
 /// frequency layout. `slot(src)` yields that source's slot words.
-pub(crate) fn unpack_forward_with<'a>(
-    d: &mut Data,
-    l: &Layout,
-    mut slot: impl FnMut(usize) -> &'a [u64],
-) {
+pub(crate) fn unpack_forward_with<'a>(d: &mut Data, mut slot: impl FnMut(usize) -> &'a [u64]) {
+    let l = &d.run.l;
     for src in 0..l.p {
         let s = slot(src);
         for zl in 0..l.nzp {
@@ -296,26 +368,30 @@ pub(crate) fn unpack_forward_with<'a>(
 
 /// Finish the inverse 3-D FFT from the received inverse blocks (one full
 /// slot per source, `slot(src)` its words), one spatial plane at a time:
-/// unpack the plane's rows, run the inverse x/y passes and record the
-/// checksum probes on it. Returns this rank's probe sum, added in
-/// [`Grid::checksum_coords`] order.
+/// unpack the plane's rows into the run's scratch plane, run the inverse
+/// x/y passes and record the checksum probes on it. Returns this rank's
+/// probe sum, added in [`Grid::checksum_coords`] order. `slot` must not
+/// yield: it runs while the scratch is borrowed.
 pub(crate) fn finish_inverse_with<'a>(
     d: &mut Data,
-    l: &Layout,
     mut slot: impl FnMut(usize) -> &'a [u64],
 ) -> (f64, f64) {
+    let run = &*d.run;
+    let l = &run.l;
     let mut probed = vec![Complex::ZERO; d.probes.len()];
-    for zl in 0..l.nzp {
-        for src in 0..l.p {
-            unpack_inv_rows(&mut d.plane, l, zl, src, slot(src));
-        }
-        fft_plane(&d.px, &d.py, &mut d.plane, Direction::Inverse, &mut d.lanes);
-        for (v, &(pz, i)) in probed.iter_mut().zip(&d.probes) {
-            if pz == zl {
-                *v = d.plane[i];
+    run.scratch.with_mut(|s| {
+        for zl in 0..l.nzp {
+            for src in 0..l.p {
+                unpack_inv_rows(&mut s.plane, l, zl, src, slot(src));
+            }
+            fft_plane(&run.px, &run.py, &mut s.plane, Direction::Inverse, &mut s.lanes);
+            for (v, &(pz, i)) in probed.iter_mut().zip(&d.probes) {
+                if pz == zl {
+                    *v = s.plane[i];
+                }
             }
         }
-    }
+    });
     probed.iter().fold((0.0, 0.0), |(re, im), v| (re + v.re, im + v.im))
 }
 
@@ -363,7 +439,8 @@ mod tests {
         let g = FtClass::Custom { nx: 4, ny: 4, nz: 4, iters: 1 }.grid();
         let p = 2;
         let l = Layout::new(g, p);
-        let mut ranks: Vec<Data> = (0..p).map(|me| init_data(&g, &l, me)).collect();
+        let run = Arc::new(RunData::new(g, l));
+        let mut ranks: Vec<Data> = (0..p).map(|me| init_data(&run, me)).collect();
         // slot storage: [dest][src] -> words
         let mut slots = vec![vec![vec![0u64; l.slot * 2]; p]; p];
         for me in 0..p {
@@ -371,14 +448,14 @@ mod tests {
                 for zl in 0..l.nzp {
                     let block = l.slot / l.nzp * 2;
                     let mut w = vec![0u64; block];
-                    pack_fwd_block(&ranks[me], &l, zl, dest, &mut w);
+                    pack_fwd_block(&ranks[me], zl, dest, &mut w);
                     slots[dest][me][zl * block..(zl + 1) * block].copy_from_slice(&w);
                 }
             }
         }
         for me in 0..p {
             let sl = slots[me].clone();
-            unpack_forward_with(&mut ranks[me], &l, |src| &sl[src][..]);
+            unpack_forward_with(&mut ranks[me], |src| &sl[src][..]);
         }
         // f[yl, x, z] on rank me must equal the global initial at
         // (x, me*nyp+yl, z).
@@ -451,7 +528,7 @@ mod tests {
         let l = Layout::new(g, 4);
         assert_eq!(l.nyp, 2);
         let block = l.slot / l.nyp * 2;
-        let mut d = init_data(&g, &l, 1);
+        let mut d = init_data(&Arc::new(RunData::new(g, l)), 1);
         let mut steps = Vec::new();
         for t in 1..=2 {
             begin_inverse(&mut d, t);
@@ -459,7 +536,7 @@ mod tests {
             let mut blocks = vec![Vec::new(); l.nyp * l.p];
             for &(yl, dest) in order {
                 let mut w = vec![0u64; block];
-                pack_inv_block(&mut d, &l, yl, dest, &mut w);
+                pack_inv_block(&mut d, yl, dest, &mut w);
                 blocks[yl * l.p + dest] = w;
                 packs[yl] += 1;
                 let live = d.freq.live[yl].is_some();
@@ -490,6 +567,21 @@ mod tests {
         // A reused buffer computes the same bits as a fresh one.
         assert_eq!(blocks, pack_in_order(&plane_major, 1));
         assert_ne!(blocks[0], blocks[1], "the field evolves between steps");
+    }
+
+    #[test]
+    #[should_panic(expected = "a rank packed step 1 under step 2's table")]
+    fn packing_under_another_steps_table_panics() {
+        let g = FtClass::Custom { nx: 8, ny: 8, nz: 16, iters: 2 }.grid();
+        let l = Layout::new(g, 4);
+        let run = Arc::new(RunData::new(g, l));
+        let (mut a, mut b) = (init_data(&run, 0), init_data(&run, 1));
+        let mut w = vec![0u64; l.slot / l.nyp * 2];
+        begin_inverse(&mut a, 1);
+        begin_inverse(&mut b, 1);
+        pack_inv_block(&mut a, 0, 0, &mut w);
+        begin_inverse(&mut b, 2);
+        pack_inv_block(&mut a, 1, 0, &mut w);
     }
 
     #[test]

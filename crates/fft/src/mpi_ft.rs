@@ -9,13 +9,16 @@ use hupc_upc::GasnetConfig;
 
 use crate::ftcore::{
     begin_inverse, finish_inverse_with, forward_fft2d, forward_fftz, init_data, pack_fwd_block,
-    pack_inv_block, unpack_forward_with, Charges, Data, Layout, FFT_EFF, PACK_BW,
+    pack_inv_block, unpack_forward_with, Charges, Data, Layout, RunData, FFT_EFF, PACK_BW,
 };
 use crate::upc_ft::{ComputeMode, FtConfig, FtResult};
 
-/// Run the FT benchmark on the MPI substrate. `cfg.exchange`, `cfg.backend`
-/// and `cfg.subthreads` are ignored — MPI runs one process per core and the
-/// library's collective is split-phase by construction.
+/// Run the FT benchmark on the MPI substrate. `cfg.exchange`,
+/// `cfg.backend`, `cfg.subthreads`, `cfg.bind` and `cfg.overheads` are
+/// ignored: MPI runs one process per core, packed, over OpenMPI's
+/// shared-memory transport with the runtime's default software overheads,
+/// and the library's collective is split-phase by construction.
+/// `cfg.fault` applies to the network as it does for `run_ft_upc`.
 pub fn run_ft_mpi(cfg: FtConfig) -> FtResult {
     let g = cfg.class.grid();
     let l = Layout::new(g, cfg.threads);
@@ -33,20 +36,21 @@ pub fn run_ft_mpi(cfg: FtConfig) -> FtResult {
         conduit: cfg.conduit.clone(),
         segment_words: 1 << 10,
         overheads: None,
-        fault: None,
+        fault: cfg.fault.clone(),
         retry: Default::default(),
         barrier_timeout: None,
     });
 
+    let run = match mode {
+        ComputeMode::Execute => Some(Arc::new(RunData::new(g, l))),
+        ComputeMode::Model => None,
+    };
     let out: Arc<SimCell<FtResult>> = Arc::new(SimCell::default());
     let out2 = Arc::clone(&out);
 
     job.run(move |mpi| {
         let me = mpi.rank();
-        let mut data = match mode {
-            ComputeMode::Execute => Some(init_data(&g, &l, me)),
-            ComputeMode::Model => None,
-        };
+        let mut data = run.as_ref().map(|run| init_data(run, me));
         let mut comm: Time = 0;
         let mut fft2d: Time = 0;
         let mut fft1d: Time = 0;
@@ -60,7 +64,7 @@ pub fn run_ft_mpi(cfg: FtConfig) -> FtResult {
         // Forward 3-D FFT, all in u0.
         fft2d += timed(&mpi, |m| {
             if let Some(d) = data.as_mut() {
-                forward_fft2d(d, &l);
+                forward_fft2d(d);
             }
             charge_flops(m, l.nzp as f64 * charges.plane2d);
         });
@@ -71,7 +75,7 @@ pub fn run_ft_mpi(cfg: FtConfig) -> FtResult {
         transpose += timed(&mpi, |m| charge_sweep(m, l.chunk as f64 * 32.0)); // unpack
         fft1d += timed(&mpi, |m| {
             if let Some(d) = data.as_mut() {
-                forward_fftz(d, &l);
+                forward_fftz(d);
             }
             charge_flops(m, l.nyp as f64 * charges.planez);
         });
@@ -190,18 +194,18 @@ fn exchange(
                 for (dest, slot) in blocks.iter_mut().enumerate() {
                     let w = &mut slot[pl * block_words..(pl + 1) * block_words];
                     if forward {
-                        pack_fwd_block(d, l, pl, dest, w);
+                        pack_fwd_block(d, pl, dest, w);
                     } else {
-                        pack_inv_block(d, l, pl, dest, w);
+                        pack_inv_block(d, pl, dest, w);
                     }
                 }
             }
             let received = mpi.alltoall(&blocks);
             if forward {
-                unpack_forward_with(d, l, |src| &received[src][..]);
+                unpack_forward_with(d, |src| &received[src][..]);
                 (0.0, 0.0)
             } else {
-                finish_inverse_with(d, l, |src| &received[src][..])
+                finish_inverse_with(d, |src| &received[src][..])
             }
         }
     }

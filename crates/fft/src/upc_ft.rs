@@ -12,7 +12,7 @@ use hupc_upc::{
 
 use crate::ftcore::{
     begin_inverse, finish_inverse_with, forward_fft2d, forward_fftz, init_data, pack_fwd_block,
-    pack_inv_block, unpack_forward_with, Charges, Data, Layout, FFT_EFF, PACK_BW,
+    pack_inv_block, unpack_forward_with, Charges, Data, Layout, RunData, FFT_EFF, PACK_BW,
 };
 use crate::grid::FtClass;
 
@@ -203,6 +203,12 @@ pub fn run_ft_upc(cfg: FtConfig) -> FtResult {
     }
     domain.install(&job);
 
+    // What every rank reads but none owns (grid, plans, evolve table,
+    // scratch) is built once per run; Model mode builds nothing.
+    let run = match cfg.mode {
+        ComputeMode::Execute => Some(Arc::new(RunData::new(g, l))),
+        ComputeMode::Model => None,
+    };
     let out: Arc<SimCell<FtResult>> = Arc::new(SimCell::default());
     let out2 = Arc::clone(&out);
     let cfg = Arc::new(cfg);
@@ -210,10 +216,7 @@ pub fn run_ft_upc(cfg: FtConfig) -> FtResult {
 
     job.run(move |upc| {
         let me = upc.mythread();
-        let mut data = match cfg2.mode {
-            ComputeMode::Execute => Some(init_data(&g, &l, me)),
-            ComputeMode::Model => None,
-        };
+        let mut data = run.as_ref().map(|run| init_data(run, me));
         let pool = cfg2.subthreads.map(|s| SubPool::spawn(&upc, s.n, s.model));
         let mut ph = Phases::default();
         let mut checksums: Vec<(f64, f64)> = Vec::new();
@@ -324,7 +327,7 @@ fn run_fft2d(
         l.nzp as u64,
     );
     if let Some(d) = data {
-        forward_fft2d(d, l);
+        forward_fft2d(d);
     }
     charge_planes(upc, pool, l.nzp, charges.plane2d);
     let dt = upc.now() - t0;
@@ -353,7 +356,7 @@ fn run_fftz(
         l.nyp as u64,
     );
     if let Some(d) = data {
-        forward_fftz(d, l);
+        forward_fftz(d);
     }
     charge_planes(upc, pool, l.nyp, charges.planez);
     let dt = upc.now() - t0;
@@ -459,9 +462,9 @@ fn run_exchange(
                             let o = dest * slot_words + pl * block_words;
                             let blk = &mut w[o..o + block_words];
                             if forward {
-                                pack_fwd_block(d, l, pl, dest, blk);
+                                pack_fwd_block(d, pl, dest, blk);
                             } else {
-                                pack_inv_block(d, l, pl, dest, blk);
+                                pack_inv_block(d, pl, dest, blk);
                             }
                         }
                     }
@@ -558,9 +561,9 @@ fn put_block(
             // exactly as the old staging-Vec memput of `block_words` words).
             let pack = |words: &mut [u64]| {
                 if forward {
-                    pack_fwd_block(d, l, pl, dest, words);
+                    pack_fwd_block(d, pl, dest, words);
                 } else {
-                    pack_inv_block(d, l, pl, dest, words);
+                    pack_inv_block(d, pl, dest, words);
                 }
             };
             if blocking {
@@ -592,9 +595,9 @@ fn run_unpack(
         r.with_local_words(upc, |w| {
             let slot = |src: usize| &w[src * l.slot * 2..(src + 1) * l.slot * 2];
             if forward {
-                unpack_forward_with(d, l, slot);
+                unpack_forward_with(d, slot);
             } else {
-                sums = finish_inverse_with(d, l, slot);
+                sums = finish_inverse_with(d, slot);
             }
         });
     }
