@@ -14,11 +14,11 @@
 //! Two backends implement the same protocol; the platform picks one, no
 //! setting does:
 //!
-//! * [`SwitchCoro`] — a hand-rolled stackful coroutine: a malloc-backed
-//!   [`Stack`] plus an assembly context switch (`hupc_sim_ctx_swap`) that
-//!   saves the callee-saved registers, swaps stack pointers, and resumes the
-//!   peer. Used wherever [`SWITCH_SUPPORTED`] holds (Linux x86_64 / aarch64,
-//!   not under Miri).
+//! * [`SwitchCoro`] — a hand-rolled stackful coroutine: a [`Stack`] slot
+//!   of its simulation's stack arena (`arena.rs`) plus an assembly context
+//!   switch (`hupc_sim_ctx_swap`) that saves the callee-saved registers,
+//!   swaps stack pointers, and resumes the peer. Used wherever
+//!   [`SWITCH_SUPPORTED`] holds (Linux x86_64 / aarch64, not under Miri).
 //! * [`ThreadCoro`] — one parked OS thread per actor, rendezvousing through
 //!   the spin-then-park [`Handoff`]. The only backend under Miri and on
 //!   targets without the switch; it keeps guard-page stack protection.
@@ -30,6 +30,7 @@
 //! everything on the actor's own stack.
 
 use std::cell::Cell;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -154,52 +155,57 @@ const CANARY_WORDS: usize = 4;
 /// Floor for requested stack sizes; smaller requests are rounded up.
 pub(crate) const MIN_STACK: usize = 16 * 1024;
 
-/// A heap-allocated coroutine stack.
+/// A coroutine stack: one slot of a simulation's
+/// [`StackArena`](crate::arena::StackArena), held from first dispatch until
+/// the actor finishes and then handed back by value.
 ///
-/// Stacks come from the global allocator rather than `mmap` with a guard
-/// page: at million-actor scale, per-stack mappings would exhaust the
-/// kernel's VMA budget (`vm.max_map_count`, ~65k by default) long before
-/// memory runs out, while malloc arenas stay within a handful of mappings
-/// and only fault in the pages a stack actually touches. The trade-off is
-/// that overflow protection is a checked canary (verified after every
-/// resume) instead of a hardware fault; the OS-thread backend, used where
-/// the switch is unavailable, retains real guard pages.
+/// Stacks are slots of a few large `MAP_NORESERVE` slabs rather than a
+/// mapping each with a guard page: at million-actor scale, per-stack
+/// mappings would exhaust the kernel's VMA budget (`vm.max_map_count`, ~65k
+/// by default) long before memory runs out, while slabs stay within a few
+/// dozen mappings and only fault in the pages a stack actually touches. The
+/// trade-off is that overflow protection is a checked canary (verified after
+/// every resume) instead of a hardware fault; the OS-thread backend, used
+/// where the switch is unavailable, retains real guard pages.
 pub(crate) struct Stack {
-    base: *mut u8,
+    base: NonNull<u8>,
     size: usize,
 }
 
-// SAFETY: the stack is a plain heap allocation; ownership moves with the
-// struct and nothing aliases it.
+// SAFETY: a stack is the only handle to its slot; ownership of the slot
+// moves with the struct and nothing aliases it.
 unsafe impl Send for Stack {}
 
 impl Stack {
-    pub fn new(size: usize) -> Stack {
-        let size = size.max(MIN_STACK).next_multiple_of(4096);
-        let layout = std::alloc::Layout::from_size_align(size, 16).expect("stack layout");
-        // SAFETY: non-zero size, valid alignment.
-        let base = unsafe { std::alloc::alloc(layout) };
-        assert!(!base.is_null(), "failed to allocate a {size}-byte actor stack");
-        let s = Stack { base, size };
-        s.arm_canary();
-        s
+    /// The stack on the slot `base..base + size`.
+    ///
+    /// # Safety
+    /// The slot must be writable memory that outlives the stack, 16-byte
+    /// aligned at both ends, and reachable through no other `Stack`.
+    pub(crate) unsafe fn from_slot(base: NonNull<u8>, size: usize) -> Stack {
+        Stack { base, size }
+    }
+
+    /// Low end of the slot, where the canary lives.
+    pub(crate) fn base(&self) -> NonNull<u8> {
+        self.base
     }
 
     /// Usable size in bytes.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.size
     }
 
     /// One-past-the-end of the stack (stacks grow down); 16-byte aligned.
     fn top(&self) -> *mut u8 {
-        // SAFETY: base..base+size is one allocation.
-        unsafe { self.base.add(self.size) }
+        // SAFETY: base..base+size is one slot.
+        unsafe { self.base.as_ptr().add(self.size) }
     }
 
     fn arm_canary(&self) {
         for i in 0..CANARY_WORDS {
-            // SAFETY: the first CANARY_WORDS words of the allocation.
-            unsafe { (self.base as *mut usize).add(i).write(CANARY) };
+            // SAFETY: the first CANARY_WORDS words of the slot.
+            unsafe { (self.base.as_ptr() as *mut usize).add(i).write(CANARY) };
         }
     }
 
@@ -207,7 +213,7 @@ impl Stack {
     fn check_canary(&self) {
         for i in 0..CANARY_WORDS {
             // SAFETY: as in arm_canary.
-            let w = unsafe { (self.base as *const usize).add(i).read() };
+            let w = unsafe { (self.base.as_ptr() as *const usize).add(i).read() };
             assert!(
                 w == CANARY,
                 "actor stack overflow: canary clobbered on a {}-byte coroutine stack \
@@ -215,14 +221,6 @@ impl Stack {
                 self.size
             );
         }
-    }
-}
-
-impl Drop for Stack {
-    fn drop(&mut self) {
-        let layout = std::alloc::Layout::from_size_align(self.size, 16).expect("stack layout");
-        // SAFETY: allocated in Stack::new with the same layout.
-        unsafe { std::alloc::dealloc(self.base, layout) };
     }
 }
 
@@ -463,7 +461,7 @@ const LINE: usize = 64;
 /// on aarch64) plus the `yield_parked` / `Ctx::block` frames it returns into.
 const FRAME_LINES: usize = 4;
 
-/// A stackful coroutine: heap stack + saved register file + body.
+/// A stackful coroutine: arena stack + saved register file + body.
 pub(crate) struct SwitchCoro {
     cb: Box<SwitchControl>,
     stack: Option<Stack>,
@@ -517,7 +515,7 @@ impl SwitchCoro {
             prefetch_line(self.suspended_sp.wrapping_add(i * LINE));
         }
         if let Some(s) = &self.stack {
-            prefetch_line(s.base);
+            prefetch_line(s.base.as_ptr());
         }
     }
 
@@ -699,6 +697,7 @@ impl Coro {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::StackArena;
 
     fn run_backend(mk: impl Fn(Box<dyn FnOnce(ResumeArg) + Send>) -> Coro) {
         // Full protocol: run → yield → run → yield → finish, with state
@@ -736,7 +735,9 @@ mod tests {
         if !SWITCH_SUPPORTED {
             return;
         }
-        run_backend(|f| Coro::Switch(SwitchCoro::new(Stack::new(64 * 1024), f)));
+        let mut arena = StackArena::new();
+        let stack = Cell::new(Some(arena.take(64 * 1024)));
+        run_backend(|f| Coro::Switch(SwitchCoro::new(stack.take().unwrap(), f)));
     }
 
     #[test]
@@ -744,7 +745,8 @@ mod tests {
         if !SWITCH_SUPPORTED {
             return;
         }
-        let mut stack = Some(Stack::new(64 * 1024));
+        let mut arena = StackArena::new();
+        let mut stack = Some(arena.take(64 * 1024));
         for round in 0..100u64 {
             let mut c = SwitchCoro::new(
                 stack.take().unwrap(),
@@ -768,11 +770,12 @@ mod tests {
         }
         let n = 64;
         let counter = Arc::new(AtomicUsize::new(0));
+        let mut arena = StackArena::new();
         let mut coros: Vec<Coro> = (0..n)
             .map(|i| {
                 let c = Arc::clone(&counter);
                 Coro::Switch(SwitchCoro::new(
-                    Stack::new(32 * 1024),
+                    arena.take(32 * 1024),
                     Box::new(move |_| {
                         for _ in 0..i % 5 {
                             let _ = yield_parked();
@@ -803,8 +806,9 @@ mod tests {
         }
         // The engine wraps bodies in catch_unwind; model that here and check
         // the panic stays on the coroutine stack.
+        let mut arena = StackArena::new();
         let mut c = SwitchCoro::new(
-            Stack::new(64 * 1024),
+            arena.take(64 * 1024),
             Box::new(|_| {
                 let r = std::panic::catch_unwind(|| panic!("inner boom"));
                 assert!(r.is_err());
@@ -864,8 +868,9 @@ mod tests {
         const ACTOR: [usize; 4] = [0xA12, 0xA13, 0xA14, 0xA15];
         let seen = Arc::new(std::sync::Mutex::new(None));
         let seen2 = Arc::clone(&seen);
+        let mut arena = StackArena::new();
         let mut c = SwitchCoro::new(
-            Stack::new(64 * 1024),
+            arena.take(64 * 1024),
             Box::new(move |_| {
                 let CurrentYield::Switch(cb) = CURRENT.with(Cell::get) else {
                     unreachable!("a switch coroutine runs under its control block")
@@ -904,11 +909,17 @@ mod tests {
 
     #[test]
     fn canary_detects_overflow_writes() {
-        let s = Stack::new(MIN_STACK);
+        if !SWITCH_SUPPORTED {
+            return;
+        }
+        let mut arena = StackArena::new();
+        let s = arena.take(MIN_STACK);
+        s.arm_canary();
         s.check_canary();
-        unsafe { (s.base as *mut usize).write(0xdead) };
+        unsafe { (s.base.as_ptr() as *mut usize).write(0xdead) };
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.check_canary()));
         assert!(r.is_err(), "clobbered canary must be detected");
-        s.arm_canary(); // restore so Drop-era debug checks stay quiet
+        s.arm_canary();
+        arena.give(s);
     }
 }

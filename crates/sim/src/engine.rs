@@ -3,8 +3,8 @@
 //! Actors are lightweight execution contexts (stackful coroutines, see
 //! [`crate::coro`]), resumed in place by the scheduler loop: a wake dispatch
 //! is a user-space context switch into the actor, and a blocking simcall is
-//! a switch back. There are no per-actor kernel threads — an actor is a heap
-//! stack plus a saved register file — which is what makes million-actor
+//! a switch back. There are no per-actor kernel threads — an actor is a
+//! stack slot plus a saved register file — which is what makes million-actor
 //! simulations practical. Under Miri and on targets without the assembly
 //! switch, the same protocol runs over parked OS threads instead; the
 //! platform decides, not a setting.
@@ -14,7 +14,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::coro::{self, Coro, Poll, ResumeArg, Stack, SwitchCoro, ThreadCoro};
+use crate::arena::StackArena;
+use crate::coro::{self, Coro, Poll, ResumeArg, SwitchCoro, ThreadCoro};
 use crate::kernel::{
     ActorId, ActorMeta, ActorStatus, BarrierId, BlockKind, CompletionId, CondId, Kernel,
     MutexId, RecentRing, ResourceId, WaitGraph,
@@ -27,11 +28,6 @@ use crate::time::Time;
 /// headroom costs nothing until touched; scale runs shrink it via
 /// [`Simulation::set_stack_size`] / [`Ctx::spawn_with_stack`].
 pub const DEFAULT_STACK_SIZE: usize = 8 << 20;
-
-/// Cap on recycled coroutine stacks retained for reuse. Spawn-heavy runs
-/// (one actor per work item) cycle through the pool with a near-100% hit
-/// rate; the cap only matters when a huge cohort finishes at once.
-const STACK_POOL_CAP: usize = 1024;
 
 /// Shared between the scheduler and every actor context.
 struct Shared {
@@ -189,8 +185,10 @@ pub struct Simulation {
     shared: Arc<Shared>,
     /// Execution state per actor id; extended as staged spawns are drained.
     actors: Vec<ActorSlot>,
-    /// Recycled coroutine stacks of finished actors (bounded).
-    stack_pool: Vec<Stack>,
+    /// Where coroutine stacks come from and finished actors' stacks go
+    /// back to. Declared after `actors` so it drops after them: its slabs
+    /// are unmapped only once no context refers to them.
+    stacks: StackArena,
     ran: bool,
 }
 
@@ -210,7 +208,7 @@ impl Simulation {
                 stack_size: AtomicUsize::new(DEFAULT_STACK_SIZE),
             }),
             actors: Vec::new(),
-            stack_pool: Vec::new(),
+            stacks: StackArena::new(),
             ran: false,
         };
         // Adopt the process-global tracer (if installed) so app-level
@@ -242,7 +240,7 @@ impl Simulation {
     }
 
     /// Set the default stack size (bytes) for actors spawned afterwards.
-    /// Coroutine stacks are heap allocations faulted in lazily, so a large
+    /// Coroutine stacks are slab slots faulted in lazily, so a large
     /// default costs only virtual address space; scale runs use small
     /// explicit sizes to keep the resident set per live actor minimal.
     ///
@@ -414,9 +412,7 @@ impl Simulation {
         if let ActorSlot::Started(c) = &mut self.actors[a] {
             debug_assert!(c.finished());
             if let Some(stack) = c.take_stack() {
-                if self.stack_pool.len() < STACK_POOL_CAP {
-                    self.stack_pool.push(stack);
-                }
+                self.stacks.give(stack);
             }
             self.actors[a] = ActorSlot::Done;
         }
@@ -482,22 +478,11 @@ impl Simulation {
             k.fire_completion(exit);
         });
         if coro::SWITCH_SUPPORTED {
-            let stack = pooled_stack(&mut self.stack_pool, stack_size);
-            Coro::Switch(SwitchCoro::new(stack, wrapper))
+            Coro::Switch(SwitchCoro::new(self.stacks.take(stack_size), wrapper))
         } else {
             Coro::Thread(ThreadCoro::new(name, stack_size, wrapper))
         }
     }
-}
-
-/// A stack of exactly `want` usable bytes, reused from `pool` when one is
-/// available.
-fn pooled_stack(pool: &mut Vec<Stack>, size: usize) -> Stack {
-    let want = size.max(coro::MIN_STACK).next_multiple_of(4096);
-    if let Some(pos) = pool.iter().rposition(|s| s.size() == want) {
-        return pool.swap_remove(pos);
-    }
-    Stack::new(want)
 }
 
 impl Drop for Simulation {

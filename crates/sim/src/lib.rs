@@ -23,11 +23,14 @@
 //! structures. (The simulated machine is hierarchical; the simulator's own
 //! host-thread parallelism is not — DESIGN.md §12 records why.)
 //!
-//! Because an actor is a heap stack plus a saved register file — not a kernel
+//! Because an actor is a stack plus a saved register file — not a kernel
 //! thread — a handoff costs ~100ns of user-space register swapping and a
 //! simulation can hold **millions of actors**: memory (tunable via
 //! [`Simulation::set_stack_size`] / [`Ctx::spawn_with_stack`]), not kernel
-//! thread limits, bounds actor count.
+//! thread limits, bounds actor count. Each simulation carves its stacks
+//! from a few large anonymous slabs it maps itself, reuses a finished
+//! actor's stack for the next actor of its size, and unmaps the slabs when
+//! it drops; stacks never come from the global allocator.
 //!
 //! Because actors never run concurrently, shared state can be held in
 //! [`SimCell`]s — interior-mutability cells whose safety is guaranteed by the
@@ -62,6 +65,7 @@
 //! sim.run();
 //! ```
 
+mod arena;
 mod cell;
 mod coro;
 mod engine;

@@ -9,7 +9,7 @@
 //! release with `cargo test --release -p hupc-sim --test scale --
 //! --include-ignored`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hupc_sim::{time, Simulation};
@@ -17,17 +17,28 @@ use hupc_sim::{time, Simulation};
 /// 100k live actors arrive at one barrier, then all tear down. Exercises:
 /// mass registration, lazy context creation at first dispatch, a
 /// 100k-party release wave through the near bucket, and stack reclamation.
+/// Also pins the mapping budget: with all 100k stacks live, the process
+/// holds far fewer mappings than one per stack.
 #[test]
 fn hundred_thousand_actors_spawn_barrier_teardown() {
     let n: usize = 100_000;
+    let arrived = Arc::new(AtomicUsize::new(0));
+    let live_maps = Arc::new(AtomicUsize::new(0));
     let mut sim = Simulation::new();
     // Small explicit stacks: the bodies below need a few KB, and 100k of
     // them must not dominate the test runner's memory.
     sim.set_stack_size(32 * 1024);
     let bar = sim.kernel().new_barrier(n);
     for i in 0..n {
+        let (arrived, live_maps) = (Arc::clone(&arrived), Arc::clone(&live_maps));
         sim.spawn(format!("a{i}"), move |ctx| {
             ctx.advance(time::ns((i % 64) as u64));
+            // The last arrival sees every other actor suspended at the
+            // barrier: all n stacks are live.
+            if arrived.fetch_add(1, Ordering::Relaxed) + 1 == n && cfg!(target_os = "linux") {
+                let maps = std::fs::read_to_string("/proc/self/maps").expect("read maps");
+                live_maps.store(maps.lines().count(), Ordering::Relaxed);
+            }
             ctx.barrier_wait(bar);
             ctx.advance(time::ns(1));
         });
@@ -36,13 +47,20 @@ fn hundred_thousand_actors_spawn_barrier_teardown() {
     assert_eq!(stats.actors, n);
     // Barrier releases at the max arrival (63ns); everyone then advances 1ns.
     assert_eq!(stats.end_time, time::ns(64));
+    if cfg!(target_os = "linux") {
+        let maps = live_maps.load(Ordering::Relaxed);
+        assert!(
+            (1..4096).contains(&maps),
+            "{maps} mappings with {n} stacks live: stacks must share slabs"
+        );
+    }
 }
 
 /// A budget-driven dynamic spawn tree (the shape of an unbalanced tree
 /// search): each actor claims work from a shared budget and spawns up to two
 /// children while any remains. Exercises staged spawning from running
-/// actors at depth and the finished-stack pool (live stacks stay bounded by
-/// the frontier, not the total actor count).
+/// actors at depth and the reuse of finished actors' stacks (live stacks
+/// stay bounded by the frontier, not the total actor count).
 #[test]
 fn fifty_thousand_actor_dynamic_spawn_tree() {
     const TOTAL: u64 = 50_000;
@@ -108,8 +126,8 @@ fn million_actor_spawn_storm() {
 /// Million-actor UTS-style tree: one actor per tree node, children spawned
 /// dynamically from running actors with a deterministic 2-or-3 branching
 /// factor, capped by a shared budget at exactly a million nodes. Parents
-/// don't join — a finished node's stack goes back to the pool, so live
-/// stacks track the dispatch frontier, not the tree size.
+/// don't join — a finished node's stack goes back to the simulation's free
+/// list, so live stacks track the dispatch frontier, not the tree size.
 #[test]
 #[ignore = "million actors; run in release with --include-ignored"]
 fn million_actor_dynamic_spawn_tree() {
