@@ -11,18 +11,12 @@
 
 use std::sync::Arc;
 
+use hupc_sim::rng::SplitMix64;
 use hupc_sim::{time, SimCell};
 use hupc_upc::UpcJob;
 
 use crate::params::Params;
-use crate::workload::{AppError, RunEnv, Verified, Workload};
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
+use crate::workload::{require, AppError, RunEnv, Verified, Workload};
 
 fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
@@ -33,12 +27,12 @@ fn unit(h: u64) -> f64 {
 fn edge(seed: u64, n: usize, degree: usize, i: usize, j: usize) -> Option<f64> {
     debug_assert_ne!(i, j);
     let (a, b) = (i.min(j) as u64, i.max(j) as u64);
-    let h = splitmix(seed ^ (a * n as u64 + b).wrapping_mul(0x9E3779B97F4A7C15));
+    let h = SplitMix64(seed ^ (a * n as u64 + b).wrapping_mul(0x9E3779B97F4A7C15)).next_u64();
     // Edge probability degree/n ⇒ expected `degree` off-diagonals per row.
     if h % n as u64 >= degree as u64 {
         return None;
     }
-    Some(0.1 + 0.4 * unit(splitmix(h)))
+    Some(0.1 + 0.4 * unit(SplitMix64(h).next_u64()))
 }
 
 /// Row `i` of the matrix as `(columns, values, diagonal)`.
@@ -75,7 +69,7 @@ impl Workload for CgWorkload {
         vec![
             ("n", "256".into(), "matrix order (divisible by threads)"),
             ("degree", "8".into(), "expected off-diagonals per row"),
-            ("iters", "25".into(), "CG iterations"),
+            ("iters", "25".into(), "CG iterations (fewer at an exact solve)"),
             ("seed", "17".into(), "matrix seed"),
             ("tol", "1e-8".into(), "relative-residual pass threshold"),
         ]
@@ -89,6 +83,9 @@ impl Workload for CgWorkload {
         let seed = r.u64_or("seed", 17)?;
         let tol = r.f64_or("tol", 1e-8)?;
         r.finish()?;
+        require("cg", "n", n, n > 0, "at least 1")?;
+        require("cg", "iters", iters, iters > 0, "at least 1")?;
+        require("cg", "tol", tol, tol.is_finite() && tol > 0.0, "finite and positive")?;
         env.check_layout()?;
         let p = env.threads;
         if n % p != 0 {
@@ -101,7 +98,10 @@ impl Workload for CgWorkload {
         let job = UpcJob::new(env.upc_config(1 << 12));
         hupc_coll::CollDomain::install_auto(&job);
 
-        let out: Arc<SimCell<(f64, f64, u64, f64)>> = Arc::new(SimCell::default());
+        // Thread 0's report: true and recurrence relative residuals, nonzeros,
+        // iterations run, timed virtual seconds.
+        type Report = (f64, f64, u64, usize, f64);
+        let out: Arc<SimCell<Report>> = Arc::new(SimCell::default());
         let out2 = Arc::clone(&out);
 
         job.run(move |upc| {
@@ -129,7 +129,11 @@ impl Workload for CgWorkload {
                 upc.allreduce_sum_f64_vec(&mut v);
                 v[0]
             };
-            for _ in 0..iters {
+            let mut done = 0;
+            while done < iters && rs_old != 0.0 {
+                // `rs_old` is allreduced, so every thread leaves together;
+                // at an exact solve it is 0 and the next alpha would be 0/0.
+                done += 1;
                 let mine: Vec<u64> = d.iter().map(|v| v.to_bits()).collect();
                 upc.allgather_words(&mine, &mut d_full);
                 // q = A d over my rows; CPU charge ≈ 4 ns per nonzero FMA.
@@ -185,24 +189,25 @@ impl Workload for CgWorkload {
                     sums[0].sqrt() / b_norm,
                     rs_old.sqrt() / b_norm,
                     nnz,
+                    done,
                     time::as_secs_f64(dt),
                 ));
             }
         });
 
-        let (true_rel, rec_rel, nnz, secs) = out.get();
+        let (true_rel, rec_rel, nnz, done, secs) = out.get();
         let passed = true_rel < tol && rec_rel < tol;
         Ok(Verified {
             passed,
             oracle: format!(
                 "relative residual: true {true_rel:.3e}, recurrence {rec_rel:.3e} \
-                 (tol {tol:.1e}) after {iters} iterations"
+                 (tol {tol:.1e}) after {done} iterations"
             ),
             metrics: vec![
                 ("true_rel_residual".into(), true_rel),
                 ("rec_rel_residual".into(), rec_rel),
                 ("nnz".into(), nnz as f64),
-                ("mflops".into(), 2.0 * nnz as f64 * iters as f64 / secs.max(1e-12) / 1e6),
+                ("mflops".into(), 2.0 * nnz as f64 * done as f64 / secs.max(1e-12) / 1e6),
             ],
             end_seconds: secs,
         })
@@ -233,5 +238,29 @@ mod tests {
             b.metric("true_rel_residual").unwrap().to_bits()
         );
         assert_eq!(a.end_seconds.to_bits(), b.end_seconds.to_bits());
+    }
+
+    #[test]
+    fn cg_rejects_degenerate_params() {
+        let env = RunEnv::small(4, 2);
+        for bad in ["n=0", "iters=0", "tol=NaN", "tol=inf", "tol=0", "tol=-1e-8"] {
+            let got = CgWorkload.run(&env, &Params::parse(&[bad]).unwrap());
+            assert!(matches!(got, Err(AppError::Unsupported(_))), "{bad}: {got:?}");
+        }
+        // The smallest valid run still verifies.
+        let params = Params::parse(&["n=4", "degree=0", "iters=1"]).unwrap();
+        let v = CgWorkload.run(&env, &params).unwrap();
+        assert!(v.passed, "{}", v.oracle);
+    }
+
+    /// `degree=0` makes A = I, which one iteration solves exactly: the
+    /// solver stops there instead of dividing 0 by 0 on the next.
+    #[test]
+    fn cg_stops_at_an_exact_solve() {
+        let params = Params::parse(&["degree=0"]).unwrap();
+        let v = CgWorkload.run(&RunEnv::small(4, 2), &params).unwrap();
+        assert!(v.passed, "{}", v.oracle);
+        assert_eq!(v.metric("true_rel_residual"), Some(0.0));
+        assert_eq!(v.metric("nnz"), Some(256.0));
     }
 }

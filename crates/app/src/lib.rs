@@ -54,7 +54,7 @@
 //!     }
 //! }
 //!
-//! let v = hupc_app::run_workload(&Pi, &RunEnv::small(4, 2), &Params::empty()).unwrap();
+//! let v = Pi.run(&RunEnv::small(4, 2), &Params::empty()).unwrap();
 //! assert!(v.passed);
 //! ```
 
@@ -69,5 +69,5 @@ pub mod workload;
 
 pub use params::{ParamError, ParamReader, Params};
 pub use registry::{register_builtin, Registry};
-pub use runner::{run_by_name, run_workload, RunReport};
+pub use runner::{run_by_name, RunReport};
 pub use workload::{AppError, RunEnv, Verified, Workload};

@@ -22,18 +22,12 @@
 use std::sync::Arc;
 
 use hupc_groups::{GroupLevel, GroupSet};
+use hupc_sim::rng::SplitMix64;
 use hupc_sim::{time, SimCell};
 use hupc_upc::{Upc, UpcJob};
 
 use crate::params::Params;
-use crate::workload::{AppError, RunEnv, Verified, Workload};
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
+use crate::workload::{require, AppError, RunEnv, Verified, Workload};
 
 fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
@@ -136,6 +130,11 @@ impl Workload for MdWorkload {
         let tol = r.f64_or("tol", 1e-4)?;
         let seed = r.u64_or("seed", 23)?;
         r.finish()?;
+        require("md", "steps", steps, steps > 0, "at least 1")?;
+        for (key, v) in [("dt", dt), ("rc", rc), ("density", density), ("tol", tol)] {
+            require("md", key, v, v.is_finite() && v > 0.0, "finite and positive")?;
+        }
+        require("md", "skin", skin, skin.is_finite() && skin >= 0.0, "finite and non-negative")?;
         env.check_layout()?;
         let p = env.threads;
         let (px, py, pz) = grid3(p);
@@ -210,10 +209,12 @@ impl Workload for MdWorkload {
                     let (ix, iy, iz) = (k % m, (k / m) % m, k / (m * m));
                     let mut part = Particle::default();
                     for (a, i) in [ix, iy, iz].into_iter().enumerate() {
-                        let jit = 0.04 * (unit(splitmix(seed ^ (gid * 3 + a as u64))) - 0.5);
+                        let jit =
+                            0.04 * (unit(SplitMix64(seed ^ (gid * 3 + a as u64)).next_u64()) - 0.5);
                         part.x[a] = lo[a] + (i as f64 + 0.5) * spacing + jit;
-                        part.v[a] =
-                            0.1 * (unit(splitmix(seed ^ (gid * 3 + a as u64) ^ 0xABCD)) - 0.5);
+                        part.v[a] = 0.1
+                            * (unit(SplitMix64(seed ^ (gid * 3 + a as u64) ^ 0xABCD).next_u64())
+                                - 0.5);
                     }
                     part
                 })
@@ -434,5 +435,20 @@ mod tests {
             b.metric("e_final").unwrap().to_bits()
         );
         assert_eq!(a.end_seconds.to_bits(), b.end_seconds.to_bits());
+    }
+
+    #[test]
+    fn md_rejects_degenerate_params() {
+        let env = MdWorkload.default_env();
+        for bad in [
+            "steps=0", "dt=NaN", "dt=0", "dt=-0.002", "rc=NaN", "rc=0", "density=0",
+            "density=inf", "tol=NaN", "tol=0", "skin=NaN", "skin=-0.5",
+        ] {
+            let got = MdWorkload.run(&env, &Params::parse(&[bad]).unwrap());
+            assert!(matches!(got, Err(AppError::Unsupported(_))), "{bad}: {got:?}");
+        }
+        // The smallest valid run still verifies.
+        let v = MdWorkload.run(&env, &Params::parse(&["steps=1"]).unwrap()).unwrap();
+        assert!(v.passed, "{}", v.oracle);
     }
 }

@@ -79,11 +79,6 @@ impl Params {
         self
     }
 
-    /// Raw lookup without consumption tracking.
-    pub fn get_raw(&self, key: &str) -> Option<&str> {
-        self.map.get(key).map(String::as_str)
-    }
-
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -116,11 +111,6 @@ impl<'a> ParamReader<'a> {
     fn raw(&mut self, key: &str) -> Option<&'a str> {
         self.consumed.insert(key.to_string());
         self.params.map.get(key).map(String::as_str)
-    }
-
-    /// String value, or `default` when absent.
-    pub fn str_or(&mut self, key: &str, default: &str) -> String {
-        self.raw(key).unwrap_or(default).to_string()
     }
 
     fn parse_or<T: std::str::FromStr>(
@@ -168,7 +158,8 @@ impl<'a> ParamReader<'a> {
         }
     }
 
-    /// One of a fixed set of names; returns the index into `choices`.
+    /// One of a fixed set of names; returns the matching name from
+    /// `choices`, or `default` when absent.
     pub fn choice_or(
         &mut self,
         key: &str,

@@ -3,7 +3,7 @@
 
 use crate::params::Params;
 use crate::registry::Registry;
-use crate::workload::{AppError, RunEnv, Verified, Workload};
+use crate::workload::{AppError, RunEnv, Verified};
 
 /// One workload run shaped for reporting.
 #[derive(Clone, Debug)]
@@ -12,16 +12,6 @@ pub struct RunReport {
     /// Caller-chosen fault-plan label ("none" when the env has no plan).
     pub fault: String,
     pub verified: Verified,
-}
-
-/// Run one workload under the SDK; the oracle is evaluated inside the
-/// workload.
-pub fn run_workload(
-    w: &dyn Workload,
-    env: &RunEnv,
-    params: &Params,
-) -> Result<Verified, AppError> {
-    w.run(env, params)
 }
 
 /// Registry-keyed entry point: look up `name`, run it in `env`, shape a
@@ -36,7 +26,7 @@ pub fn run_by_name(
     let w = reg
         .get(name)
         .ok_or_else(|| AppError::NoSuchWorkload(name.to_string()))?;
-    let verified = run_workload(w.as_ref(), env, params)?;
+    let verified = w.run(env, params)?;
     Ok(RunReport {
         workload: name.to_string(),
         fault: fault_label.to_string(),

@@ -11,23 +11,16 @@
 use std::sync::Arc;
 
 use hupc_groups::{GroupLevel, GroupSet};
+use hupc_sim::rng::SplitMix64;
 use hupc_sim::{time, SimCell};
 use hupc_upc::{SharedArray, Upc, UpcJob};
 
 use crate::params::Params;
-use crate::workload::{AppError, RunEnv, Verified, Workload};
-
-/// splitmix64 (the repo-wide seeding PRNG).
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
+use crate::workload::{require, AppError, RunEnv, Verified, Workload};
 
 /// Initial temperature of cell `(r, c)`: uniform in [0, 1).
 fn init_cell(seed: u64, n: usize, r: usize, c: usize) -> f64 {
-    (splitmix(seed ^ (r * n + c) as u64) >> 11) as f64 / (1u64 << 53) as f64
+    (SplitMix64(seed ^ (r * n + c) as u64).next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// One conservative update: add `alpha * (neighbour - v)` per existing
@@ -122,6 +115,8 @@ impl Workload for Stencil2dWorkload {
         let alpha = r.f64_or("alpha", 0.2)?;
         let seed = r.u64_or("seed", 11)?;
         r.finish()?;
+        require("stencil2d", "steps", steps, steps > 0, "at least 1")?;
+        require("stencil2d", "alpha", alpha, alpha.is_finite(), "finite")?;
         env.check_layout()?;
         let p = env.threads;
         if n % p != 0 || n / p < 1 {
@@ -283,6 +278,19 @@ mod tests {
         assert!(b.passed, "{}", b.oracle);
         let (ta, tb) = (a.metric("total_heat").unwrap(), b.metric("total_heat").unwrap());
         assert!((ta - tb).abs() / ta.abs() < 1e-12, "{ta} vs {tb}");
+    }
+
+    #[test]
+    fn stencil2d_rejects_degenerate_params() {
+        let env = RunEnv::small(4, 2);
+        for bad in ["steps=0", "alpha=NaN", "alpha=-inf"] {
+            let got = Stencil2dWorkload.run(&env, &Params::parse(&[bad]).unwrap());
+            assert!(matches!(got, Err(AppError::Unsupported(_))), "{bad}: {got:?}");
+        }
+        // The smallest valid run still verifies.
+        let params = Params::parse(&["n=4", "steps=1"]).unwrap();
+        let v = Stencil2dWorkload.run(&env, &params).unwrap();
+        assert!(v.passed, "{}", v.oracle);
     }
 
     fn run(threads: usize, nodes: usize) -> Verified {

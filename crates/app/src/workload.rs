@@ -35,11 +35,6 @@ impl RunEnv {
         }
     }
 
-    pub fn with_fault(mut self, f: FaultPlan) -> RunEnv {
-        self.fault = Some(f);
-        self
-    }
-
     /// Whether the SPMD layout can be placed on the machine: at least one
     /// thread, `1..=machine.nodes` nodes, threads dividing evenly over them
     /// and no more per node than a node has PUs. These are
@@ -123,6 +118,23 @@ impl fmt::Display for AppError {
 }
 
 impl std::error::Error for AppError {}
+
+/// Reject a parameter value a workload parses but cannot run (a zero count,
+/// a non-finite or out-of-range float): [`AppError::Unsupported`] unless
+/// `ok`, naming the app, the key, the value and what it `must` be.
+pub(crate) fn require(
+    app: &str,
+    key: &str,
+    value: impl fmt::Display,
+    ok: bool,
+    must: &str,
+) -> Result<(), AppError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(AppError::Unsupported(format!("{app}: {key} = {value} must be {must}")))
+    }
+}
 
 impl From<ParamError> for AppError {
     fn from(e: ParamError) -> AppError {

@@ -17,10 +17,11 @@
 use std::collections::{HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
+use hupc_sim::rng::SplitMix64;
+
 use crate::policy::{log_hash, prefix_hash, PolicyHandle};
 use crate::scenario::{Outcome, Scenario, Violation};
 use crate::shrink::shrink;
-use crate::rng::SplitMix64;
 
 /// Exploration budget and knobs for one scenario.
 #[derive(Clone, Debug)]
@@ -174,7 +175,7 @@ pub fn explore(s: &dyn Scenario, cfg: &ExploreConfig) -> ExploreReport {
         }
 
         // Random stage: whatever sampling budget the systematic stage left.
-        let mut rng = SplitMix64::new(
+        let mut rng = SplitMix64(
             cfg.seed ^ (fault as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93),
         );
         while sampled < cfg.budget {

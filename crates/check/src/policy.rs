@@ -8,9 +8,10 @@
 
 use std::sync::{Arc, Mutex};
 
+use hupc_sim::rng::SplitMix64;
 use hupc_sim::{Kernel, ReadyEvent, SchedulePolicy};
 
-use crate::rng::{Fnv64, SplitMix64};
+use crate::rng::Fnv64;
 
 /// One recorded tie-break: which index was chosen out of how many ready
 /// events. `nready` is recorded so branching in the explorer knows the
@@ -46,7 +47,7 @@ impl PolicyHandle {
     pub fn random(seed: u64) -> Self {
         PolicyHandle {
             core: Arc::new(Mutex::new(Core {
-                mode: Mode::Random(SplitMix64::new(seed)),
+                mode: Mode::Random(SplitMix64(seed)),
                 log: Vec::new(),
             })),
         }
@@ -123,7 +124,7 @@ impl SchedulePolicy for Forwarder {
         let n = ready.len() as u32;
         let idx = core.log.len();
         let choice = match &mut core.mode {
-            Mode::Random(rng) => rng.below(n as u64) as u32,
+            Mode::Random(rng) => (rng.next_u64() % n as u64) as u32,
             Mode::Prefix(p) => p.get(idx).copied().unwrap_or(0).min(n - 1),
         };
         core.log.push(Decision { choice, nready: n });

@@ -1,30 +1,5 @@
-//! Minimal deterministic RNG + hashing helpers (no external deps).
-
-/// SplitMix64 — the same tiny generator the fault injector uses. Good
-/// statistical quality for schedule sampling, trivially seedable, and —
-/// crucially for replay — fully deterministic.
-#[derive(Clone, Debug)]
-pub struct SplitMix64(pub u64);
-
-impl SplitMix64 {
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n` (n > 0).
-    pub fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        self.next_u64() % n
-    }
-}
+//! Deterministic hashing helpers (no external deps). The explorer's
+//! random draws come from [`hupc_sim::rng::SplitMix64`].
 
 /// FNV-1a 64-bit — used to fingerprint decision logs and prefixes. Stable
 /// across platforms and releases (the corpus stores these hashes).
@@ -64,23 +39,6 @@ impl Default for Fnv64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_is_deterministic() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    fn below_stays_in_range() {
-        let mut r = SplitMix64::new(7);
-        for _ in 0..1000 {
-            assert!(r.below(5) < 5);
-        }
-    }
 
     #[test]
     fn fnv_differs_on_order() {

@@ -27,6 +27,9 @@ use crate::plan::{resolve, CollAlgo, CollOp, CollPlan};
 /// GATHER area for reduction slots.
 const HALF: usize = SCRATCH_WORDS / 2;
 
+/// Fan-out of the inter-leader trees.
+const ARITY: usize = 8;
+
 /// Emit a structured trace event; the payload (a span tag) is computed only
 /// when a tracer is attached.
 macro_rules! emit {
@@ -56,8 +59,6 @@ pub struct CollDomain {
     /// Threads per node (placement guarantees an even split).
     node_size: usize,
     plan: CollPlan,
-    /// Fan-out of the inter-leader trees.
-    arity: usize,
     staging: Option<ExchangeStaging>,
 }
 
@@ -91,7 +92,6 @@ impl CollDomain {
             socket_leaders_by_node,
             node_size,
             plan,
-            arity: 8,
             staging: None,
         }
     }
@@ -100,13 +100,6 @@ impl CollDomain {
     pub fn for_job(job: &UpcJob, plan: CollPlan) -> CollDomain {
         let mut kernel = job.kernel();
         Self::build(&mut kernel, job.runtime(), plan)
-    }
-
-    /// Override the inter-leader tree fan-out (default 8, min 2).
-    pub fn with_arity(mut self, k: usize) -> Self {
-        assert!(k >= 2, "tree arity must be at least 2");
-        self.arity = k;
-        self
     }
 
     /// Pre-allocate leader staging for the coalesced hierarchical
@@ -221,7 +214,7 @@ impl CollDomain {
                             staged = true;
                         }
                         let mut hs = Vec::new();
-                        for j in 1..self.arity {
+                        for j in 1..ARITY {
                             let t = rel + j * span;
                             if t < grp {
                                 let dst = self.leader_thread((root_g + t) % grp);
@@ -232,7 +225,7 @@ impl CollDomain {
                             upc.wait_sync(h);
                         }
                     }
-                    span *= self.arity;
+                    span *= ARITY;
                 }
                 self.leaders.barrier(upc);
                 emit!(upc, CollEnd, tag(hupc_trace::coll::PHASE_INTER), 0);
@@ -288,7 +281,7 @@ impl CollDomain {
         let my_node = self.nodes.group_of(me).clone();
         let node_leader = my_node.leader();
         let lrank = self.leaders.rank_of(me);
-        let k = self.arity;
+        let k = ARITY;
         let three = algo == CollAlgo::ThreeLevel;
         let tag = |phase| hupc_trace::coll::phase_tag(hupc_trace::coll::ALLREDUCE, algo.trace_tag(), phase);
         emit!(upc, CollBegin, tag(hupc_trace::coll::PHASE_OP), vals.len() as u64);

@@ -23,6 +23,7 @@
 //! retry/backoff machinery that *recovers* from these faults lives in
 //! `hupc-gasnet`.
 
+use hupc_sim::rng::SplitMix64;
 use hupc_sim::{time, SimCell, Time};
 
 /// Latency jitter distribution added to each traversal of the wire.
@@ -184,24 +185,10 @@ pub struct Xmit {
     pub jitter: Time,
 }
 
-/// splitmix64 — a tiny, high-quality, seedable PRNG. Deterministic across
-/// platforms; the whole fault layer's randomness flows through one instance.
-#[derive(Clone, Copy, Debug)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in [0, 1).
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
+/// Uniform in [0, 1) from the next draw. The whole fault layer's
+/// randomness flows through one [`SplitMix64`] instance.
+fn next_f64(r: &mut SplitMix64) -> f64 {
+    (r.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// The stateful runtime companion of a [`FaultPlan`]: owns the PRNG.
@@ -249,7 +236,7 @@ impl FaultInjector {
     /// changing a probability never shifts the random stream of unrelated
     /// links.
     pub fn xmit(&self, src: usize, dst: usize) -> Xmit {
-        let (u_loss, u_jitter) = self.rng.with_mut(|r| (r.next_f64(), r.next_f64()));
+        let (u_loss, u_jitter) = self.rng.with_mut(|r| (next_f64(r), next_f64(r)));
         let dropped = u_loss < self.plan.loss_for(src, dst);
         let jitter = self.plan.jitter.sample(u_jitter);
         if dropped || jitter > 0 {

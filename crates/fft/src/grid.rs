@@ -1,6 +1,8 @@
 //! Problem classes, deterministic initial data, evolution factors, checksum
 //! probes, and a sequential reference implementation.
 
+use hupc_sim::rng::SplitMix64;
+
 use crate::kernel::{Complex, Direction, FftPlan, Lanes};
 
 /// NAS FT problem classes (grid + iteration count).
@@ -70,14 +72,6 @@ pub struct Grid {
 /// NAS FT's diffusion constant.
 const ALPHA: f64 = 1.0e-6;
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// Square of the signed (wrapped) frequency of index `k` in a dimension of
 /// size `n`: `k` up to `n/2`, `k − n` above.
 pub(crate) fn wrapped_sq(k: usize, n: usize) -> usize {
@@ -103,8 +97,8 @@ impl Grid {
     /// identical field (NAS seeds a serial RNG; we seed by coordinate).
     pub fn initial(&self, x: usize, y: usize, z: usize) -> Complex {
         let flat = (x + self.nx * (y + self.ny * z)) as u64;
-        let h1 = splitmix64(flat.wrapping_mul(2) + 1);
-        let h2 = splitmix64(flat.wrapping_mul(2) + 2);
+        let h1 = SplitMix64(flat.wrapping_mul(2) + 1).next_u64();
+        let h2 = SplitMix64(flat.wrapping_mul(2) + 2).next_u64();
         // uniforms in (0,1) like NAS' vranlc stream
         let re = (h1 >> 11) as f64 / (1u64 << 53) as f64;
         let im = (h2 >> 11) as f64 / (1u64 << 53) as f64;

@@ -44,18 +44,6 @@ impl Complex {
     pub fn norm_sq(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
-
-    /// Pack into a PGAS element.
-    #[inline]
-    pub fn to_pair(self) -> [f64; 2] {
-        [self.re, self.im]
-    }
-
-    /// Unpack from a PGAS element.
-    #[inline]
-    pub fn from_pair(p: [f64; 2]) -> Complex {
-        Complex::new(p[0], p[1])
-    }
 }
 
 impl std::ops::Add for Complex {

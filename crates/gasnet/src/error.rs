@@ -3,9 +3,9 @@
 //! When a [`crate::GasnetConfig`] installs a `FaultPlan`, wire traversals
 //! can be dropped; the runtime's put/get paths retransmit with exponential
 //! backoff until the [`RetryPolicy`] budget runs out, at which point the
-//! fallible (`try_*`) entry points surface a [`CommError`] instead of
-//! silently hanging. The infallible entry points panic with the same
-//! message, preserving the historical API.
+//! fallible (`try_*`) primitives surface a [`CommError`] instead of
+//! silently hanging. The blocking conveniences (`hupc-upc`'s `Upc`, and
+//! `Gasnet::put`/`get`) panic with its `Display`.
 
 use hupc_sim::{time, Time};
 use hupc_topo::NodeId;

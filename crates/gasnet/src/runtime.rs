@@ -268,10 +268,6 @@ impl Gasnet {
         self.backend
     }
 
-    pub fn conduit_name(&self) -> &'static str {
-        self.conduit_kind
-    }
-
     pub fn overheads(&self) -> &Overheads {
         &self.overheads
     }
@@ -287,11 +283,6 @@ impl Gasnet {
     /// The installed fault injector, if any.
     pub fn fault(&self) -> Option<&Arc<FaultInjector>> {
         self.fault.as_ref()
-    }
-
-    /// The retransmission policy for dropped messages.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Node of a UPC thread.
@@ -489,118 +480,20 @@ impl Gasnet {
         Err(self.retries_exhausted(op, me, src, bytes))
     }
 
-    /// Fallible non-blocking put: like [`Gasnet::put_nb`] but surfaces
-    /// [`CommError::RetriesExhausted`] instead of panicking when the fault
-    /// plan eats every retransmission.
-    pub fn try_put_nb(
-        &self,
-        ctx: &Ctx,
-        me: usize,
-        dst: usize,
-        dst_off: usize,
-        data: &[u64],
-    ) -> Result<Handle, CommError> {
-        self.segments[dst].write(dst_off, data);
-        self.charge_transfer(ctx, "put", me, dst, data.len() * WORD_BYTES)
-    }
-
-    /// Non-blocking put of `data` into `dst`'s segment at word offset
-    /// `dst_off`. Bytes move immediately; the returned handle's completions
-    /// fire at the modeled times.
-    pub fn put_nb(
-        &self,
-        ctx: &Ctx,
-        me: usize,
-        dst: usize,
-        dst_off: usize,
-        data: &[u64],
-    ) -> Handle {
-        self.try_put_nb(ctx, me, dst, dst_off, data)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible blocking put.
-    pub fn try_put(
-        &self,
-        ctx: &Ctx,
-        me: usize,
-        dst: usize,
-        dst_off: usize,
-        data: &[u64],
-    ) -> Result<(), CommError> {
-        let h = self.try_put_nb(ctx, me, dst, dst_off, data)?;
-        self.wait_sync(ctx, me, h);
-        Ok(())
-    }
-
-    /// Blocking put: returns when the data is visible at the destination
-    /// (`upc_memput` semantics).
-    pub fn put(&self, ctx: &Ctx, me: usize, dst: usize, dst_off: usize, data: &[u64]) {
-        self.try_put(ctx, me, dst, dst_off, data)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible non-blocking get.
-    pub fn try_get_nb(
-        &self,
-        ctx: &Ctx,
-        me: usize,
-        src: usize,
-        src_off: usize,
-        out: &mut [u64],
-    ) -> Result<Handle, CommError> {
-        self.segments[src].read(src_off, out);
-        let bytes = out.len() * WORD_BYTES;
-        self.charge_get(ctx, "get", me, src, bytes)
-    }
-
-    /// Non-blocking get from `src`'s segment at `src_off` into `out`.
-    /// Bytes are copied immediately; wait on the handle before *using* them
-    /// to respect modeled timing.
-    pub fn get_nb(
-        &self,
-        ctx: &Ctx,
-        me: usize,
-        src: usize,
-        src_off: usize,
-        out: &mut [u64],
-    ) -> Handle {
-        self.try_get_nb(ctx, me, src, src_off, out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible blocking get.
-    pub fn try_get(
-        &self,
-        ctx: &Ctx,
-        me: usize,
-        src: usize,
-        src_off: usize,
-        out: &mut [u64],
-    ) -> Result<(), CommError> {
-        let h = self.try_get_nb(ctx, me, src, src_off, out)?;
-        self.wait_sync(ctx, me, h);
-        Ok(())
-    }
-
-    /// Blocking get (`upc_memget` semantics).
-    pub fn get(&self, ctx: &Ctx, me: usize, src: usize, src_off: usize, out: &mut [u64]) {
-        self.try_get(ctx, me, src, src_off, out)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    // ----- scoped zero-copy transfers ---------------------------------------
+    // ----- transfers -----------------------------------------------------------
     //
-    // The `_with` family charges exactly like the buffer-based calls above
-    // but hands the caller a borrowed view of the segment range instead of
-    // copying through a staging `Vec`. The closures run under the segment's
-    // `SimCell` borrow, so they must not issue simcalls and must not touch
-    // the same segment again.
+    // One fallible primitive per operation: bytes move at issue (the caller's
+    // closure runs on a borrowed view of the segment range, under the
+    // segment's `SimCell` borrow, so it must not issue simcalls or touch the
+    // same segment again), then the transfer is charged. The blocking and
+    // panicking conveniences live in `hupc-upc`'s `Upc`; `put` and `get` stay
+    // here for callers that time raw GASNet.
 
-    /// Fallible non-blocking put that lets `f` write the destination words
-    /// in place. Mirrors [`Gasnet::try_put_nb`]: bytes "move" (the closure
-    /// runs) before the transfer is charged, and the charge is identical to
-    /// a put of `words * 8` bytes.
+    /// Non-blocking put that lets `f` write `words` words of `dst`'s segment
+    /// at word offset `dst_off` in place; a copying put passes
+    /// `|w| w.copy_from_slice(data)`. The handle's completions fire at the
+    /// modeled times. Surfaces [`CommError::RetriesExhausted`] when the fault
+    /// plan eats every retransmission.
     pub fn try_put_nb_with<R>(
         &self,
         ctx: &Ctx,
@@ -615,41 +508,20 @@ impl Gasnet {
         Ok((r, h))
     }
 
-    /// Non-blocking in-place put; panics on exhausted retries.
-    pub fn put_nb_with<R>(
-        &self,
-        ctx: &Ctx,
-        me: usize,
-        dst: usize,
-        dst_off: usize,
-        words: usize,
-        f: impl FnOnce(&mut [u64]) -> R,
-    ) -> (R, Handle) {
-        self.try_put_nb_with(ctx, me, dst, dst_off, words, f)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Blocking in-place put (`upc_memput` timing, no staging buffer).
-    pub fn put_with<R>(
-        &self,
-        ctx: &Ctx,
-        me: usize,
-        dst: usize,
-        dst_off: usize,
-        words: usize,
-        f: impl FnOnce(&mut [u64]) -> R,
-    ) -> R {
-        let (r, h) = self
-            .try_put_nb_with(ctx, me, dst, dst_off, words, f)
+    /// Blocking put of `data` (`upc_memput` semantics): returns when the
+    /// data is visible at the destination. Panics on exhausted retries.
+    pub fn put(&self, ctx: &Ctx, me: usize, dst: usize, dst_off: usize, data: &[u64]) {
+        let ((), h) = self
+            .try_put_nb_with(ctx, me, dst, dst_off, data.len(), |w| {
+                w.copy_from_slice(data)
+            })
             .unwrap_or_else(|e| panic!("{e}"));
         self.wait_sync(ctx, me, h);
-        r
     }
 
-    /// Fallible blocking get that lets `f` read the source words in place.
-    /// Mirrors [`Gasnet::try_get_nb`] + [`Gasnet::wait_sync`]: the data is
-    /// observed at issue time (exactly when `try_get_nb` copies it out),
-    /// then the caller's virtual time advances to the modeled completion.
+    /// Blocking get that lets `f` read `words` words of `src`'s segment at
+    /// `src_off` in place: the data is observed at issue, then the caller's
+    /// virtual time advances to the modeled completion.
     pub fn try_get_with<R>(
         &self,
         ctx: &Ctx,
@@ -665,21 +537,18 @@ impl Gasnet {
         Ok(r)
     }
 
-    /// Blocking in-place get (`upc_memget` timing, no staging buffer).
-    pub fn get_with<R>(
-        &self,
-        ctx: &Ctx,
-        me: usize,
-        src: usize,
-        src_off: usize,
-        words: usize,
-        f: impl FnOnce(&[u64]) -> R,
-    ) -> R {
-        self.try_get_with(ctx, me, src, src_off, words, f)
-            .unwrap_or_else(|e| panic!("{e}"))
+    /// Blocking get into `out` (`upc_memget` semantics). Panics on
+    /// exhausted retries.
+    pub fn get(&self, ctx: &Ctx, me: usize, src: usize, src_off: usize, out: &mut [u64]) {
+        self.try_get_with(ctx, me, src, src_off, out.len(), |w| {
+            out.copy_from_slice(w)
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Fallible non-blocking memcpy.
+    /// Non-blocking segment-to-segment copy (`upc_memcpy`): word range from
+    /// (`src`,`src_off`) to (`dst`,`dst_off`), charged from `me`'s point of
+    /// view.
     #[allow(clippy::too_many_arguments)]
     pub fn try_memcpy_nb(
         &self,
@@ -706,73 +575,11 @@ impl Gasnet {
         }
     }
 
-    /// Segment-to-segment memcpy (`upc_memcpy`): word range from
-    /// (`src`,`src_off`) to (`dst`,`dst_off`), charged as a get+put pipeline
-    /// from `me`'s point of view.
-    #[allow(clippy::too_many_arguments)]
-    pub fn memcpy_nb(
-        &self,
-        ctx: &Ctx,
-        me: usize,
-        dst: usize,
-        dst_off: usize,
-        src: usize,
-        src_off: usize,
-        len: usize,
-    ) -> Handle {
-        self.try_memcpy_nb(ctx, me, dst, dst_off, src, src_off, len)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible blocking memcpy.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_memcpy(
-        &self,
-        ctx: &Ctx,
-        me: usize,
-        dst: usize,
-        dst_off: usize,
-        src: usize,
-        src_off: usize,
-        len: usize,
-    ) -> Result<(), CommError> {
-        let h = self.try_memcpy_nb(ctx, me, dst, dst_off, src, src_off, len)?;
-        self.wait_sync(ctx, me, h);
-        Ok(())
-    }
-
-    /// Blocking memcpy.
-    #[allow(clippy::too_many_arguments)]
-    pub fn memcpy(
-        &self,
-        ctx: &Ctx,
-        me: usize,
-        dst: usize,
-        dst_off: usize,
-        src: usize,
-        src_off: usize,
-        len: usize,
-    ) {
-        self.try_memcpy(ctx, me, dst, dst_off, src, src_off, len)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`Gasnet::transfer_nb`].
-    pub fn try_transfer_nb(
-        &self,
-        ctx: &Ctx,
-        me: usize,
-        dst: usize,
-        bytes: usize,
-    ) -> Result<Handle, CommError> {
-        self.charge_transfer(ctx, "transfer", me, dst, bytes)
-    }
-
     /// Charge the cost of moving `bytes` from `me` to `dst` without touching
     /// segment data — the timing primitive layered protocols (e.g. the MPI
-    /// baseline's two-sided messages) build on.
+    /// baseline's two-sided messages) build on. Panics on exhausted retries.
     pub fn transfer_nb(&self, ctx: &Ctx, me: usize, dst: usize, bytes: usize) -> Handle {
-        self.try_transfer_nb(ctx, me, dst, bytes)
+        self.charge_transfer(ctx, "transfer", me, dst, bytes)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -885,25 +692,10 @@ impl Gasnet {
 
     // ----- synchronization ------------------------------------------------------
 
-    /// Wait until the source buffer of `h` is reusable.
-    pub fn wait_local(&self, ctx: &Ctx, h: Handle) {
-        ctx.wait(h.local);
-    }
-
     /// Wait until `h` is fully complete (`upc_waitsync`).
     pub fn wait_sync(&self, ctx: &Ctx, me: usize, h: Handle) {
         ctx.wait(h.remote);
         self.outstanding[me].with_mut(|v| v.retain(|&c| c != h.remote));
-    }
-
-    /// Poll for completion (`upc_trysync`).
-    pub fn try_sync(&self, ctx: &Ctx, me: usize, h: Handle) -> bool {
-        if ctx.test(h.remote) {
-            self.outstanding[me].with_mut(|v| v.retain(|&c| c != h.remote));
-            true
-        } else {
-            false
-        }
     }
 
     /// Drain all outstanding non-blocking operations issued by `me`.
@@ -1045,6 +837,21 @@ mod tests {
         sim.run()
     }
 
+    /// A copying non-blocking put through the in-place primitive.
+    fn put_nb(
+        ctx: &Ctx,
+        gn: &Gasnet,
+        me: usize,
+        dst: usize,
+        dst_off: usize,
+        data: &[u64],
+    ) -> Result<Handle, CommError> {
+        let ((), h) = gn.try_put_nb_with(ctx, me, dst, dst_off, data.len(), |w| {
+            w.copy_from_slice(data)
+        })?;
+        Ok(h)
+    }
+
     #[test]
     fn put_moves_data_and_time() {
         let cfg = GasnetConfig::test_default(4, 2);
@@ -1160,7 +967,7 @@ mod tests {
                     let t0 = ctx.now();
                     if nb {
                         let hs: Vec<Handle> = (0..4)
-                            .map(|i| gn.put_nb(ctx, 0, 2, i << 14, &data))
+                            .map(|i| put_nb(ctx, gn, 0, 2, i << 14, &data).unwrap())
                             .collect();
                         for h in hs {
                             gn.wait_sync(ctx, 0, h);
@@ -1187,7 +994,7 @@ mod tests {
         launch(cfg, |ctx, gn, me| {
             if me == 1 {
                 let data = vec![3u64; 2048];
-                let _ = gn.put_nb(ctx, 1, 2, 0, &data); // deliberately un-waited
+                let _ = put_nb(ctx, gn, 1, 2, 0, &data); // deliberately un-waited
             }
             gn.barrier(ctx, me);
             // After the barrier everyone observes the same virtual time
@@ -1225,7 +1032,8 @@ mod tests {
             gn.barrier(ctx, me);
             if me == 0 {
                 // copy from thread 1's segment to thread 2's segment
-                gn.memcpy(ctx, 0, 2, 77, 1, 5, 1);
+                let h = gn.try_memcpy_nb(ctx, 0, 2, 77, 1, 5, 1).unwrap();
+                gn.wait_sync(ctx, 0, h);
             }
             gn.barrier(ctx, me);
             assert_eq!(gn.segment(2).read_word(77), 41);
@@ -1289,7 +1097,8 @@ mod tests {
         launch(cfg, |ctx, gn, me| {
             if me == 0 {
                 for i in 0..32u64 {
-                    gn.try_put(ctx, 0, 2, i as usize, &[i * 3]).unwrap();
+                    let h = put_nb(ctx, gn, 0, 2, i as usize, &[i * 3]).unwrap();
+                    gn.wait_sync(ctx, 0, h);
                 }
             }
             gn.barrier(ctx, me);
@@ -1339,7 +1148,7 @@ mod tests {
         let e2 = Arc::clone(&errs);
         launch(cfg, move |ctx, gn, me| {
             if me == 0 {
-                let err = gn.try_put(ctx, 0, 2, 0, &[9]).unwrap_err();
+                let err = put_nb(ctx, gn, 0, 2, 0, &[9]).unwrap_err();
                 e2.lock().unwrap().push(err);
             }
         });
@@ -1371,7 +1180,8 @@ mod tests {
             gn.barrier(ctx, me);
             if me == 0 {
                 let mut out = [0u64];
-                gn.try_get(ctx, 0, 2, 0, &mut out).unwrap();
+                gn.try_get_with(ctx, 0, 2, 0, 1, |w| out.copy_from_slice(w))
+                    .unwrap();
                 assert_eq!(out[0], 502);
             }
             gn.barrier(ctx, me);

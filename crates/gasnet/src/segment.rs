@@ -49,9 +49,7 @@ impl Segment {
 
     /// Copy `dst.len()` words starting at `off` out of the segment.
     pub fn read(&self, off: usize, dst: &mut [u64]) {
-        self.data.with(|d| {
-            dst.copy_from_slice(&d[off..off + dst.len()]);
-        });
+        self.with_range(off, dst.len(), |r| dst.copy_from_slice(r));
     }
 
     /// Read a single word.
@@ -61,16 +59,7 @@ impl Segment {
 
     /// Copy `src` into the segment at `off`.
     pub fn write(&self, off: usize, src: &[u64]) {
-        self.data.with_mut(|d| {
-            assert!(
-                off + src.len() <= d.len(),
-                "segment write out of bounds: {}..{} > {}",
-                off,
-                off + src.len(),
-                d.len()
-            );
-            d[off..off + src.len()].copy_from_slice(src);
-        });
+        self.with_range_mut(off, src.len(), |r| r.copy_from_slice(src));
     }
 
     /// Write a single word.
@@ -78,19 +67,24 @@ impl Segment {
         self.data.with_mut(|d| d[off] = v);
     }
 
-    /// Scoped shared access to a range (privatized/cast reads).
+    /// Scoped shared access to a range (privatized/cast reads, gets).
+    /// Panics if the range runs past the segment.
     pub fn with_range<R>(&self, off: usize, len: usize, f: impl FnOnce(&[u64]) -> R) -> R {
-        self.data.with(|d| f(&d[off..off + len]))
+        self.data.with(|d| f(&d[in_bounds(off, len, d.len())]))
     }
 
-    /// Scoped exclusive access to a range (privatized/cast writes).
+    /// Scoped exclusive access to a range (privatized/cast writes, puts).
+    /// Panics if the range runs past the segment.
     pub fn with_range_mut<R>(
         &self,
         off: usize,
         len: usize,
         f: impl FnOnce(&mut [u64]) -> R,
     ) -> R {
-        self.data.with_mut(|d| f(&mut d[off..off + len]))
+        self.data.with_mut(|d| {
+            let r = in_bounds(off, len, d.len());
+            f(&mut d[r])
+        })
     }
 
     /// Segment-to-segment copy (the memcpy fast paths). Within one segment
@@ -100,13 +94,21 @@ impl Segment {
             dst.data
                 .with_mut(|d| d.copy_within(src_off..src_off + len, dst_off));
         } else {
-            src.data.with(|s| {
-                dst.data.with_mut(|d| {
-                    d[dst_off..dst_off + len].copy_from_slice(&s[src_off..src_off + len]);
-                });
+            src.with_range(src_off, len, |s| {
+                dst.with_range_mut(dst_off, len, |d| d.copy_from_slice(s))
             });
         }
     }
+}
+
+/// The word range `off..off + len`, checked against a segment of `words`
+/// words: every segment access that takes a range goes through here.
+fn in_bounds(off: usize, len: usize, words: usize) -> std::ops::Range<usize> {
+    assert!(
+        off.checked_add(len).is_some_and(|end| end <= words),
+        "segment access out of bounds: {off}+{len} > {words}"
+    );
+    off..off + len
 }
 
 impl std::fmt::Debug for Segment {
@@ -155,9 +157,26 @@ mod tests {
         assert_eq!(s.len(), 100);
     }
 
+    /// Every ranged access checks its bounds in one place: a put and a get
+    /// through the GASNet primitives fail the same check as a raw write.
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn oob_write_panics() {
+        for put in [true, false] {
+            let mut cfg = crate::GasnetConfig::test_default(2, 2);
+            cfg.segment_words = 4;
+            let mut sim = hupc_sim::Simulation::new();
+            let gn = crate::Gasnet::new(&mut sim, cfg);
+            sim.spawn("upc0", move |ctx| {
+                if put {
+                    let _ = gn.try_put_nb_with(ctx, 0, 1, 3, 2, |w| w.fill(1));
+                } else {
+                    let _ = gn.try_get_with(ctx, 0, 1, 3, 2, |w| w.len());
+                }
+            });
+            let err = sim.run_result().unwrap_err().to_string();
+            assert!(err.contains("segment access out of bounds"), "put={put}");
+        }
         let s = Segment::new(4);
         s.write(3, &[1, 2]);
     }

@@ -170,15 +170,6 @@ impl<'a> Mpi<'a> {
         }
     }
 
-    /// Simultaneous exchange with `partner` (MPI_Sendrecv).
-    pub fn sendrecv(&self, partner: usize, tag: u64, data: &[u64]) -> Vec<u64> {
-        if partner == self.rank {
-            return data.to_vec();
-        }
-        self.send(partner, tag, data);
-        self.recv(partner, tag)
-    }
-
     /// Barrier over all ranks.
     pub fn barrier(&self) {
         self.world.gasnet.barrier(self.ctx, self.rank);

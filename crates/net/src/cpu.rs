@@ -90,11 +90,6 @@ impl CpuModel {
         let secs = flops / (self.peak_flops_per_core * efficiency);
         self.compute(ctx, machine, pu, time::from_secs_f64(secs));
     }
-
-    /// The raw resource for a PU (for layers composing custom charges).
-    pub fn pu_resource(&self, pu: PuId) -> ResourceId {
-        self.pu_res[pu.0]
-    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,6 @@ pub struct MemoryModel {
     socket_res: Vec<ResourceId>,
     bw_per_socket: f64,
     numa_remote_factor: f64,
-    chunk: usize,
 }
 
 impl MemoryModel {
@@ -33,19 +32,12 @@ impl MemoryModel {
             socket_res,
             bw_per_socket: spec.mem_bw_per_socket,
             numa_remote_factor: spec.numa_remote_factor,
-            chunk: DEFAULT_CHUNK,
         }
     }
 
     /// Sustained bandwidth of one controller, bytes/s.
     pub fn bandwidth_per_socket(&self) -> f64 {
         self.bw_per_socket
-    }
-
-    /// Override the fair-share chunk (tests use small chunks).
-    pub fn set_chunk(&mut self, chunk: usize) {
-        assert!(chunk > 0);
-        self.chunk = chunk;
     }
 
     /// Cost factor for a PU touching memory homed on `home`.
@@ -82,7 +74,7 @@ impl MemoryModel {
         let factor = self.numa_factor(machine, pu, home);
         let mut left = bytes;
         while left > 0 {
-            let b = left.min(self.chunk);
+            let b = left.min(DEFAULT_CHUNK);
             left -= b;
             ctx.acquire(self.socket_res[home.0], self.service(b, factor));
         }
@@ -103,7 +95,7 @@ impl MemoryModel {
         let fw = self.numa_factor(machine, pu, dst);
         let mut left = bytes;
         while left > 0 {
-            let b = left.min(self.chunk);
+            let b = left.min(DEFAULT_CHUNK);
             left -= b;
             ctx.acquire(self.socket_res[src.0], self.service(b, fr));
             ctx.acquire(self.socket_res[dst.0], self.service(b, fw));
@@ -124,11 +116,6 @@ impl MemoryModel {
     ) -> Time {
         let t = self.traffic_after(kernel, machine, pu, src, bytes, earliest);
         self.traffic_after(kernel, machine, pu, dst, bytes, t)
-    }
-
-    /// The controller resource of a socket (composition hooks).
-    pub fn socket_resource(&self, s: SocketId) -> ResourceId {
-        self.socket_res[s.0]
     }
 }
 

@@ -18,8 +18,6 @@ use hupc_gasnet::Gasnet;
 pub struct ShardMap {
     /// Thread ids sorted by (node, pu): the hierarchy order.
     order: Vec<usize>,
-    /// Owner slot of thread `t` in `order` (inverse of `order`).
-    slot_of: Vec<usize>,
     /// Affine multiplier, coprime with `partitions`.
     a: u64,
     /// Affine offset.
@@ -52,13 +50,8 @@ impl ShardMap {
         while gcd(a, partitions) != 1 {
             a += 1;
         }
-        let mut slot_of = vec![0usize; n];
-        for (slot, &t) in order.iter().enumerate() {
-            slot_of[t] = slot;
-        }
         ShardMap {
             order,
-            slot_of,
             a,
             c: 0x5bd1,
             partitions,
@@ -123,12 +116,6 @@ impl ShardMap {
     /// Keys owned per thread (store size).
     pub fn keys_per_thread(&self) -> usize {
         (self.partitions as usize / self.order.len()) * self.keys_per_partition as usize
-    }
-
-    /// Owner slot (hierarchy rank) of a thread — used to index per-owner
-    /// state tables deterministically.
-    pub fn slot_of_thread(&self, t: usize) -> usize {
-        self.slot_of[t]
     }
 }
 

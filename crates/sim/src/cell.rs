@@ -65,13 +65,6 @@ impl<T: ?Sized> SimCell<T> {
     }
 }
 
-impl<T: Clone> SimCell<T> {
-    /// Clone the current value out.
-    pub fn get_clone(&self) -> T {
-        self.with(|v| v.clone())
-    }
-}
-
 impl<T: Copy> SimCell<T> {
     /// Copy the current value out.
     pub fn get(&self) -> T {

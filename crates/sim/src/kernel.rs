@@ -916,11 +916,6 @@ impl Kernel {
         n
     }
 
-    /// Number of actors currently parked on `cond`.
-    pub fn cond_waiter_count(&self, cond: CondId) -> usize {
-        self.conds[cond.0].waiters.len()
-    }
-
     // ----- barriers ---------------------------------------------------------
 
     /// Create a reusable barrier for `parties` actors.
@@ -961,11 +956,6 @@ impl Kernel {
         arrived.clear();
         self.barriers[bar.0].arrived = arrived;
         true
-    }
-
-    /// Parties the barrier was created with.
-    pub fn barrier_parties(&self, bar: BarrierId) -> usize {
-        self.barriers[bar.0].parties
     }
 
     // ----- mutexes ----------------------------------------------------------
@@ -1015,11 +1005,6 @@ impl Kernel {
             let now = self.now;
             self.wake_at(now, next);
         }
-    }
-
-    /// Whether the mutex is currently held.
-    pub fn mutex_is_locked(&self, m: MutexId) -> bool {
-        self.mutexes[m.0].owner.is_some()
     }
 
     // ----- diagnostics ------------------------------------------------------

@@ -73,6 +73,7 @@ mod handoff;
 mod kernel;
 mod kernel_cell;
 mod queue;
+pub mod rng;
 pub mod time;
 
 pub use cell::SimCell;

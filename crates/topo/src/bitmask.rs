@@ -25,13 +25,6 @@ impl AffinityMask {
         m
     }
 
-    /// Mask containing exactly one PU.
-    pub fn single(n_pus: usize, pu: PuId) -> Self {
-        let mut m = Self::empty(n_pus);
-        m.insert(pu);
-        m
-    }
-
     /// Build from an iterator of PUs.
     pub fn from_pus(n_pus: usize, pus: impl IntoIterator<Item = PuId>) -> Self {
         let mut m = Self::empty(n_pus);

@@ -46,16 +46,6 @@ impl Machine {
         NodeId(self.pu_socket(pu).0 / self.spec.sockets_per_node)
     }
 
-    /// Socket containing `core`.
-    pub fn core_socket(&self, core: CoreId) -> SocketId {
-        SocketId(core.0 / self.spec.cores_per_socket)
-    }
-
-    /// Node containing `socket`.
-    pub fn socket_node(&self, socket: SocketId) -> NodeId {
-        NodeId(socket.0 / self.spec.sockets_per_node)
-    }
-
     // ----- enumeration ------------------------------------------------------
 
     /// PUs of `core` (SMT siblings), in order.

@@ -29,8 +29,8 @@
 //! instrumented site costs one branch on an `Option`, and sites whose
 //! payload takes work to compute (a trace location, a distance, a span tag)
 //! sit behind that same branch (`hupc_sim::Ctx::tracing`), so an untraced
-//! run does no argument work. With a tracer attached the level check is a
-//! single relaxed atomic load.
+//! run does no argument work. With a tracer attached the level check is one
+//! compare against the level fixed at construction.
 
 mod export;
 mod metrics;
@@ -39,33 +39,23 @@ pub use export::{to_chrome_trace, to_jsonl};
 pub use metrics::{Hist, Loc, MetricValue, MetricsRegistry, MetricsSnapshot};
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Virtual-time timestamp in nanoseconds (mirrors `hupc_sim::Time`; this
 /// crate keeps its own alias so the sim can depend on it without a cycle).
 pub type Time = u64;
 
-/// How much the tracer records.
+/// How much the tracer records. Levels are ordered: each records what the
+/// ones below it do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
 pub enum TraceLevel {
     /// Record nothing (default). Instrumentation costs one branch.
-    Off = 0,
+    Off,
     /// Update metrics (counters / histograms) but record no events.
-    Counters = 1,
+    Counters,
     /// Metrics plus full structured event recording.
-    Full = 2,
-}
-
-impl TraceLevel {
-    fn from_u8(v: u8) -> TraceLevel {
-        match v {
-            0 => TraceLevel::Off,
-            1 => TraceLevel::Counters,
-            _ => TraceLevel::Full,
-        }
-    }
+    Full,
 }
 
 /// What happened. Payload semantics (the `a` / `b` fields of [`Event`]) are
@@ -298,7 +288,7 @@ impl Ring {
 /// The tracer: level gate, global sequence counter, per-actor rings, and the
 /// metrics registry. Cheap to share (`Arc`); all methods take `&self`.
 pub struct Tracer {
-    level: AtomicU8,
+    level: TraceLevel,
     seq: AtomicU64,
     capacity: usize,
     /// Per-actor rings, keyed by actor id (sparse: the engine emits under a
@@ -330,7 +320,7 @@ impl Tracer {
     /// byte-identical across runs.
     pub fn with_capacity(level: TraceLevel, capacity: usize) -> Tracer {
         Tracer {
-            level: AtomicU8::new(level as u8),
+            level,
             seq: AtomicU64::new(0),
             capacity: capacity.max(1),
             rings: Mutex::new(BTreeMap::new()),
@@ -339,17 +329,13 @@ impl Tracer {
     }
 
     pub fn level(&self) -> TraceLevel {
-        TraceLevel::from_u8(self.level.load(Ordering::Relaxed))
-    }
-
-    pub fn set_level(&self, level: TraceLevel) {
-        self.level.store(level as u8, Ordering::Relaxed);
+        self.level
     }
 
     /// Single-branch gate: is the tracer at least at `min`?
     #[inline]
     pub fn enabled(&self, min: TraceLevel) -> bool {
-        self.level.load(Ordering::Relaxed) >= min as u8
+        self.level >= min
     }
 
     /// Record one event at virtual time `time`. No-op below `Full`. Never

@@ -100,8 +100,6 @@ impl UpcConfig {
 pub(crate) struct CostCounters {
     /// Pointer-to-shared translations accumulated since last flush.
     pub translations: u64,
-    /// Fixed software overheads (e.g. PSHM per-access costs), ns.
-    pub software_ns: u64,
     /// Streaming memory bytes per home socket.
     pub socket_bytes: HashMap<usize, u64>,
 }
@@ -407,22 +405,14 @@ impl<'a> Upc<'a> {
         }
     }
 
-    /// Derive a `Upc` view for the same thread from a sub-thread's context
-    /// (the PGAS "extends to sub-threads" property of §4.1.2; subject to the
-    /// job's [`ThreadSafety`] level on every call).
-    pub fn view_for_subthread<'b>(&self, sub_ctx: &'b Ctx) -> Upc<'b> {
-        Upc {
-            ctx: sub_ctx,
-            rt: Arc::clone(&self.rt),
-            me: self.me,
-        }
-    }
-
     // ----- thread-safety gate -------------------------------------------------
 
-    fn safety_gate(&self) -> Option<MutexId> {
+    /// Run `op` on the communication runtime under the job's
+    /// [`ThreadSafety`] gate: a sub-thread call panics when `Funneled` and
+    /// holds the job's serial mutex for the whole of `op` when `Serialized`.
+    fn gated<R>(&self, op: impl FnOnce(&Gasnet) -> R) -> R {
         if !in_subthread_context(self.ctx) {
-            return None;
+            return op(self.rt.gasnet());
         }
         match self.rt.safety {
             ThreadSafety::Funneled => panic!(
@@ -433,15 +423,11 @@ impl<'a> Upc<'a> {
             ),
             ThreadSafety::Serialized => {
                 self.ctx.mutex_lock(self.rt.serial);
-                Some(self.rt.serial)
+                let r = op(self.rt.gasnet());
+                self.ctx.mutex_unlock(self.rt.serial);
+                r
             }
-            ThreadSafety::Multiple => None,
-        }
-    }
-
-    fn safety_release(&self, gate: Option<MutexId>) {
-        if let Some(m) = gate {
-            self.ctx.mutex_unlock(m);
+            ThreadSafety::Multiple => op(self.rt.gasnet()),
         }
     }
 
@@ -451,9 +437,7 @@ impl<'a> Upc<'a> {
     /// non-blocking ops, synchronizes all threads.
     pub fn barrier(&self) {
         self.flush_access_costs();
-        let gate = self.safety_gate();
-        self.rt.gasnet().barrier(self.ctx, self.me);
-        self.safety_release(gate);
+        self.gated(|gn| gn.barrier(self.ctx, self.me));
     }
 
     /// `upc_notify`: the arrival half of the split-phase barrier. Flushes
@@ -461,40 +445,34 @@ impl<'a> Upc<'a> {
     /// returns immediately — local work may overlap the barrier.
     pub fn notify(&self) {
         self.flush_access_costs();
-        let gate = self.safety_gate();
-        self.rt.gasnet().barrier_notify(self.ctx, self.me);
-        self.safety_release(gate);
+        self.gated(|gn| gn.barrier_notify(self.ctx, self.me));
     }
 
     /// `upc_wait`: the completion half of the split-phase barrier.
     pub fn wait(&self) {
-        let gate = self.safety_gate();
-        self.rt.gasnet().barrier_wait_phase(self.ctx, self.me);
-        self.safety_release(gate);
+        self.gated(|gn| gn.barrier_wait_phase(self.ctx, self.me));
+    }
+
+    /// Fallible `upc_barrier` (consults `GasnetConfig::barrier_timeout`).
+    pub fn try_barrier(&self) -> Result<(), CommError> {
+        self.flush_access_costs();
+        self.gated(|gn| gn.try_barrier(self.ctx, self.me))
     }
 
     /// `upc_waitsync`.
     pub fn wait_sync(&self, h: Handle) {
-        let gate = self.safety_gate();
-        self.rt.gasnet().wait_sync(self.ctx, self.me, h);
-        self.safety_release(gate);
-    }
-
-    /// `upc_trysync`.
-    pub fn try_sync(&self, h: Handle) -> bool {
-        let gate = self.safety_gate();
-        let r = self.rt.gasnet().try_sync(self.ctx, self.me, h);
-        self.safety_release(gate);
-        r
+        self.gated(|gn| gn.wait_sync(self.ctx, self.me, h));
     }
 
     // ----- bulk communication ----------------------------------------------------
+    //
+    // Every transfer runs on one of GASNet's fallible primitives. The
+    // blocking forms wait on the handle inside the gate; the panicking forms
+    // are the fallible ones passed through `or_panic`.
 
     /// `upc_memput` (blocking) of words into `dst`'s segment.
     pub fn memput(&self, dst: usize, dst_off: usize, data: &[u64]) {
-        let gate = self.safety_gate();
-        self.rt.gasnet().put(self.ctx, self.me, dst, dst_off, data);
-        self.safety_release(gate);
+        or_panic(self.try_memput(dst, dst_off, data));
     }
 
     /// Fallible `upc_memput`: surfaces [`CommError`] when the fault plan
@@ -506,10 +484,18 @@ impl<'a> Upc<'a> {
         dst_off: usize,
         data: &[u64],
     ) -> Result<(), CommError> {
-        let gate = self.safety_gate();
-        let r = self.rt.gasnet().try_put(self.ctx, self.me, dst, dst_off, data);
-        self.safety_release(gate);
-        r
+        self.try_memput_with(dst, dst_off, data.len(), |w| w.copy_from_slice(data))
+    }
+
+    /// `bupc_memput_async`.
+    pub fn memput_nb(&self, dst: usize, dst_off: usize, data: &[u64]) -> Handle {
+        let ((), h) = self.memput_nb_with(dst, dst_off, data.len(), |w| w.copy_from_slice(data));
+        h
+    }
+
+    /// `upc_memget` (blocking).
+    pub fn memget(&self, src: usize, src_off: usize, out: &mut [u64]) {
+        or_panic(self.try_memget(src, src_off, out));
     }
 
     /// Fallible `upc_memget`.
@@ -519,69 +505,20 @@ impl<'a> Upc<'a> {
         src_off: usize,
         out: &mut [u64],
     ) -> Result<(), CommError> {
-        let gate = self.safety_gate();
-        let r = self.rt.gasnet().try_get(self.ctx, self.me, src, src_off, out);
-        self.safety_release(gate);
-        r
-    }
-
-    /// Fallible `upc_barrier` (consults `GasnetConfig::barrier_timeout`).
-    pub fn try_barrier(&self) -> Result<(), CommError> {
-        self.flush_access_costs();
-        let gate = self.safety_gate();
-        let r = self.rt.gasnet().try_barrier(self.ctx, self.me);
-        self.safety_release(gate);
-        r
-    }
-
-    /// `bupc_memput_async`.
-    pub fn memput_nb(&self, dst: usize, dst_off: usize, data: &[u64]) -> Handle {
-        let gate = self.safety_gate();
-        let h = self.rt.gasnet().put_nb(self.ctx, self.me, dst, dst_off, data);
-        self.safety_release(gate);
-        h
-    }
-
-    /// `upc_memget` (blocking).
-    pub fn memget(&self, src: usize, src_off: usize, out: &mut [u64]) {
-        let gate = self.safety_gate();
-        self.rt.gasnet().get(self.ctx, self.me, src, src_off, out);
-        self.safety_release(gate);
-    }
-
-    /// `bupc_memget_async`.
-    pub fn memget_nb(&self, src: usize, src_off: usize, out: &mut [u64]) -> Handle {
-        let gate = self.safety_gate();
-        let h = self.rt.gasnet().get_nb(self.ctx, self.me, src, src_off, out);
-        self.safety_release(gate);
-        h
+        self.gated(|gn| {
+            gn.try_get_with(self.ctx, self.me, src, src_off, out.len(), |w| {
+                out.copy_from_slice(w)
+            })
+        })
     }
 
     /// `upc_memcpy` (blocking) between two shared regions.
     pub fn memcpy(&self, dst: usize, dst_off: usize, src: usize, src_off: usize, len: usize) {
-        let gate = self.safety_gate();
-        self.rt
-            .gasnet()
-            .memcpy(self.ctx, self.me, dst, dst_off, src, src_off, len);
-        self.safety_release(gate);
-    }
-
-    /// `bupc_memcpy_async`.
-    pub fn memcpy_nb(
-        &self,
-        dst: usize,
-        dst_off: usize,
-        src: usize,
-        src_off: usize,
-        len: usize,
-    ) -> Handle {
-        let gate = self.safety_gate();
-        let h = self
-            .rt
-            .gasnet()
-            .memcpy_nb(self.ctx, self.me, dst, dst_off, src, src_off, len);
-        self.safety_release(gate);
-        h
+        or_panic(self.gated(|gn| {
+            let h = gn.try_memcpy_nb(self.ctx, self.me, dst, dst_off, src, src_off, len)?;
+            gn.wait_sync(self.ctx, self.me, h);
+            Ok(())
+        }));
     }
 
     // ----- zero-copy bulk transfers ------------------------------------------------
@@ -598,13 +535,7 @@ impl<'a> Upc<'a> {
         words: usize,
         f: impl FnOnce(&[u64]) -> R,
     ) -> R {
-        let gate = self.safety_gate();
-        let r = self
-            .rt
-            .gasnet()
-            .get_with(self.ctx, self.me, src, src_off, words, f);
-        self.safety_release(gate);
-        r
+        or_panic(self.gated(|gn| gn.try_get_with(self.ctx, self.me, src, src_off, words, f)))
     }
 
     /// `upc_memput` timing with an in-place view: `f` writes the destination
@@ -617,13 +548,7 @@ impl<'a> Upc<'a> {
         words: usize,
         f: impl FnOnce(&mut [u64]) -> R,
     ) -> R {
-        let gate = self.safety_gate();
-        let r = self
-            .rt
-            .gasnet()
-            .put_with(self.ctx, self.me, dst, dst_off, words, f);
-        self.safety_release(gate);
-        r
+        or_panic(self.try_memput_with(dst, dst_off, words, f))
     }
 
     /// `bupc_memput_async` timing with an in-place view (the closure runs at
@@ -635,13 +560,23 @@ impl<'a> Upc<'a> {
         words: usize,
         f: impl FnOnce(&mut [u64]) -> R,
     ) -> (R, Handle) {
-        let gate = self.safety_gate();
-        let r = self
-            .rt
-            .gasnet()
-            .put_nb_with(self.ctx, self.me, dst, dst_off, words, f);
-        self.safety_release(gate);
-        r
+        or_panic(self.gated(|gn| gn.try_put_nb_with(self.ctx, self.me, dst, dst_off, words, f)))
+    }
+
+    /// The blocking in-place put behind [`Upc::try_memput`] and
+    /// [`Upc::memput_with`].
+    fn try_memput_with<R>(
+        &self,
+        dst: usize,
+        dst_off: usize,
+        words: usize,
+        f: impl FnOnce(&mut [u64]) -> R,
+    ) -> Result<R, CommError> {
+        self.gated(|gn| {
+            let (r, h) = gn.try_put_nb_with(self.ctx, self.me, dst, dst_off, words, f)?;
+            gn.wait_sync(self.ctx, self.me, h);
+            Ok(r)
+        })
     }
 
     /// Run `f` with this thread's reusable scratch buffer sized to `words`
@@ -695,11 +630,6 @@ impl<'a> Upc<'a> {
         self.rt.costs[self.me].with_mut(|c| c.translations += n);
     }
 
-    /// Record `ns` nanoseconds of miscellaneous per-access software cost.
-    pub fn note_software_ns(&self, ns: u64) {
-        self.rt.costs[self.me].with_mut(|c| c.software_ns += ns);
-    }
-
     /// Record streaming memory traffic against `socket`'s controller.
     pub fn note_socket_traffic(&self, socket: SocketId, bytes: u64) {
         self.rt.costs[self.me].with_mut(|c| {
@@ -708,7 +638,7 @@ impl<'a> Upc<'a> {
     }
 
     /// Convert the accumulated fine-grained access costs into simulation
-    /// time: CPU time for pointer translations and software overheads,
+    /// time: CPU time for pointer translations,
     /// fair-shared controller time for memory traffic. Called automatically
     /// at [`Upc::barrier`].
     pub fn flush_access_costs(&self) {
@@ -716,17 +646,16 @@ impl<'a> Upc<'a> {
         // Every group barrier lands here, and most of them with nothing
         // accrued since the last one: leave before building the (hashed,
         // then sorted) traffic list.
-        if costs.with(|c| c.translations == 0 && c.software_ns == 0 && c.socket_bytes.is_empty()) {
+        if costs.with(|c| c.translations == 0 && c.socket_bytes.is_empty()) {
             return;
         }
-        let (trans, soft, traffic) = costs.with_mut(|c| {
+        let (trans, traffic) = costs.with_mut(|c| {
             (
                 std::mem::take(&mut c.translations),
-                std::mem::take(&mut c.software_ns),
                 std::mem::take(&mut c.socket_bytes),
             )
         });
-        let cpu_ns = trans * self.rt.gasnet().overheads().ptr_translation + soft;
+        let cpu_ns = trans * self.rt.gasnet().overheads().ptr_translation;
         if cpu_ns > 0 {
             self.compute(time::ns(cpu_ns));
         }
@@ -736,6 +665,12 @@ impl<'a> Upc<'a> {
             self.charge_mem_traffic(SocketId(socket), bytes as usize);
         }
     }
+}
+
+/// The blocking and panicking transfers' failure convention: a
+/// [`CommError`] that reaches them panics with its `Display`.
+fn or_panic<T>(r: Result<T, CommError>) -> T {
+    r.unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl std::fmt::Debug for Upc<'_> {
@@ -780,6 +715,71 @@ mod tests {
             upc.memget(2, off, &mut out);
             assert_eq!(out, [11, 22, 33]);
         });
+    }
+
+    /// A 2-node job whose wire drops everything: thread 0 runs `op` against
+    /// thread 1 and reports how it ended.
+    fn on_dead_wire<R: Send + Default + 'static>(
+        op: impl for<'b> Fn(&Upc<'b>, usize) -> R + Send + Sync + 'static,
+    ) -> Result<R, String> {
+        let mut cfg = UpcConfig::test_default(2, 2);
+        cfg.gasnet.fault = Some(hupc_gasnet::FaultPlan::new(1).loss(1.0));
+        let job = UpcJob::new(cfg);
+        let off = job.runtime().alloc_words(1);
+        let out = Arc::new(SimCell::new(R::default()));
+        let out2 = Arc::clone(&out);
+        match job.run_result(move |upc| {
+            if upc.mythread() == 0 {
+                let r = op(&upc, off);
+                out2.with_mut(|o| *o = r);
+            }
+        }) {
+            Ok(_) => Ok(Arc::try_unwrap(out).ok().unwrap().into_inner()),
+            Err(hupc_sim::SimError::ActorPanic { message, .. }) => Err(message),
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// The error a one-word transfer from thread 0 to thread 1 reports when
+    /// every attempt is dropped.
+    fn exhausted(op: &'static str) -> CommError {
+        CommError::RetriesExhausted {
+            op,
+            src: 0,
+            dst: 1,
+            src_node: hupc_topo::NodeId(0),
+            dst_node: hupc_topo::NodeId(1),
+            bytes: 8,
+            attempts: hupc_gasnet::RetryPolicy::default().max_attempts,
+        }
+    }
+
+    /// Blocking transfers whose retries run out panic with the
+    /// `CommError`'s text, and the fallible forms return that error.
+    #[test]
+    fn exhausted_retries_panic_with_the_comm_error_text() {
+        let panics = [
+            ("put", on_dead_wire(|upc, off| upc.memput(1, off, &[7]))),
+            ("get", on_dead_wire(|upc, off| upc.memget(1, off, &mut [0]))),
+            ("memcpy", on_dead_wire(|upc, off| upc.memcpy(1, off, 0, off, 1))),
+            (
+                "put",
+                on_dead_wire(|upc, off| upc.gasnet().put(upc.ctx(), 0, 1, off, &[7])),
+            ),
+            (
+                "get",
+                on_dead_wire(|upc, off| upc.gasnet().get(upc.ctx(), 0, 1, off, &mut [0])),
+            ),
+        ];
+        for (op, got) in panics {
+            let msg = got.expect_err("a blocking transfer over a dead wire must panic");
+            assert!(msg.contains("retry budget exhausted"), "{msg}");
+            assert_eq!(msg, exhausted(op).to_string());
+        }
+        let put = on_dead_wire(|upc, off| Some(upc.try_memput(1, off, &[7])));
+        assert_eq!(put, Ok(Some(Err(exhausted("put")))));
+        let get = on_dead_wire(|upc, off| Some(upc.try_memget(1, off, &mut [0])));
+        assert_eq!(get, Ok(Some(Err(exhausted("get")))));
     }
 
     #[test]
